@@ -12,7 +12,7 @@
 #                metrics registry's sharded counters under snapshot vs
 #                live Serve traffic, and the TCP server front end's
 #                connection/drain machinery)
-#   race-scan    the scan/RMW execution paths (epoch-fenced engine
+#   race-scan    the scan/RMW execution paths (define-overlay engine
 #                batches, the pipeline's extended path, shard scan
 #                split/merge, facade scans) under the race detector
 #   race-tiered  the cold-range tier store (DESIGN.md §14) under the
@@ -46,7 +46,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race race-kernels race-layout race-scan race-server race-autoshard race-tiered fuzz-smoke bench-smoke bench bench-kernels bench-layout bench-scan bench-serve bench-autoshard bench-tiered
+.PHONY: ci vet build test race race-kernels race-layout race-scan race-server race-autoshard race-tiered fuzz-smoke bench-smoke bench bench-kernels bench-layout bench-serve bench-autoshard bench-tiered
 
 ci: vet build test race race-kernels race-layout race-scan race-server race-autoshard race-tiered fuzz-smoke bench-smoke
 
@@ -78,12 +78,14 @@ race-layout:
 	$(GO) test -race -run 'Gapped|Layout' -count=1 ./internal/btree
 
 # The scan/RMW paths (DESIGN.md §11) under the race detector: the
-# engine's epoch-fenced extended batches across all modes and layouts,
-# the pipeline's drain-and-fence tree stage, the shard splitter/merger
-# on straddling scans, and the facade-level batch API. Also part of the
-# plain `race` target's package runs; kept callable on its own.
+# engine's define-overlay batches across all modes and layouts (scans
+# read the pre-batch tree in one pass and are patched from the defines
+# that precede them), the pipeline's stage-A overlay build and stage-B
+# evaluate-and-patch, the shard splitter/merger on straddling scans, and
+# the facade-level batch API. Also part of the plain `race` target's
+# package runs; kept callable on its own.
 race-scan:
-	$(GO) test -race -run 'ScanRMW|ScanNeverReordered|CoveringKill|ScanStats|CacheDrained|PlanEpochs' -count=1 ./internal/core
+	$(GO) test -race -run 'ScanRMW|Overlay|ScanBatch|CoveringKill|ScanStats|CacheDrained' -count=1 ./internal/core
 	$(GO) test -race -run 'SplitScan|Scan' -count=1 ./internal/shard
 	$(GO) test -race -run 'BatchScanAndRMW' -count=1 ./qtrans
 
@@ -149,13 +151,6 @@ bench-kernels:
 bench-layout:
 	$(GO) test -run=XXX -bench=BenchmarkLayout -benchtime=200ms ./internal/palm
 	$(GO) run ./cmd/qtransbench -experiment layout -scale 0.05 -json BENCH_layout.json
-
-# Range scans and read-modify-write (DESIGN.md §11): batched scans vs
-# the same coverage as repeated point gets, and AddDelta vs the
-# two-round search-then-insert a client without server-side RMW would
-# issue — written to BENCH_scan.json (not part of ci).
-bench-scan:
-	$(GO) run ./cmd/qtransbench -experiment scan -scale 0.05 -json BENCH_scan.json
 
 # Traffic-aware autosharding under a drifting hotspot (DESIGN.md §13):
 # the autoshard controller vs the best static equal-count layout at 4

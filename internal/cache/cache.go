@@ -254,10 +254,11 @@ func (c *TopK) FlushAll() []keys.Query {
 // underneath them. Drops are not counted as evictions and do not
 // invoke OnEvict.
 func (c *TopK) Drain() []keys.Query {
-	out := c.FlushAll()
-	if c.t != nil && c.t.used > 0 {
-		c.t = newTable(c.capacity)
+	if c.t == nil || c.t.used == 0 {
+		return nil // nothing to walk: scan batches drain every time
 	}
+	out := c.FlushAll()
+	c.t = newTable(c.capacity)
 	return out
 }
 

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -100,9 +101,11 @@ type Engine struct {
 	flushQ []keys.Query
 	mergeQ []keys.Query
 
-	// Scratch for the scan/RMW batch path (see processScanRMW).
-	extQ  []keys.Query
-	scanQ []keys.Query
+	// Scratch for the scan/RMW batch path (see applyScanRMW): the
+	// serial path's define overlay, and the empty result sink cache
+	// write-backs (defines only, never answered) are applied with.
+	ov      scanOverlay
+	flushRS *keys.ResultSet
 
 	st  *stats.Batch
 	met *engineMetrics // nil when metrics are off
@@ -161,6 +164,8 @@ func newEngine(cfg EngineConfig, tree *btree.Tree) (*Engine, error) {
 		proc: proc,
 		tf:   NewTransformer(pool),
 		st:   stats.NewBatch(pool.N()),
+
+		flushRS: keys.NewResultSet(0),
 	}
 	e.tf.CompareSort = cfg.CompareSort
 	e.met = newEngineMetrics(cfg.Metrics)
@@ -219,10 +224,11 @@ func (e *Engine) processBatch(qs []keys.Query, rs *keys.ResultSet) {
 	}
 
 	// Batches carrying range scans or read-modify-writes take the
-	// epoch-planned path; pure point batches stay on the hot path below,
-	// byte-for-byte as before.
+	// define-overlay path; pure point batches stay on the hot path
+	// below, byte-for-byte as before.
 	if scan, rmw := hasScanOrRMW(qs); scan || rmw {
-		e.processScanRMW(qs, rs, scan)
+		remaining := e.transformScanRMW(e.tf, &e.ov, qs, rs, e.st, scan)
+		e.applyScanRMW(e.tf, &e.ov, remaining, rs)
 		return
 	}
 
@@ -262,141 +268,89 @@ func (e *Engine) processBatch(qs []keys.Query, rs *keys.ResultSet) {
 	e.mergeProcStats(e.st)
 }
 
-// processScanRMW evaluates a batch containing range scans and/or
-// read-modify-writes. The batch is split into alternating point epochs
-// and scan groups (epoch.go); each epoch is QSAT-transformed against
-// one shared Router (so cross-epoch representative chains still
-// broadcast once), all surviving point queries are logged as ONE
-// commit record before any effect reaches the tree (whole-batch crash
-// atomicity), and then epochs and scan groups execute in order.
+// transformScanRMW is the tree-independent half of a batch containing
+// range scans and/or read-modify-writes (stage A in pipelined
+// execution): the scans are split out and their define overlay built
+// (overlay.go; timed as StageQSAT2 — it is inference), and the point
+// queries are QSAT-transformed as ONE batch, exactly like a point-only
+// batch. Returns the point queries that need the tree (all of them, in
+// batch order, in Original mode). ov.scans is empty for RMW-only
+// batches.
+func (e *Engine) transformScanRMW(tf *Transformer, ov *scanOverlay, qs []keys.Query, rs *keys.ResultSet, st *stats.Batch, hasScan bool) []keys.Query {
+	ov.scans, ov.fetch = ov.scans[:0], ov.fetch[:0]
+	if hasScan {
+		sw := st.Timer(stats.StageQSAT2)
+		qs = ov.build(qs, &tf.radix[0])
+		sw.Stop()
+	}
+	switch e.cfg.Mode {
+	case Original:
+		return qs
+	case SimIntra:
+		return tf.TransformSim(qs, rs, st)
+	default:
+		return tf.Transform(qs, rs, st)
+	}
+}
+
+// applyScanRMW is the tree half of a scan/RMW batch: all surviving
+// point queries are logged as ONE commit record before any effect
+// (whole-batch crash atomicity; scans are pure reads and never logged),
+// every scan reads the pre-batch tree in one EvalScans pass, the point
+// queries run as one PALM pass, and the scans' rows are patched with
+// the defines that precede them.
 //
 // The top-K cache is drained first and the cache pass is skipped for
 // the whole batch: scans and RMWs read the tree directly, so clean
-// residents would go stale the moment an epoch mutates the tree
+// residents would go stale the moment the batch mutates the tree
 // underneath them. Scan/RMW batches therefore pay full tree price —
 // the intended trade, since the cache's contract is point-only.
-func (e *Engine) processScanRMW(qs []keys.Query, rs *keys.ResultSet, hasScan bool) {
+func (e *Engine) applyScanRMW(tf *Transformer, ov *scanOverlay, remaining []keys.Query, rs *keys.ResultSet) {
 	e.drainCache()
-
-	var plan batchPlan
-	if hasScan {
-		plan = planEpochs(qs)
-	} else {
-		// RMW-only batches need no fencing: one epoch, no scan groups.
-		plan = batchPlan{epochs: [][]keys.Query{qs}, scans: [][]keys.Query{nil}}
-	}
-
-	var plans [][]keys.Query
-	if e.cfg.Mode != Original {
-		plans = e.tf.TransformEpochs(plan.epochs, len(qs), rs, e.st, e.cfg.Mode == SimIntra)
-	}
-	if !e.commitPlan(plan, plans) {
+	if !e.commit(remaining) {
 		return
 	}
-	e.executePlan(plan, plans, rs)
-	if e.cfg.Mode != Original {
-		e.tf.Broadcast(rs)
+	if len(ov.scans) > 0 {
+		e.st.ScanQueries, e.st.ScanKills = len(ov.scans), ov.kills
+		e.proc.EvalScans(ov.fetch, rs)
+		e.mergeProcStats(e.st)
+	}
+	e.st.RemainingQueries = len(remaining) + len(ov.fetch)
+	if e.cfg.Mode == Original {
+		e.proc.ProcessBatch(remaining, rs)
+	} else {
+		e.proc.ProcessTransformed(remaining, rs)
+		tf.Broadcast(rs)
+	}
+	e.mergeProcStats(e.st)
+	if len(ov.scans) > 0 {
+		sw := e.st.Timer(stats.StageQSAT2)
+		e.st.ScanRows = ov.patch(rs)
+		sw.Stop()
 	}
 }
 
 // drainCache empties the top-K cache, applying its dirty state to the
-// tree. Flushes carry Idx -1 and are not logged — they re-apply state
-// from previously committed batches (same reasoning as Engine.Flush).
+// tree.
 func (e *Engine) drainCache() {
-	if e.topK == nil {
-		return
+	if e.topK != nil {
+		e.writeBack(e.topK.Drain())
 	}
-	fl := e.topK.Drain()
+}
+
+// writeBack applies cache flush queries to the tree in key order. The
+// sort is stable: two flushes of one key must land in emission order.
+// Flushes carry Idx -1 and are not logged — they re-apply state from
+// previously committed batches.
+func (e *Engine) writeBack(fl []keys.Query) {
 	if len(fl) == 0 {
 		return
 	}
-	sort.Slice(fl, func(i, j int) bool { return fl[i].Key < fl[j].Key })
-	e.proc.ProcessTransformed(fl, keys.NewResultSet(0))
+	slices.SortStableFunc(fl, cmpKey)
+	e.proc.ProcessTransformed(fl, e.flushRS)
 }
 
-// commitPlan logs the batch's surviving point queries — every epoch's,
-// concatenated in epoch order — as one commit record before any effect.
-// Per-epoch commits would break the whole-batch-prefix property the
-// crash-recovery tests check. Scans are pure reads and are never
-// logged. plans is nil in Original mode (epochs commit untransformed).
-func (e *Engine) commitPlan(plan batchPlan, plans [][]keys.Query) bool {
-	if e.committer == nil {
-		return true
-	}
-	src := plans
-	if src == nil {
-		src = plan.epochs
-	}
-	e.extQ = e.extQ[:0]
-	for _, p := range src {
-		e.extQ = append(e.extQ, p...)
-	}
-	return e.commit(e.extQ)
-}
-
-// executePlan runs the planned epochs and scan groups in order against
-// the tree. plans (per-epoch QSAT survivors) is nil in Original mode,
-// where the raw epochs are processed via the full PALM pipeline.
-func (e *Engine) executePlan(plan batchPlan, plans [][]keys.Query, rs *keys.ResultSet) {
-	remaining := 0
-	for i := range plan.epochs {
-		ep := plan.epochs[i]
-		if plans != nil {
-			ep = plans[i]
-		}
-		if len(ep) > 0 {
-			remaining += len(ep)
-			if plans != nil {
-				e.proc.ProcessTransformed(ep, rs)
-			} else {
-				e.proc.ProcessBatch(ep, rs)
-			}
-			e.mergeProcStats(e.st)
-		}
-		remaining += e.evalScanGroup(plan.scans[i], rs)
-	}
-	e.st.RemainingQueries = remaining
-}
-
-// evalScanGroup evaluates one scan group against the quiescent tree.
-// Covered scans (the covering-scan kill, epoch.go) derive their rows
-// by clipping the covering scan's rows; the rest walk the tree in one
-// batched EvalScans pass. Returns the number of tree-evaluated scans.
-func (e *Engine) evalScanGroup(scans []keys.Query, rs *keys.ResultSet) int {
-	if len(scans) == 0 {
-		return 0
-	}
-	e.st.ScanQueries += len(scans)
-	tasks, killed := planScanGroup(scans)
-	e.st.ScanKills += killed
-
-	direct := e.scanQ[:0]
-	for i := range tasks {
-		if tasks[i].coveredBy < 0 {
-			direct = append(direct, tasks[i].q)
-		}
-	}
-	e.scanQ = direct
-
-	rs.EnsureScans()
-	e.proc.EvalScans(direct, rs)
-	e.mergeProcStats(e.st)
-
-	for i := range tasks {
-		t := &tasks[i]
-		if t.coveredBy < 0 {
-			continue
-		}
-		cover, _ := rs.ScanRows(tasks[t.coveredBy].q.Idx)
-		rs.SetScan(t.q.Idx, filterCoverRows(cover, t.q.Key, t.q.Key2, t.q.Value))
-	}
-	for i := range tasks {
-		if rows, ok := rs.ScanRows(tasks[i].q.Idx); ok {
-			e.st.ScanRows += len(rows)
-		}
-	}
-	return len(direct)
-}
+func cmpKey(a, b keys.Query) int { return cmp.Compare(a.Key, b.Key) }
 
 // mergeProcStats folds the processor's stage timings, leaf-op counters
 // and Stage-1 fence hits into st.
@@ -506,7 +460,7 @@ func (e *Engine) cachePass(remaining []keys.Query, rs *keys.ResultSet, rt *Route
 	// stable: a key evicted, readmitted by its own defining query, and
 	// evicted again within one pass emits two flushes whose emission
 	// order decides the key's final tree state.
-	sort.SliceStable(e.flushQ, func(i, j int) bool { return e.flushQ[i].Key < e.flushQ[j].Key })
+	slices.SortStableFunc(e.flushQ, cmpKey)
 	e.mergeQ = e.mergeQ[:0]
 	i, j := 0, 0
 	for i < len(out) && j < len(e.flushQ) {
@@ -562,10 +516,7 @@ func (e *Engine) Train(hot []keys.Key) {
 			flushes = append(flushes, fl)
 		}
 	}
-	if len(flushes) > 0 {
-		sort.SliceStable(flushes, func(i, j int) bool { return flushes[i].Key < flushes[j].Key })
-		e.proc.ProcessTransformed(flushes, keys.NewResultSet(0))
-	}
+	e.writeBack(flushes)
 }
 
 // WarmPairs admits the given key/value pairs into the top-K cache as
@@ -597,10 +548,7 @@ func (e *Engine) WarmPairs(ks []keys.Key, vs []keys.Value) {
 			flushes = append(flushes, fl)
 		}
 	}
-	if len(flushes) > 0 {
-		sort.SliceStable(flushes, func(i, j int) bool { return flushes[i].Key < flushes[j].Key })
-		e.proc.ProcessTransformed(flushes, keys.NewResultSet(0))
-	}
+	e.writeBack(flushes)
 }
 
 // Flush writes every dirty cache entry back to the tree so the tree
@@ -610,12 +558,7 @@ func (e *Engine) Flush() {
 	if e.topK == nil {
 		return
 	}
-	fl := e.topK.FlushAll()
-	if len(fl) == 0 {
-		return
-	}
-	sort.Slice(fl, func(i, j int) bool { return fl[i].Key < fl[j].Key })
-	e.proc.ProcessTransformed(fl, keys.NewResultSet(0))
+	e.writeBack(e.topK.FlushAll())
 }
 
 // DrainCacheRange flushes and drops every cached entry with
@@ -629,12 +572,7 @@ func (e *Engine) DrainCacheRange(lo, hi keys.Key) {
 	if e.topK == nil {
 		return
 	}
-	fl := e.topK.DrainRange(lo, hi)
-	if len(fl) == 0 {
-		return
-	}
-	sort.Slice(fl, func(i, j int) bool { return fl[i].Key < fl[j].Key })
-	e.proc.ProcessTransformed(fl, keys.NewResultSet(0))
+	e.writeBack(e.topK.DrainRange(lo, hi))
 }
 
 // Processor exposes the underlying PALM processor (e.g. for tree

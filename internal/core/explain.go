@@ -72,8 +72,9 @@ func Explain(qs []keys.Query) Report {
 	scans := 0
 	for _, q := range qs {
 		if q.Op == keys.OpScan {
-			// Scans are range reads: they fence, but Explain's per-key
-			// model cannot eliminate them. They always survive.
+			// Scans are range reads answered from the tree plus the
+			// defines that precede them; Explain's per-key model cannot
+			// eliminate them, so they always survive.
 			scans++
 			continue
 		}

@@ -56,7 +56,7 @@ func (e *Emitter) resolveVal(idx int32, v keys.Value, found bool) {
 // take the backward sweep of Algorithm 2 (qsatRunPoint); runs
 // containing RMW take the forward state simulation (qsatRunRMW), which
 // generalizes the same algebra to use+define queries. Scans never
-// appear in runs: the epoch planner strips them before transformation.
+// appear in runs: the engine splits them out before transformation.
 func QSATRun(run []keys.Query, e *Emitter) {
 	for i := range run {
 		if run[i].Op == keys.OpRMW {

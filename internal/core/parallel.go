@@ -42,12 +42,6 @@ type Transformer struct {
 	out      []keys.Query
 	reps     []int32
 	inferred int
-
-	// Epoch-plan scratch (TransformEpochs): per-epoch survivor copies
-	// must all stay alive until the whole batch is applied, so they are
-	// copied out of the reused t.out into planBuf.
-	planBuf []keys.Query
-	plans   [][]keys.Query
 }
 
 // NewTransformer creates a Transformer running on pool.
@@ -70,22 +64,17 @@ func (t *Transformer) Reps() []int32 { return t.reps }
 // into rs and returning the reduced, stably key-sorted query sequence
 // that still requires tree evaluation. The input slice is reordered in
 // place (it becomes the Phase-I sort scratch). st may be nil.
+//
+// rs must have been Reset for the whole batch: the Router is sized by
+// it, not by len(qs), because a scan batch hands in only its point
+// queries, whose Idx values still span the full batch.
 func (t *Transformer) Transform(qs []keys.Query, rs *keys.ResultSet, st *stats.Batch) []keys.Query {
-	t.Router.Reset(len(qs))
+	t.Router.Reset(rs.Len())
 	t.reps = t.reps[:0]
 	t.inferred = 0
-	return t.transform(qs, rs, st)
-}
-
-// transform is Transform without the Router/reps reset, so epoch-wise
-// callers (TransformEpochs) can run it repeatedly over sub-batches
-// whose Idx sets are disjoint slices of one original batch. inferred
-// and reps accumulate across calls.
-func (t *Transformer) transform(qs []keys.Query, rs *keys.ResultSet, st *stats.Batch) []keys.Query {
 	if len(qs) == 0 {
 		return nil
 	}
-	startInferred := t.inferred
 
 	var sw stats.Stopwatch
 	if st != nil {
@@ -156,7 +145,7 @@ func (t *Transformer) transform(qs []keys.Query, rs *keys.ResultSet, st *stats.B
 	}
 	if st != nil {
 		sw.Stop()
-		st.InferredReturns += t.inferred - startInferred
+		st.InferredReturns += t.inferred
 	}
 	return t.out
 }
@@ -168,15 +157,9 @@ func (t *Transformer) transform(qs []keys.Query, rs *keys.ResultSet, st *stats.B
 // representatives for Broadcast, and returns the reduced, stably
 // key-sorted sequence. st may be nil.
 func (t *Transformer) TransformSim(qs []keys.Query, rs *keys.ResultSet, st *stats.Batch) []keys.Query {
-	t.Router.Reset(len(qs))
+	t.Router.Reset(rs.Len())
 	t.reps = t.reps[:0]
 	t.inferred = 0
-	return t.transformSim(qs, rs, st)
-}
-
-// transformSim is TransformSim without the Router/reps reset (see
-// transform).
-func (t *Transformer) transformSim(qs []keys.Query, rs *keys.ResultSet, st *stats.Batch) []keys.Query {
 	if len(qs) == 0 {
 		return nil
 	}
@@ -203,40 +186,6 @@ func (t *Transformer) transformSim(qs []keys.Query, rs *keys.ResultSet, st *stat
 		st.InferredReturns += inferred
 	}
 	return remaining
-}
-
-// TransformEpochs runs the transformer over each epoch of a scan/RMW
-// batch in order, against one shared Router sized for the whole batch
-// (epoch Idx sets are disjoint, so chains never collide). The returned
-// per-epoch survivor plans are copies that all stay valid until the
-// next TransformEpochs/Transform call — the engine commits their
-// concatenation to the WAL once, then applies them interleaved with
-// the batch's scan groups. Accumulated reps are broadcast once at end
-// of batch via Broadcast. sim selects the SimQSAT path (SimIntra).
-func (t *Transformer) TransformEpochs(epochs [][]keys.Query, totalN int, rs *keys.ResultSet, st *stats.Batch, sim bool) [][]keys.Query {
-	t.Router.Reset(totalN)
-	t.reps = t.reps[:0]
-	t.inferred = 0
-	t.planBuf = t.planBuf[:0]
-	t.plans = t.plans[:0]
-
-	ends := make([]int, 0, len(epochs))
-	for _, ep := range epochs {
-		var out []keys.Query
-		if sim {
-			out = t.transformSim(ep, rs, st)
-		} else {
-			out = t.transform(ep, rs, st)
-		}
-		t.planBuf = append(t.planBuf, out...)
-		ends = append(ends, len(t.planBuf))
-	}
-	lo := 0
-	for _, hi := range ends {
-		t.plans = append(t.plans, t.planBuf[lo:hi:hi])
-		lo = hi
-	}
-	return t.plans
 }
 
 // Broadcast fans each surviving representative's evaluated result out

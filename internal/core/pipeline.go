@@ -62,12 +62,12 @@ type pipeSlot struct {
 	job       *Job
 	remaining []keys.Query
 
-	// Scan/RMW batches carry their epoch plan through the handoff; the
-	// per-epoch transform still runs in stage A (it is tree- and
-	// cache-independent), only execution waits for stage B.
+	// Scan/RMW batches carry their define overlay through the handoff:
+	// building it and transforming the point queries still runs in
+	// stage A (both are tree- and cache-independent), only execution
+	// and the row patch wait for stage B.
 	extended bool
-	plan     batchPlan
-	plans    [][]keys.Query
+	ov       scanOverlay
 }
 
 // initPipeline lazily builds the transform pool and the double-buffered
@@ -163,21 +163,13 @@ func (e *Engine) transformStage(slot *pipeSlot) {
 	st.BatchSize = len(job.Qs)
 	slot.remaining = nil
 	slot.extended = false
-	slot.plans = nil
 	if len(job.Qs) == 0 {
 		return
 	}
 
 	if scan, rmw := hasScanOrRMW(job.Qs); scan || rmw {
 		slot.extended = true
-		if scan {
-			slot.plan = planEpochs(job.Qs)
-		} else {
-			slot.plan = batchPlan{epochs: [][]keys.Query{job.Qs}, scans: [][]keys.Query{nil}}
-		}
-		if e.cfg.Mode != Original {
-			slot.plans = slot.tf.TransformEpochs(slot.plan.epochs, len(job.Qs), job.RS, st, e.cfg.Mode == SimIntra)
-		}
+		slot.remaining = e.transformScanRMW(slot.tf, &slot.ov, job.Qs, job.RS, st, scan)
 		return
 	}
 
@@ -222,18 +214,7 @@ func (e *Engine) treeStage(slot *pipeSlot) {
 	}
 
 	if slot.extended {
-		// Scan/RMW batch: drain the cache, log all surviving point
-		// queries as one record, then run epochs and scan groups in
-		// order — same sequence as processScanRMW, with the transform
-		// already done in stage A.
-		e.drainCache()
-		if !e.commitPlan(slot.plan, slot.plans) {
-			return
-		}
-		e.executePlan(slot.plan, slot.plans, job.RS)
-		if e.cfg.Mode != Original {
-			slot.tf.Broadcast(job.RS)
-		}
+		e.applyScanRMW(slot.tf, &slot.ov, slot.remaining, job.RS)
 		return
 	}
 

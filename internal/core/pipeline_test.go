@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -39,14 +40,7 @@ func streamDifferential(t *testing.T, cfg EngineConfig, batches [][]keys.Query) 
 		orig := j.Tag.([]keys.Query)
 		want := keys.NewResultSet(len(orig))
 		o.ApplyAll(orig, want)
-		for i := int32(0); i < int32(len(orig)); i++ {
-			w, wok := want.Get(i)
-			g, gok := j.RS.Get(i)
-			if wok != gok || w != g {
-				t.Fatalf("mode=%v pipeline=%v batch %d idx %d: got %+v (%v), want %+v (%v)",
-					cfg.Mode, cfg.Pipeline, emitted, i, g, gok, w, wok)
-			}
-		}
+		compareBatch(t, fmt.Sprintf("mode=%v pipeline=%v batch %d", cfg.Mode, cfg.Pipeline, emitted), orig, want, j.RS)
 		emitted++
 	})
 	if emitted != len(batches) {

@@ -2,16 +2,19 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/bsp"
 	"repro/internal/btree"
 	"repro/internal/keys"
 	"repro/internal/oracle"
 )
 
 // mixedBatch builds one batch drawing from all five operations over a
-// small key space, so in-batch key collisions (and therefore scan
-// fences, RMW chains, and covering scans) are common.
+// small key space, so in-batch key collisions (and therefore scans
+// with defines on their keys, RMW chains, and covering scans) are
+// common.
 func mixedBatch(r *rand.Rand, size, keySpace int) []keys.Query {
 	qs := make([]keys.Query, size)
 	for i := range qs {
@@ -183,7 +186,7 @@ func TestEngineScanRMWKernelAblations(t *testing.T) {
 
 // TestEngineScanRMWSmallBatches is the random-5-op-batch property of
 // the QSAT extension: for many independent tiny batches — where every
-// interleaving of scan fences, RMW folds, and covering kills is likely
+// interleaving of scan overlays, RMW folds, and covering kills is likely
 // hit eventually — the transformed execution must equal the serial
 // oracle.
 func TestEngineScanRMWSmallBatches(t *testing.T) {
@@ -202,8 +205,9 @@ func TestEngineScanRMWSmallBatches(t *testing.T) {
 }
 
 // TestEngineScanRMWPipeline drives mixed batches through the two-stage
-// pipeline: extended batches take the drain-and-fence path inside the
-// tree stage, and results must still match the oracle in stream order.
+// pipeline: extended batches build their overlay in stage A and drain,
+// evaluate and patch inside the tree stage, and results must still
+// match the oracle in stream order.
 func TestEngineScanRMWPipeline(t *testing.T) {
 	for _, mode := range []Mode{Original, IntraInter} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -270,145 +274,13 @@ func mixedPointBatch(r *rand.Rand, size, keySpace int) []keys.Query {
 	return keys.Number(qs)
 }
 
-// TestPlanEpochsStructure pins the epoch split rule on hand-built
-// batches.
-func TestPlanEpochsStructure(t *testing.T) {
-	idxs := func(qs []keys.Query) []int32 {
-		out := make([]int32, len(qs))
-		for i, q := range qs {
-			out[i] = q.Idx
-		}
-		return out
-	}
-	eq := func(got []int32, want ...int32) bool {
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-
-	t.Run("write-in-range-fences", func(t *testing.T) {
-		qs := keys.Number([]keys.Query{
-			keys.Insert(5, 1),   // 0: epoch 0
-			keys.Scan(0, 10, 0), // 1: group 0
-			keys.Search(5),      // 2: epoch 0 (searches commute)
-			keys.Insert(5, 2),   // 3: in range -> opens epoch 1
-			keys.Scan(0, 10, 0), // 4: group 1
-			keys.Delete(5),      // 5: in range -> opens epoch 2
-		})
-		p := planEpochs(qs)
-		if len(p.epochs) != 3 || len(p.scans) != 3 {
-			t.Fatalf("epochs=%d scans=%d, want 3/3", len(p.epochs), len(p.scans))
-		}
-		if !eq(idxs(p.epochs[0]), 0, 2) || !eq(idxs(p.scans[0]), 1) {
-			t.Fatalf("E0=%v S0=%v", idxs(p.epochs[0]), idxs(p.scans[0]))
-		}
-		if !eq(idxs(p.epochs[1]), 3) || !eq(idxs(p.scans[1]), 4) {
-			t.Fatalf("E1=%v S1=%v", idxs(p.epochs[1]), idxs(p.scans[1]))
-		}
-		if !eq(idxs(p.epochs[2]), 5) || len(p.scans[2]) != 0 {
-			t.Fatalf("E2=%v S2=%v", idxs(p.epochs[2]), idxs(p.scans[2]))
-		}
-	})
-
-	t.Run("write-outside-range-stays", func(t *testing.T) {
-		qs := keys.Number([]keys.Query{
-			keys.Scan(0, 10, 0),  // 0
-			keys.Insert(50, 1),   // 1: outside every active range
-			keys.AddDelta(99, 1), // 2: outside
-			keys.Insert(3, 1),    // 3: inside -> fences
-		})
-		p := planEpochs(qs)
-		if len(p.epochs) != 2 {
-			t.Fatalf("epochs=%d, want 2", len(p.epochs))
-		}
-		if !eq(idxs(p.epochs[0]), 1, 2) || !eq(idxs(p.epochs[1]), 3) {
-			t.Fatalf("E0=%v E1=%v", idxs(p.epochs[0]), idxs(p.epochs[1]))
-		}
-	})
-
-	t.Run("rmw-only-single-epoch", func(t *testing.T) {
-		qs := keys.Number([]keys.Query{
-			keys.AddDelta(1, 1), keys.SetIfAbsent(2, 2), keys.AddDelta(1, 1),
-		})
-		if scan, rmw := hasScanOrRMW(qs); scan || !rmw {
-			t.Fatalf("hasScanOrRMW = %v,%v", scan, rmw)
-		}
-		// The engine routes RMW-only batches around planEpochs entirely;
-		// planEpochs itself must still produce one epoch for them.
-		p := planEpochs(qs)
-		if len(p.epochs) != 1 || len(p.epochs[0]) != 3 || len(p.scans[0]) != 0 {
-			t.Fatalf("plan = %d epochs, E0 len %d", len(p.epochs), len(p.epochs[0]))
-		}
-	})
-}
-
-// TestScanNeverReorderedPastOverlappingWrite is the fencing property:
-// in any plan, for every scan S and every write W whose key lies in
-// S's range, W is planned before S's group iff W precedes S in the
-// batch, and after it otherwise.
-func TestScanNeverReorderedPastOverlappingWrite(t *testing.T) {
-	r := rand.New(rand.NewSource(2026))
-	for iter := 0; iter < 300; iter++ {
-		qs := mixedBatch(r, 40, 32)
-		p := planEpochs(qs)
-
-		// epochOf[idx] = epoch number a point query landed in;
-		// groupOf[idx] = group number a scan landed in.
-		epochOf := map[int32]int{}
-		groupOf := map[int32]int{}
-		for e, ep := range p.epochs {
-			for _, q := range ep {
-				epochOf[q.Idx] = e
-			}
-		}
-		for g, grp := range p.scans {
-			for _, q := range grp {
-				groupOf[q.Idx] = g
-			}
-		}
-		if len(epochOf)+len(groupOf) != len(qs) {
-			t.Fatalf("iter %d: plan lost queries: %d+%d of %d", iter, len(epochOf), len(groupOf), len(qs))
-		}
-
-		for _, s := range qs {
-			if s.Op != keys.OpScan {
-				continue
-			}
-			g := groupOf[s.Idx]
-			for _, w := range qs {
-				if w.Op == keys.OpSearch || w.Op == keys.OpScan {
-					continue
-				}
-				if w.Key < s.Key || w.Key >= s.Key2 {
-					continue
-				}
-				e := epochOf[w.Idx]
-				// Group g runs after epoch g and before epoch g+1.
-				if w.Idx < s.Idx && e > g {
-					t.Fatalf("iter %d: write idx %d (key %d) planned in epoch %d, after scan idx %d [%d,%d) in group %d",
-						iter, w.Idx, w.Key, e, s.Idx, s.Key, s.Key2, g)
-				}
-				if w.Idx > s.Idx && e <= g {
-					t.Fatalf("iter %d: write idx %d (key %d) planned in epoch %d, before scan idx %d [%d,%d) in group %d",
-						iter, w.Idx, w.Key, e, s.Idx, s.Key, s.Key2, g)
-				}
-			}
-		}
-	}
-}
-
 // TestCoveringKillNeverDropsKeys is the covering-scan property: for
-// random scan groups over a random store, deriving a covered scan's
-// rows from its cover must yield exactly the rows a direct evaluation
-// would — no key lost to the kill, limits still honored.
+// random scan sets over a random store, deriving a covered scan's rows
+// from its cover must yield exactly the rows a direct evaluation would
+// — no key lost to the kill, limits still honored.
 func TestCoveringKillNeverDropsKeys(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
+	var ov scanOverlay
 	for iter := 0; iter < 500; iter++ {
 		o := oracle.New()
 		for i := 0; i < 40; i++ {
@@ -421,45 +293,46 @@ func TestCoveringKillNeverDropsKeys(t *testing.T) {
 			lo := keys.Key(r.Intn(64))
 			hi := lo + keys.Key(r.Intn(32))
 			group[i] = keys.Scan(lo, hi, keys.Value(r.Intn(3)))
-			group[i].Idx = int32(i)
+		}
+		if pts := ov.build(keys.Number(group), new(bsp.RadixScratch)); len(pts) != 0 {
+			t.Fatalf("iter %d: %d point queries in a scan-only batch", iter, len(pts))
 		}
 
-		tasks, killed := planScanGroup(group)
-		nCovered := 0
-		for ti := range tasks {
-			tk := &tasks[ti]
-			direct := o.Scan(tk.q.Key, tk.q.Key2, tk.q.Value)
-			var got []keys.KV
-			if tk.coveredBy < 0 {
-				got = direct
-			} else {
+		nCovered, nFetch := 0, 0
+		for i, q := range ov.scans {
+			pl := ov.plan[i]
+			direct := o.Scan(q.Key, q.Key2, q.Value)
+			got := direct
+			switch {
+			case q.Key2 <= q.Key:
+				if pl.cover >= 0 {
+					t.Fatalf("iter %d: empty scan %d covered", iter, i)
+				}
+			case pl.cover < 0:
+				nFetch++
+			default:
 				nCovered++
-				cover := tasks[tk.coveredBy]
-				if cover.coveredBy >= 0 {
-					t.Fatalf("iter %d: cover %d is itself covered", iter, tk.coveredBy)
+				cover := ov.scans[pl.cover]
+				if ov.plan[pl.cover].cover >= 0 {
+					t.Fatalf("iter %d: cover %d is itself covered", iter, pl.cover)
 				}
-				if cover.q.Value != 0 {
-					t.Fatalf("iter %d: limited scan %d used as cover", iter, tk.coveredBy)
+				if cover.Value != 0 {
+					t.Fatalf("iter %d: limited scan %d used as cover", iter, pl.cover)
 				}
-				if cover.q.Key > tk.q.Key || cover.q.Key2 < tk.q.Key2 {
+				if cover.Key > q.Key || cover.Key2 < q.Key2 {
 					t.Fatalf("iter %d: cover [%d,%d) does not contain [%d,%d)",
-						iter, cover.q.Key, cover.q.Key2, tk.q.Key, tk.q.Key2)
+						iter, cover.Key, cover.Key2, q.Key, q.Key2)
 				}
-				coverRows := o.Scan(cover.q.Key, cover.q.Key2, 0)
-				got = filterCoverRows(coverRows, tk.q.Key, tk.q.Key2, tk.q.Value)
+				got = clipRows(o.Scan(cover.Key, cover.Key2, 0), q.Key, q.Key2, pl.fetch)
 			}
-			if len(got) != len(direct) {
+			if !slices.Equal(got, direct) {
 				t.Fatalf("iter %d scan %d [%d,%d) limit %d: derived %v, want %v",
-					iter, ti, tk.q.Key, tk.q.Key2, tk.q.Value, got, direct)
-			}
-			for j := range direct {
-				if got[j] != direct[j] {
-					t.Fatalf("iter %d scan %d row %d: %+v, want %+v", iter, ti, j, got[j], direct[j])
-				}
+					iter, i, q.Key, q.Key2, q.Value, got, direct)
 			}
 		}
-		if nCovered != killed {
-			t.Fatalf("iter %d: killed=%d but %d tasks covered", iter, killed, nCovered)
+		if nCovered != ov.kills || nFetch != len(ov.fetch) {
+			t.Fatalf("iter %d: kills=%d fetch=%d but %d covered, %d uncovered",
+				iter, ov.kills, len(ov.fetch), nCovered, nFetch)
 		}
 	}
 }
@@ -553,7 +426,7 @@ func TestEngineCacheDrainedBeforeScan(t *testing.T) {
 func FuzzRangeRMWEquivalence(f *testing.F) {
 	f.Add([]byte{3, 0, 16, 1, 5, 7, 3, 0, 16})          // scan, insert, identical scan
 	f.Add([]byte{4, 2, 9, 4, 2, 9, 0, 2, 0})            // RMW chain then search
-	f.Add([]byte{1, 4, 8, 3, 2, 40, 2, 4, 0, 3, 2, 40}) // write, scan, delete fence, rescan
+	f.Add([]byte{1, 4, 8, 3, 2, 40, 2, 4, 0, 3, 2, 40}) // write, scan, delete, rescan
 	f.Add([]byte("covering-scans-and-rmw-fences"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

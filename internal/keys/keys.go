@@ -203,14 +203,73 @@ type KV struct {
 	Value Value
 }
 
+// RowSlab is append-only scan-row storage for one writer: a scan's
+// rows are Appended and then sealed with Finish, which returns them as
+// one contiguous slice. Sealed rows never move — when the current chunk
+// fills up it is left to the scans that point into it and only the
+// unsealed scan is carried into a fresh chunk — so a slab costs about
+// the rows it holds, not the several-fold copies of a growing slice.
+// After a Reset the slab is one chunk sized for what the last batch
+// used; a reused ResultSet stops allocating once its batches stop
+// growing.
+type RowSlab struct {
+	rows  []KV // current chunk; rows[open:] is the unsealed scan
+	open  int
+	spilt int // rows left in earlier chunks since the last reset
+}
+
+// Append adds one row to the unsealed scan.
+func (s *RowSlab) Append(kv KV) {
+	if len(s.rows) == cap(s.rows) {
+		s.grow(1)
+	}
+	s.rows = append(s.rows, kv)
+}
+
+// AppendAll adds rows to the unsealed scan.
+func (s *RowSlab) AppendAll(rows []KV) {
+	if cap(s.rows)-len(s.rows) < len(rows) {
+		s.grow(len(rows))
+	}
+	s.rows = append(s.rows, rows...)
+}
+
+// Len returns the number of rows in the unsealed scan.
+func (s *RowSlab) Len() int { return len(s.rows) - s.open }
+
+// Finish seals the unsealed scan and returns its rows, clipped to their
+// own capacity. They stay valid until the owning ResultSet is Reset.
+func (s *RowSlab) Finish() []KV {
+	rows := s.rows[s.open:len(s.rows):len(s.rows)]
+	s.open = len(s.rows)
+	return rows
+}
+
+// grow starts a chunk with room for the unsealed scan plus n more rows.
+func (s *RowSlab) grow(n int) {
+	part := s.rows[s.open:]
+	s.spilt += s.open
+	s.rows = append(make([]KV, 0, max(1024, 2*cap(s.rows), len(part)+n)), part...)
+	s.open = 0
+}
+
+func (s *RowSlab) reset() {
+	if s.spilt > 0 { // one chunk next time, with a quarter to spare
+		s.rows = make([]KV, 0, (s.spilt+len(s.rows))*5/4)
+	}
+	s.rows, s.open, s.spilt = s.rows[:0], 0, 0
+}
+
 // ResultSet collects search results for a batch, indexed by Query.Idx.
 // Slots belonging to non-search queries stay zero and are ignored.
-// Scan rows are held in a lazily allocated side table so that
-// scan-free batches pay nothing for the feature.
+// Scan rows are held in a lazily sized side table so that scan-free
+// batches pay nothing for the feature; the table and the row slabs
+// behind it keep their capacity across Reset.
 type ResultSet struct {
 	res   []Result
 	valid []bool
-	scans [][]KV
+	scans [][]KV    // len 0 until EnsureScans
+	slabs []RowSlab // row storage, one slab per concurrent writer
 }
 
 // NewResultSet returns a ResultSet with capacity for a batch of n queries.
@@ -220,11 +279,9 @@ func NewResultSet(n int) *ResultSet {
 
 // Reset resizes the set for a batch of n queries and clears all slots.
 func (rs *ResultSet) Reset(n int) {
-	if rs.scans != nil {
-		for i := range rs.scans {
-			rs.scans[i] = nil
-		}
-		rs.scans = nil
+	rs.scans = rs.scans[:0]
+	for i := range rs.slabs {
+		rs.slabs[i].reset()
 	}
 	if cap(rs.res) < n {
 		rs.res = make([]Result, n)
@@ -259,14 +316,32 @@ func (rs *ResultSet) Get(idx int32) (r Result, ok bool) {
 	return rs.res[idx], true
 }
 
-// EnsureScans allocates the scan side table for the current batch
-// size. Call it once, from a single goroutine, before any parallel
-// scan evaluation: SetScan does not allocate the table itself, so
-// concurrent SetScan calls on distinct indexes stay race-free.
+// EnsureScans sizes the scan side table for the current batch. Call it
+// from a single goroutine before any parallel scan evaluation: SetScan
+// does not size the table itself, so concurrent SetScan calls on
+// distinct indexes stay race-free.
 func (rs *ResultSet) EnsureScans() {
-	if rs.scans == nil || len(rs.scans) != len(rs.res) {
-		rs.scans = make([][]KV, len(rs.res))
+	n := len(rs.res)
+	if len(rs.scans) == n {
+		return
 	}
+	if cap(rs.scans) < n {
+		rs.scans = make([][]KV, n)
+	}
+	rs.scans = rs.scans[:n]
+	clear(rs.scans) // rows of the batch before the last Reset
+}
+
+// ScanSlabs returns the set's row storage sized for n concurrent
+// writers; writer w builds the rows it hands to SetScan in slabs[w].
+// Call it from a single goroutine before the writers start; a later
+// call with a larger n may move the slabs, so writers must not hold the
+// previous return across it.
+func (rs *ResultSet) ScanSlabs(n int) []RowSlab {
+	for len(rs.slabs) < n {
+		rs.slabs = append(rs.slabs, RowSlab{})
+	}
+	return rs.slabs
 }
 
 // SetScan records the completed row set for the scan with original
@@ -301,7 +376,7 @@ func (rs *ResultSet) FinishScan(idx int32, limit Value) {
 // ScanRows returns the rows recorded for the scan with original index
 // idx. ok is false if the slot was never answered.
 func (rs *ResultSet) ScanRows(idx int32) (rows []KV, ok bool) {
-	if int(idx) >= len(rs.res) || !rs.valid[idx] || rs.scans == nil {
+	if int(idx) >= len(rs.scans) || !rs.valid[idx] {
 		return nil, false
 	}
 	return rs.scans[idx], true

@@ -113,6 +113,58 @@ func TestResultSetReset(t *testing.T) {
 	}
 }
 
+// TestResultSetScanStorage covers the reusable scan storage: sealed
+// rows keep their contents while later scans grow the slab into new
+// chunks, a Reset hides the previous batch's rows from every slot, and
+// a reused set stops allocating once it has seen its largest batch.
+func TestResultSetScanStorage(t *testing.T) {
+	rs := NewResultSet(0)
+	fill := func(scans, rowsPer int) {
+		rs.Reset(scans + 1) // last slot is a search
+		rs.EnsureScans()
+		slab := &rs.ScanSlabs(1)[0]
+		for i := 0; i < scans; i++ {
+			for r := 0; r < rowsPer; r++ {
+				slab.Append(KV{Key: Key(i), Value: Value(r)})
+			}
+			if i%2 == 1 {
+				slab.AppendAll([]KV{{Key: Key(i), Value: Value(rowsPer)}})
+			}
+			rs.SetScan(int32(i), slab.Finish())
+		}
+		rs.Set(int32(scans), 1, true)
+	}
+	check := func(scans, rowsPer int) {
+		t.Helper()
+		for i := 0; i < scans; i++ {
+			rows, ok := rs.ScanRows(int32(i))
+			if !ok || len(rows) != rowsPer+i%2 || cap(rows) != len(rows) {
+				t.Fatalf("scan %d: %d rows (cap %d, ok %v), want %d", i, len(rows), cap(rows), ok, rowsPer+i%2)
+			}
+			for r, kv := range rows {
+				if kv != (KV{Key: Key(i), Value: Value(r)}) {
+					t.Fatalf("scan %d row %d = %+v: sealed rows moved", i, r, kv)
+				}
+			}
+		}
+		if rows, _ := rs.ScanRows(int32(scans)); rows != nil {
+			t.Fatalf("search slot reports rows %v", rows)
+		}
+	}
+	fill(50, 300) // 15 000 rows: several chunks
+	check(50, 300)
+	fill(3, 2)
+	check(3, 2)
+	if rows, ok := rs.ScanRows(10); ok || rows != nil {
+		t.Fatalf("slot beyond the batch still answers: %v", rows)
+	}
+	fill(50, 300)
+	if n := testing.AllocsPerRun(5, func() { fill(50, 300) }); n != 0 {
+		t.Errorf("refilling a warm set allocates %.0f times, want 0", n)
+	}
+	check(50, 300)
+}
+
 func TestResultSetGetOutOfRange(t *testing.T) {
 	rs := NewResultSet(1)
 	if _, ok := rs.Get(5); ok {

@@ -104,6 +104,8 @@ type Processor struct {
 	counts  []int       // group-size prefix sums for load balancing
 	runs    []parentRun // Stage-3 same-parent request runs
 
+	scanLeaves []*btree.Node // EvalScans: start leaf per scan
+
 	// Stats for the most recent batch; never nil.
 	batchStats *stats.Batch
 }

@@ -71,7 +71,7 @@ func FuzzCrashRecovery(f *testing.F) {
 				cur = append(cur, keys.Delete(k))
 			case 4:
 				// Scans are pure reads: they exercise the extended
-				// execution path (cache drain, epoch fencing) without
+				// execution path (cache drain, define overlay) without
 				// adding log records.
 				cur = append(cur, keys.Scan(k, k+Key(data[i+2]%32), Value(data[i+2]>>6)))
 			default:
