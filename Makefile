@@ -46,7 +46,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race race-kernels race-layout race-scan race-server race-autoshard race-tiered fuzz-smoke bench-smoke bench bench-kernels bench-layout bench-serve bench-autoshard bench-tiered
+.PHONY: ci vet build test race race-kernels race-layout race-scan race-server race-autoshard race-tiered fuzz-smoke bench-smoke bench bench-kernels bench-layout bench-autoshard bench-tiered
 
 ci: vet build test race race-kernels race-layout race-scan race-server race-autoshard race-tiered fuzz-smoke bench-smoke
 
@@ -91,12 +91,12 @@ race-scan:
 
 # The network front end (DESIGN.md §12) under the race detector: the
 # full client/server stack — pipelining, admission-control shedding,
-# and the mid-load graceful drain — plus the batcher stall regression
-# suite it depends on. Also part of the plain `race` target; kept
-# callable on its own for server work.
+# and the mid-load graceful drain — plus the batcher's group-commit
+# dispatch and stall regression suite it depends on. Also part of the
+# plain `race` target; kept callable on its own for server work.
 race-server:
 	$(GO) test -race -count=1 ./internal/server
-	$(GO) test -race -run 'Stall|SubmitFlushClose' -count=1 ./internal/batcher
+	$(GO) test -race -run 'Stall|SizeTriggered|DeadlineTriggered|ExplicitFlush|WaitAndExec' -count=1 ./internal/batcher
 	$(GO) test -race -count=1 ./cmd/qtransserver
 
 # Cold-range tiering (DESIGN.md §14) under the race detector: the full
@@ -165,12 +165,3 @@ bench-autoshard:
 # of ci).
 bench-tiered:
 	$(GO) run ./cmd/qtransbench -experiment tiered -scale 0.05 -json BENCH_tiered.json
-
-# Network front end load test (DESIGN.md §12): build qtransserver,
-# then drive >= 10k concurrent TCP connections against it from a
-# separate process (client and server each get their own fd budget)
-# through the steady / overload / graceful-drain phases — written to
-# BENCH_serve.json (not part of ci).
-bench-serve:
-	$(GO) build -o bin/qtransserver ./cmd/qtransserver
-	$(GO) run ./cmd/qtransbench -experiment serve -scale 1 -conns 12000 -serverbin bin/qtransserver -json BENCH_serve.json

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	qtransserver [-addr :7070] [-workers N] [-pipeline] [-maxbatch N]
-//	             [-maxdelay D] [-target-latency D] [-highwater N]
+//	             [-target-latency D] [-highwater N]
 //	             [-maxscan N] [-shards N] [-autoshard]
 //	             [-tiered DIR] [-tiered-budget N]
 //	             [-metrics-addr HOST:PORT]
@@ -46,8 +46,7 @@ func run(args []string, stdout *os.File) error {
 		addr       = fs.String("addr", "127.0.0.1:7070", "TCP listen address (host:port; port 0 = ephemeral)")
 		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "BSP worker threads")
 		pipeline   = fs.Bool("pipeline", false, "two-stage pipelined batch execution")
-		maxBatch   = fs.Int("maxbatch", 0, "batcher flush size (0 = default 4096)")
-		maxDelay   = fs.Duration("maxdelay", 0, "batcher flush deadline (0 = default 10ms)")
+		maxBatch   = fs.Int("maxbatch", 0, "batch size cap (0 = default 4096)")
 		targetLat  = fs.Duration("target-latency", 0, "auto-tune batch size toward this processing latency (0 = off)")
 		highWater  = fs.Int("highwater", 0, "shed requests while the dispatch backlog exceeds this many batches (0 = default 256)")
 		maxScan    = fs.Int("maxscan", 0, "clamp scan row limits to this many rows (0 = default 65536)")
@@ -70,8 +69,8 @@ func run(args []string, stdout *os.File) error {
 	if *autoshard && *shards <= 1 {
 		return fmt.Errorf("-autoshard needs -shards > 1")
 	}
-	if *maxBatch < 0 || *maxDelay < 0 || *targetLat < 0 || *highWater < 0 || *maxScan < 0 {
-		return fmt.Errorf("-maxbatch/-maxdelay/-target-latency/-highwater/-maxscan must be non-negative")
+	if *maxBatch < 0 || *targetLat < 0 || *highWater < 0 || *maxScan < 0 {
+		return fmt.Errorf("-maxbatch/-target-latency/-highwater/-maxscan must be non-negative")
 	}
 	if *drainGrace <= 0 {
 		return fmt.Errorf("-drain-grace %v: must be positive", *drainGrace)
@@ -98,7 +97,6 @@ func run(args []string, stdout *os.File) error {
 	defer db.Close()
 	svc := db.Serve(qtrans.ServiceOptions{
 		MaxBatch:      *maxBatch,
-		MaxDelay:      *maxDelay,
 		TargetLatency: *targetLat,
 	})
 	defer svc.Close()
@@ -124,14 +122,16 @@ func run(args []string, stdout *os.File) error {
 		defer stop()
 		fmt.Fprintf(stdout, "metrics on %s\n", bound)
 	}
+	// Subscribe before announcing the port: whoever reads the line may
+	// signal the moment its requests are answered.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	// The harness parses this line to discover an ephemeral port.
 	fmt.Fprintf(stdout, "listening on %s\n", ln.Addr())
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case err := <-serveErr:
 		return err

@@ -19,7 +19,6 @@ func TestFlagValidation(t *testing.T) {
 		{"-workers", "0"},
 		{"-workers", "-3"},
 		{"-maxbatch", "-1"},
-		{"-maxdelay", "-5ms"},
 		{"-target-latency", "-1us"},
 		{"-highwater", "-2"},
 		{"-maxscan", "-1"},
@@ -47,7 +46,7 @@ func TestServeAndDrainLifecycle(t *testing.T) {
 	}
 	runErr := make(chan error, 1)
 	go func() {
-		runErr <- run([]string{"-addr", "127.0.0.1:0", "-workers", "2", "-maxdelay", "1ms"}, pw)
+		runErr <- run([]string{"-addr", "127.0.0.1:0", "-workers", "2"}, pw)
 		pw.Close()
 	}()
 	lines := bufio.NewScanner(pr)

@@ -24,7 +24,6 @@ func main() {
 	var (
 		clients  = flag.Int("clients", 8, "concurrent client goroutines")
 		ops      = flag.Int("ops", 5000, "operations per client")
-		maxDelay = flag.Duration("maxdelay", 2*time.Millisecond, "batching deadline")
 		maxBatch = flag.Int("maxbatch", 4096, "batching size cap")
 	)
 	flag.Parse()
@@ -50,7 +49,7 @@ func main() {
 	}
 	db.Warm(hot)
 
-	svc := db.Serve(qtrans.ServiceOptions{MaxBatch: *maxBatch, MaxDelay: *maxDelay})
+	svc := db.Serve(qtrans.ServiceOptions{MaxBatch: *maxBatch})
 	defer svc.Close()
 
 	var (
@@ -91,7 +90,6 @@ func main() {
 
 	fmt.Printf("served %d ops from %d clients in %v\n", served, *clients, elapsed.Round(time.Millisecond))
 	fmt.Printf("  throughput:   %.0f ops/s\n", float64(served)/elapsed.Seconds())
-	fmt.Printf("  mean latency: %v (deadline %v)\n",
-		(time.Duration(totalLat) / time.Duration(served)).Round(time.Microsecond), *maxDelay)
+	fmt.Printf("  mean latency: %v\n", (time.Duration(totalLat) / time.Duration(served)).Round(time.Microsecond))
 	fmt.Printf("  not-found:    %.1f%%\n", 100*float64(misses)/float64(served))
 }

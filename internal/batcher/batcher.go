@@ -1,21 +1,25 @@
 // Package batcher turns the batch-oriented engine into an online query
 // service: callers submit individual queries and receive futures; the
-// batcher accumulates queries and dispatches a batch when either the
-// size cap or the latency deadline is reached.
+// batcher groups them into batches by group commit. Queries that arrive
+// while the processor is busy accumulate, and the moment it goes idle
+// whatever is pending becomes the next batch. Batch size therefore
+// follows load: one query on an idle server, and under load whatever
+// arrived during the previous batch, up to MaxBatch.
 //
 // This implements the online-processing regime of §VI-D: "we can
 // always trade our high throughput for faster response time by using a
-// smaller batch size" — MaxBatch bounds throughput-oriented batching
-// while MaxDelay bounds the time any query waits before evaluation
-// begins, so worst-case response time is MaxDelay plus one batch's
-// processing time.
+// smaller batch size" — MaxBatch bounds throughput-oriented batching,
+// and no query ever waits on a timer while the processor is idle. A
+// query's worst-case wait is the batch in progress when it arrived
+// plus its own batch's processing time, unless full MaxBatch batches
+// are already queued ahead of it (the backlog Load reports).
 //
-// The submit path never waits on the dispatcher: flushed batches are
+// The submit path never waits on the dispatcher: full batches are
 // handed off through an unbounded FIFO under the submit mutex and the
 // dispatcher drains it at its own pace, so a slow or backlogged
-// processor cannot stall Submit, Flush, Close, or the queue-depth
-// gauge. Backpressure is a policy decision for the caller: Load exposes
-// the congestion signals (pending queries, dispatched-but-unprocessed
+// processor cannot stall Submit, Close, or the queue-depth gauge.
+// Backpressure is a policy decision for the caller: Load exposes the
+// congestion signals (pending queries, dispatched-but-unprocessed
 // batches) that admission control (internal/server) sheds on.
 package batcher
 
@@ -79,12 +83,11 @@ func (f *Future) Done() <-chan struct{} { return f.done }
 
 // Config tunes a Batcher.
 type Config struct {
-	// MaxBatch flushes when this many queries are pending (<= 0: 4096).
-	// With TargetLatency set, this is only the starting point.
+	// MaxBatch caps a batch (<= 0: 4096). While the processor is busy,
+	// every MaxBatch pending queries are cut into a batch and queued;
+	// when it goes idle, the pending remainder is taken whatever its
+	// size. With TargetLatency set, this is only the starting point.
 	MaxBatch int
-	// MaxDelay flushes this long after the oldest pending query
-	// arrived (<= 0: 10ms).
-	MaxDelay time.Duration
 	// TargetLatency, when positive, enables auto-tuning of the batch
 	// size: after each dispatched batch the size cap is nudged so that
 	// batch processing time approaches the target — the §VI-D
@@ -99,17 +102,22 @@ type Config struct {
 	// Pipeline feeds dispatched batches through the processor's
 	// ProcessStream so the transform of one batch overlaps the tree
 	// stages of the previous one. Requires a StreamProcessor; ignored
-	// (serial dispatch) otherwise. TargetLatency auto-tuning is
-	// unavailable in pipelined mode: batches overlap, so a single
-	// batch's processing time cannot be attributed — Pipeline takes
-	// precedence and the cap stays at MaxBatch.
+	// (serial dispatch) otherwise. The dispatcher may then hold one
+	// batch ready ahead of the pipeline, so a query's worst-case wait
+	// grows by that batch. TargetLatency auto-tuning is unavailable in
+	// pipelined mode: batches overlap, so a single batch's processing
+	// time cannot be attributed — Pipeline takes precedence and the cap
+	// stays at MaxBatch.
 	Pipeline bool
 	// Metrics, when non-nil, receives queue-depth (batcher_queue_depth
 	// gauge), dispatch backlog (batcher_dispatch_backlog gauge:
 	// dispatched-but-unprocessed batches), dispatched batch sizes
-	// (batcher_batch_size histogram) and batch-fill ratio in per-mille
-	// of the current cap (batcher_fill_permille histogram). Nil adds no
-	// overhead.
+	// (batcher_batch_size histogram), batch-fill ratio in per-mille of
+	// the current cap (batcher_fill_permille histogram), the age of a
+	// batch's oldest query when processing starts (batcher_wait_ns
+	// histogram) and the processing wall of each serially dispatched
+	// batch (batcher_exec_ns histogram), timed on the registry's clock.
+	// Nil adds no overhead.
 	Metrics *metrics.Registry
 }
 
@@ -121,33 +129,24 @@ type Batcher struct {
 	proc Processor
 	cfg  Config
 
-	// batchCap is the current flush threshold; atomic because the
-	// dispatcher goroutine retunes it while submitters read it.
+	// batchCap is the current size cap; atomic because the dispatcher
+	// goroutine retunes it while submitters read it.
 	batchCap atomic.Int64
 
 	mu      sync.Mutex
 	pending []keys.Query
 	futures []*Future
-	timer   *time.Timer
-	// timerGen guards deadline callbacks against staleness: a fired
-	// callback that lost the race with a flush (or with Close) parks on
-	// mu and would otherwise clear a *newer* timer's handle, causing
-	// spurious early flushes and duplicate armed timers. Every flush and
-	// Close bumps the generation; a callback acts only if its generation
-	// is still current.
-	timerGen uint64
-	closed   bool
+	oldest  time.Time // arrival of pending[0] (registry clock; metrics only)
+	closed  bool
 
-	// sendq is the dispatch hand-off: flushLocked appends under mu (so
-	// batches leave in flush order) and the dispatcher pops from the
-	// front via next. It is unbounded on purpose — the submit path must
-	// never wait on the dispatcher (a bounded channel here once stalled
-	// every Submit/Flush/Close behind a slow processor, with b.mu held
-	// across the blocking send). wake (capacity 1) nudges a parked
-	// dispatcher; a buffered token is never lost, so no wakeup is
-	// missed. qdone tells the dispatcher to exit once sendq is empty.
+	// sendq holds full batches Submit cut while the processor was busy,
+	// in cut order; next pops them before taking any pending remainder.
+	// It is unbounded on purpose — the submit path must never wait on
+	// the dispatcher (a bounded channel here once stalled every
+	// Submit/Close behind a slow processor, with b.mu held across the
+	// blocking send). wake (capacity 1) nudges a parked dispatcher; a
+	// buffered token is never lost, so no wakeup is missed.
 	sendq []dispatchReq
-	qdone bool
 	wake  chan struct{}
 	wg    sync.WaitGroup
 
@@ -165,20 +164,20 @@ type Batcher struct {
 	backlog      *metrics.Gauge
 	batchSize    *metrics.Histogram
 	fillPermille *metrics.Histogram
+	waitNs       *metrics.Histogram
+	execNs       *metrics.Histogram
 }
 
 type dispatchReq struct {
-	qs   []keys.Query
-	futs []*Future
+	qs    []keys.Query
+	futs  []*Future
+	since time.Time // arrival of qs[0] (metrics only)
 }
 
 // New creates a Batcher over proc.
 func New(proc Processor, cfg Config) *Batcher {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 4096
-	}
-	if cfg.MaxDelay <= 0 {
-		cfg.MaxDelay = 10 * time.Millisecond
 	}
 	if cfg.MinBatch <= 0 {
 		cfg.MinBatch = 64
@@ -206,6 +205,8 @@ func New(proc Processor, cfg Config) *Batcher {
 		b.backlog = cfg.Metrics.Gauge("batcher_dispatch_backlog")
 		b.batchSize = cfg.Metrics.Histogram("batcher_batch_size")
 		b.fillPermille = cfg.Metrics.Histogram("batcher_fill_permille")
+		b.waitNs = cfg.Metrics.Histogram("batcher_wait_ns")
+		b.execNs = cfg.Metrics.Histogram("batcher_exec_ns")
 	}
 	b.batchCap.Store(int64(cfg.MaxBatch))
 	b.wg.Add(1)
@@ -217,30 +218,41 @@ func New(proc Processor, cfg Config) *Batcher {
 	return b
 }
 
-// next blocks until a dispatched batch is available and pops it, or
-// returns ok == false once the batcher is closed and the hand-off queue
-// fully drained. Only the dispatcher goroutine calls it; it holds b.mu
-// just long enough to pop, never while the processor runs.
+// next blocks until a batch is available and pops it, or returns
+// ok == false once the batcher is closed and nothing is left. Full
+// batches queued by Submit leave first, in cut order; when none is
+// queued, whatever is pending becomes the batch (group commit). Only
+// the dispatcher goroutine calls it; it holds b.mu just long enough to
+// pop, never while the processor runs.
 func (b *Batcher) next() (req dispatchReq, ok bool) {
 	for {
 		b.mu.Lock()
-		if len(b.sendq) > 0 {
-			req = b.sendq[0]
+		switch {
+		case len(b.sendq) > 0:
+			req, ok = b.sendq[0], true
 			b.sendq[0] = dispatchReq{} // drop references for GC
 			b.sendq = b.sendq[1:]
 			if len(b.sendq) == 0 {
 				b.sendq = nil // release the drained backing array
 			}
-			b.mu.Unlock()
-			return req, true
+		case len(b.pending) > 0:
+			req, ok = b.cutLocked(), true
 		}
-		done := b.qdone
+		closed := b.closed
 		b.mu.Unlock()
-		if done {
-			return dispatchReq{}, false
+		if ok || closed {
+			return req, ok
 		}
 		<-b.wake
 	}
+}
+
+// started records how long req's oldest query waited and returns the
+// instant processing starts, on the registry's clock. Metrics only.
+func (b *Batcher) started(req dispatchReq) time.Time {
+	now := b.cfg.Metrics.Now()
+	b.waitNs.Observe(now.Sub(req.since))
+	return now
 }
 
 // complete resolves one batch's futures from its result set, copying
@@ -265,6 +277,8 @@ func (b *Batcher) complete(futs []*Future, rs *keys.ResultSet) {
 // runStream is the pipelined dispatcher: batches flow through the
 // processor's ProcessStream, with the futures carried on the job's Tag.
 // Completion order equals dispatch order (ProcessStream guarantees it).
+// The feeding goroutine takes its next batch as soon as the pipeline
+// accepts the previous one, so it can hold one batch ready ahead.
 func (b *Batcher) runStream(sp StreamProcessor) {
 	defer b.wg.Done()
 	jobs := make(chan *core.Job)
@@ -275,6 +289,9 @@ func (b *Batcher) runStream(sp StreamProcessor) {
 				break
 			}
 			jobs <- &core.Job{Qs: req.qs, Tag: req.futs}
+			if b.waitNs != nil {
+				b.started(req)
+			}
 		}
 		close(jobs)
 	}()
@@ -294,8 +311,15 @@ func (b *Batcher) run() {
 			return
 		}
 		rs.Reset(len(req.qs))
+		var t0 time.Time
+		if b.execNs != nil {
+			t0 = b.started(req)
+		}
 		start := time.Now()
 		b.proc.ProcessBatch(req.qs, rs)
+		if b.execNs != nil {
+			b.execNs.Observe(b.cfg.Metrics.Since(t0))
+		}
 		if b.cfg.TargetLatency > 0 {
 			b.retune(len(req.qs), time.Since(start))
 		}
@@ -305,15 +329,20 @@ func (b *Batcher) run() {
 
 // retune adjusts the batch-size cap toward the latency target using
 // the measured per-query cost of the batch just processed, smoothed so
-// one noisy batch cannot halve or quadruple the cap.
+// one noisy batch cannot halve or quadruple the cap. It learns only
+// from batches that say something about the cap: one that filled it
+// (grow or shrink), or one that overran the target (shrink). A smaller
+// batch taken on time was not cut by the cap; its per-query cost is
+// mostly the fixed per-batch cost, so it would read as a reason to
+// shrink the cap under light load.
 func (b *Batcher) retune(batchLen int, took time.Duration) {
-	if batchLen == 0 || took <= 0 {
+	cur := float64(b.batchCap.Load())
+	if batchLen == 0 || took <= 0 || (float64(batchLen) < cur && took <= b.cfg.TargetLatency) {
 		return
 	}
 	perQuery := float64(took) / float64(batchLen)
 	ideal := float64(b.cfg.TargetLatency) / perQuery
 
-	cur := float64(b.batchCap.Load())
 	// Exponential smoothing toward the ideal; clamp step to [1/2, 2]x.
 	next := cur + (ideal-cur)*0.5
 	if next > 2*cur {
@@ -338,10 +367,12 @@ func (b *Batcher) BatchCap() int {
 }
 
 // Load reports the batcher's congestion signals: pending is the number
-// of submitted queries not yet flushed into a batch, backlog the number
-// of dispatched batches the processor has not finished. Both stay live
-// while the processor is stalled — Submit never blocks behind the
-// dispatcher — so admission control (internal/server) can shed on them.
+// of submitted queries not yet in a batch, backlog the number of
+// dispatched batches the processor has not finished. While the
+// processor is busy, backlog grows only by full MaxBatch batches. Both
+// stay live while the processor is stalled — Submit never blocks
+// behind the dispatcher — so admission control (internal/server) can
+// shed on them.
 func (b *Batcher) Load() (pending, backlog int) {
 	b.mu.Lock()
 	pending = len(b.pending)
@@ -358,6 +389,9 @@ func (b *Batcher) Submit(q keys.Query) (*Future, error) {
 		b.mu.Unlock()
 		return nil, ErrClosed
 	}
+	if len(b.pending) == 0 && b.waitNs != nil {
+		b.oldest = b.cfg.Metrics.Now()
+	}
 	q.Idx = int32(len(b.pending))
 	b.pending = append(b.pending, q)
 	b.futures = append(b.futures, f)
@@ -366,52 +400,18 @@ func (b *Batcher) Submit(q keys.Query) (*Future, error) {
 		b.queueDepth.Set(int64(len(b.pending)))
 	}
 	if len(b.pending) >= int(b.batchCap.Load()) {
-		b.flushLocked()
-	} else if b.timer == nil {
-		b.timerGen++
-		gen := b.timerGen
-		b.timer = time.AfterFunc(b.cfg.MaxDelay, func() { b.deadline(gen) })
+		b.sendq = append(b.sendq, b.cutLocked())
 	}
 	b.mu.Unlock()
+	b.signal()
 	return f, nil
 }
 
-// deadline fires when the oldest pending query has waited MaxDelay.
-// gen identifies the timer that scheduled it; a stale callback (its
-// batch already flushed, or the batcher closed) is a no-op.
-func (b *Batcher) deadline(gen uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed || gen != b.timerGen {
-		return
-	}
-	b.timer = nil
-	if len(b.pending) > 0 {
-		b.flushLocked()
-	}
-}
-
-// Flush dispatches any pending queries immediately.
-func (b *Batcher) Flush() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.closed && len(b.pending) > 0 {
-		b.flushLocked()
-	}
-}
-
-// flushLocked hands the pending batch to the dispatcher: the batch is
-// appended to the unbounded hand-off queue and the dispatcher nudged,
-// all O(1) — never a blocking send with b.mu held, so Submit, Flush,
-// Close, and the gauges stay live however far behind the processor is.
-// Called with b.mu held.
-func (b *Batcher) flushLocked() {
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
-	}
-	b.timerGen++ // invalidate any fired-but-not-yet-run deadline
-	req := dispatchReq{qs: b.pending, futs: b.futures}
+// cutLocked turns the pending queries into one batch and counts it as
+// dispatched — O(1), so Submit, Close and the gauges stay live however
+// far behind the processor is. Called with b.mu held.
+func (b *Batcher) cutLocked() dispatchReq {
+	req := dispatchReq{qs: b.pending, futs: b.futures, since: b.oldest}
 	b.pending = nil
 	b.futures = nil
 	b.batches++
@@ -423,44 +423,29 @@ func (b *Batcher) flushLocked() {
 		}
 		b.queueDepth.Set(0)
 	}
-	b.sendq = append(b.sendq, req)
 	n := b.inflight.Add(1)
 	if b.backlog != nil {
 		b.backlog.Set(n)
 	}
+	return req
+}
+
+// signal wakes a parked dispatcher without blocking.
+func (b *Batcher) signal() {
 	select {
 	case b.wake <- struct{}{}:
 	default: // dispatcher already has a pending wakeup token
 	}
 }
 
-// Close flushes pending queries, waits for all dispatched batches to
-// finish, and releases the dispatcher. Submit after Close fails with
-// ErrClosed.
+// Close stops accepting queries, waits until every pending and
+// dispatched query has been processed, and releases the dispatcher.
+// Submit after Close fails with ErrClosed.
 func (b *Batcher) Close() {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		b.wg.Wait()
-		return
-	}
-	if len(b.pending) > 0 {
-		b.flushLocked()
-	}
-	// Defensively stop any armed timer so no callback outlives Close
-	// (flushLocked normally did it, but keep Close self-sufficient).
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
-	}
-	b.timerGen++
 	b.closed = true
-	b.qdone = true
 	b.mu.Unlock()
-	select {
-	case b.wake <- struct{}{}:
-	default:
-	}
+	b.signal()
 	b.wg.Wait()
 }
 

@@ -25,7 +25,7 @@ func newEngine(t testing.TB) *core.Engine {
 }
 
 func TestSubmitAndGet(t *testing.T) {
-	b := New(newEngine(t), Config{MaxBatch: 100, MaxDelay: 5 * time.Millisecond})
+	b := New(newEngine(t), Config{MaxBatch: 100})
 	defer b.Close()
 
 	if _, err := b.Submit(keys.Insert(1, 11)); err != nil {
@@ -35,56 +35,63 @@ func TestSubmitAndGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, ok := f.Get() // deadline flush delivers within ~5ms
+	res, ok := f.Get()
 	if !ok || !res.Found || res.Value != 11 {
 		t.Fatalf("Get = %+v, %v; want 11", res, ok)
 	}
 }
 
-func TestSizeTriggeredFlush(t *testing.T) {
-	b := New(newEngine(t), Config{MaxBatch: 4, MaxDelay: time.Hour})
-	defer b.Close()
-
-	var futs []*Future
-	for i := 0; i < 4; i++ { // exactly MaxBatch: flush without deadline
-		f, err := b.Submit(keys.Insert(keys.Key(i), keys.Value(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		futs = append(futs, f)
-	}
-	for i, f := range futs {
-		select {
-		case <-f.Done():
-		case <-time.After(5 * time.Second):
-			t.Fatalf("future %d not resolved by size-triggered flush", i)
-		}
-	}
-	batches, queries := b.Stats()
-	if batches != 1 || queries != 4 {
-		t.Fatalf("stats = %d batches, %d queries", batches, queries)
-	}
-}
-
+// TestDeadlineTriggeredFlush: there is no deadline timer any more, and
+// none is needed — on an idle batcher a single query far below the cap
+// is its own batch, dispatched with no flush and no Close.
 func TestDeadlineTriggeredFlush(t *testing.T) {
-	b := New(newEngine(t), Config{MaxBatch: 1 << 20, MaxDelay: 5 * time.Millisecond})
+	b := New(newEngine(t), Config{MaxBatch: 1 << 20})
 	defer b.Close()
 
-	start := time.Now()
 	f, err := b.Submit(keys.Search(42))
 	if err != nil {
 		t.Fatal(err)
 	}
+	select {
+	case <-f.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("a lone query was not dispatched by the idle batcher")
+	}
 	if res, ok := f.Get(); !ok || res.Found {
 		t.Fatalf("Get = %+v, %v; want recorded not-found", res, ok)
 	}
-	if waited := time.Since(start); waited > 2*time.Second {
-		t.Fatalf("deadline flush took %v", waited)
+}
+
+// TestExplicitFlush: there is no Flush any more, and none is needed — a
+// lone mutation is applied on its own, and once the dispatcher has
+// parked again the next query wakes it and sees the write.
+func TestExplicitFlush(t *testing.T) {
+	b := New(newEngine(t), Config{MaxBatch: 1 << 20})
+	defer b.Close()
+
+	for i, q := range []keys.Query{keys.Insert(5, 50), keys.Search(5)} {
+		f, err := b.Submit(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-f.Done():
+		case <-time.After(5 * time.Second):
+			t.Fatalf("query %d was not dispatched by the idle batcher", i)
+		}
+		if i == 1 {
+			if res, ok := f.Get(); !ok || !res.Found || res.Value != 50 {
+				t.Fatalf("Get = %+v, %v; want 50", res, ok)
+			}
+		}
+	}
+	if batches, queries := b.Stats(); batches != 2 || queries != 2 {
+		t.Fatalf("stats = %d batches, %d queries; want one batch per query", batches, queries)
 	}
 }
 
 func TestMutationFutureHasNoResult(t *testing.T) {
-	b := New(newEngine(t), Config{MaxBatch: 1, MaxDelay: time.Hour})
+	b := New(newEngine(t), Config{MaxBatch: 1})
 	defer b.Close()
 	f, err := b.Submit(keys.Insert(9, 9))
 	if err != nil {
@@ -95,24 +102,8 @@ func TestMutationFutureHasNoResult(t *testing.T) {
 	}
 }
 
-func TestExplicitFlush(t *testing.T) {
-	b := New(newEngine(t), Config{MaxBatch: 1 << 20, MaxDelay: time.Hour})
-	defer b.Close()
-	f, err := b.Submit(keys.Insert(5, 50))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Flush()
-	select {
-	case <-f.Done():
-	case <-time.After(5 * time.Second):
-		t.Fatal("explicit Flush did not resolve the future")
-	}
-	b.Flush() // empty flush is a no-op
-}
-
 func TestCloseFlushesAndRejects(t *testing.T) {
-	b := New(newEngine(t), Config{MaxBatch: 1 << 20, MaxDelay: time.Hour})
+	b := New(newEngine(t), Config{MaxBatch: 1 << 20})
 	f, err := b.Submit(keys.Insert(5, 50))
 	if err != nil {
 		t.Fatal(err)
@@ -134,48 +125,50 @@ func TestBatchSemanticsAcrossSubmitters(t *testing.T) {
 	// search must observe its own goroutine's prior writes (futures
 	// resolve in submission order per key because batches preserve
 	// serial semantics).
-	b := New(newEngine(t), Config{MaxBatch: 64, MaxDelay: time.Millisecond})
-	defer b.Close()
+	for _, pipeline := range []bool{false, true} {
+		b := New(newEngine(t), Config{MaxBatch: 64, Pipeline: pipeline})
 
-	const workers = 8
-	var wg sync.WaitGroup
-	errs := make(chan string, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			base := keys.Key(w * 1000)
-			for i := 0; i < 50; i++ {
-				k := base + keys.Key(i)
-				if _, err := b.Submit(keys.Insert(k, keys.Value(i))); err != nil {
-					errs <- err.Error()
-					return
+		const workers = 8
+		var wg sync.WaitGroup
+		errs := make(chan string, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				base := keys.Key(w * 1000)
+				for i := 0; i < 50; i++ {
+					k := base + keys.Key(i)
+					if _, err := b.Submit(keys.Insert(k, keys.Value(i))); err != nil {
+						errs <- err.Error()
+						return
+					}
+					f, err := b.Submit(keys.Search(k))
+					if err != nil {
+						errs <- err.Error()
+						return
+					}
+					res, ok := f.Get()
+					if !ok || !res.Found || res.Value != keys.Value(i) {
+						errs <- "stale read"
+						return
+					}
 				}
-				f, err := b.Submit(keys.Search(k))
-				if err != nil {
-					errs <- err.Error()
-					return
-				}
-				res, ok := f.Get()
-				if !ok || !res.Found || res.Value != keys.Value(i) {
-					errs <- "stale read"
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	select {
-	case e := <-errs:
-		t.Fatal(e)
-	default:
+			}(w)
+		}
+		wg.Wait()
+		b.Close()
+		select {
+		case e := <-errs:
+			t.Fatalf("pipeline=%v: %s", pipeline, e)
+		default:
+		}
 	}
 }
 
 func TestDefaultsApplied(t *testing.T) {
 	b := New(newEngine(t), Config{})
 	defer b.Close()
-	if b.cfg.MaxBatch != 4096 || b.cfg.MaxDelay != 10*time.Millisecond {
+	if b.cfg.MaxBatch != 4096 || b.cfg.MinBatch != 64 || b.cfg.MaxBatchLimit != 1<<20 {
 		t.Fatalf("defaults = %+v", b.cfg)
 	}
 }

@@ -11,17 +11,15 @@ import (
 )
 
 // TestCloseLeaksNoGoroutines opens and closes many batchers — with
-// armed deadline timers and in-flight batches — and checks the process
-// goroutine count returns to baseline (dispatcher and timer callbacks
-// all released).
+// queries still pending or in flight — and checks the process goroutine
+// count returns to baseline (every dispatcher released).
 func TestCloseLeaksNoGoroutines(t *testing.T) {
 	eng := newEngine(t)
 	runtime.GC()
 	base := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
-		b := New(eng, Config{MaxBatch: 1000, MaxDelay: time.Hour})
-		// Arm the deadline timer (batch far below cap) and leave work
-		// in flight at Close.
+		b := New(eng, Config{MaxBatch: 1000})
+		// A batch far below the cap, possibly still in flight at Close.
 		f, err := b.Submit(keys.Insert(keys.Key(i), 1))
 		if err != nil {
 			t.Fatal(err)
@@ -49,7 +47,7 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 // channel.
 func TestCloseWhileSubmitting(t *testing.T) {
 	for round := 0; round < 20; round++ {
-		b := New(newEngine(t), Config{MaxBatch: 4, MaxDelay: time.Microsecond})
+		b := New(newEngine(t), Config{MaxBatch: 4})
 		const workers = 8
 		var wg sync.WaitGroup
 		// Per-worker slices, merged after the race: Submit no longer
@@ -99,7 +97,7 @@ func TestCloseWhileSubmitting(t *testing.T) {
 // TestConcurrentClose verifies double and concurrent Close are safe and
 // all of them return only after the dispatcher has drained.
 func TestConcurrentClose(t *testing.T) {
-	b := New(newEngine(t), Config{MaxBatch: 8, MaxDelay: time.Hour})
+	b := New(newEngine(t), Config{MaxBatch: 8})
 	var futs []*Future
 	for i := 0; i < 20; i++ {
 		f, err := b.Submit(keys.Insert(keys.Key(i), keys.Value(i)))
@@ -128,28 +126,4 @@ func TestConcurrentClose(t *testing.T) {
 		t.Fatalf("Submit after Close: %v", err)
 	}
 	b.Close() // idempotent
-}
-
-// TestStaleDeadlineDoesNotDisturbNewTimer pins the timer-generation
-// fix: a deadline callback that fired for an already-flushed batch must
-// not clear the live timer of the next batch (which would orphan it and
-// strand its queries until some later Submit flushes incidentally).
-func TestStaleDeadlineDoesNotDisturbNewTimer(t *testing.T) {
-	b := New(newEngine(t), Config{MaxBatch: 2, MaxDelay: 20 * time.Millisecond})
-	defer b.Close()
-	// Batch 1 flushes by size the moment the deadline is about to fire,
-	// racing the callback against flushLocked.
-	b.Submit(keys.Insert(1, 1))
-	time.Sleep(19 * time.Millisecond)
-	b.Submit(keys.Insert(2, 2))
-	// Batch 2: a single query that only the (new) deadline can flush.
-	f, err := b.Submit(keys.Insert(3, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-f.Done():
-	case <-time.After(2 * time.Second):
-		t.Fatal("query stranded: its deadline timer was cleared by a stale callback")
-	}
 }

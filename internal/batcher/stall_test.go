@@ -16,13 +16,20 @@ import (
 // dispatcher is stalled mid-batch.
 type gatedProc struct {
 	gate    chan struct{} // each receive releases one ProcessBatch call
+	entered chan struct{} // a token once a ProcessBatch call is under way
 	mu      sync.Mutex
 	batches [][]keys.Query
 }
 
-func newGatedProc() *gatedProc { return &gatedProc{gate: make(chan struct{})} }
+func newGatedProc() *gatedProc {
+	return &gatedProc{gate: make(chan struct{}), entered: make(chan struct{}, 1)}
+}
 
 func (p *gatedProc) ProcessBatch(qs []keys.Query, rs *keys.ResultSet) {
+	select {
+	case p.entered <- struct{}{}:
+	default: // an earlier call's token is still unread
+	}
 	<-p.gate
 	p.mu.Lock()
 	p.batches = append(p.batches, append([]keys.Query(nil), qs...))
@@ -41,16 +48,122 @@ func (p *gatedProc) release(n int) {
 	}
 }
 
+// stall submits q on an idle batcher and returns once the processor is
+// blocked on it, so everything submitted next queues behind a busy
+// processor.
+func stall(t *testing.T, b *Batcher, p *gatedProc, q keys.Query) *Future {
+	t.Helper()
+	f, err := b.Submit(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-p.entered
+	return f
+}
+
+// TestSizeTriggeredFlush: MaxBatch still cuts full batches while the
+// processor is busy. With the processor stalled, 3×MaxBatch submits add
+// exactly three batches to Load's backlog and leave nothing pending, so
+// the shed signal admission control reads stays live.
+func TestSizeTriggeredFlush(t *testing.T) {
+	proc := newGatedProc()
+	b := New(proc, Config{MaxBatch: 4})
+	defer b.Close()
+	stall(t, b, proc, keys.Search(1000))
+
+	for i := 0; i < 3*4; i++ {
+		if _, err := b.Submit(keys.Insert(keys.Key(i), 1)); err != nil {
+			t.Fatal(err)
+		}
+		if pending, backlog := b.Load(); pending != (i+1)%4 || backlog != 1+(i+1)/4 {
+			t.Fatalf("after %d stalled submits Load = (%d pending, %d backlog), want (%d, %d)",
+				i+1, pending, backlog, (i+1)%4, 1+(i+1)/4)
+		}
+	}
+	close(proc.gate)
+}
+
+// TestGroupCommitCoalescesDuringStall: queries submitted while the
+// processor holds batch 1 form exactly one next batch, taken whole the
+// moment the processor goes idle.
+func TestGroupCommitCoalescesDuringStall(t *testing.T) {
+	proc := newGatedProc()
+	b := New(proc, Config{MaxBatch: 1 << 20})
+	defer b.Close()
+	stall(t, b, proc, keys.Search(1000))
+
+	const k = 37
+	futs := make([]*Future, k)
+	for i := range futs {
+		f, err := b.Submit(keys.Search(keys.Key(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		futs[i] = f
+	}
+	close(proc.gate)
+	for i, f := range futs {
+		if res, ok := f.Get(); !ok || res.Value != keys.Value(i) {
+			t.Fatalf("future %d = %+v, %v", i, res, ok)
+		}
+	}
+	if batches, queries := b.Stats(); batches != 2 || queries != k+1 {
+		t.Fatalf("Stats = %d batches, %d queries; want 2, %d", batches, queries, k+1)
+	}
+	proc.mu.Lock()
+	defer proc.mu.Unlock()
+	if n := len(proc.batches[1]); n != k {
+		t.Fatalf("second batch holds %d queries, want %d", n, k)
+	}
+}
+
+// TestWaitAndExecHistograms pins the queue/execute split on a manual
+// clock: batcher_wait_ns is the age of a batch's oldest query when
+// processing starts, batcher_exec_ns the processing wall.
+func TestWaitAndExecHistograms(t *testing.T) {
+	clk := metrics.NewManual(time.Unix(0, 0))
+	reg := metrics.NewWithClock(clk)
+	proc := newGatedProc()
+	b := New(proc, Config{MaxBatch: 64, Metrics: reg})
+	defer b.Close()
+
+	stall(t, b, proc, keys.Search(1)) // starts as it arrives: waits 0
+	f, err := b.Submit(keys.Search(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(3 * time.Millisecond) // batch 1 runs 3ms while query 2 waits
+	proc.release(1)
+	<-proc.entered
+	clk.Advance(2 * time.Millisecond) // batch 2 runs 2ms
+	proc.release(1)
+	f.Get()
+
+	snap := reg.Snapshot()
+	for _, c := range []struct {
+		name     string
+		min, max time.Duration
+	}{
+		{"batcher_wait_ns", 0, 3 * time.Millisecond},
+		{"batcher_exec_ns", 2 * time.Millisecond, 3 * time.Millisecond},
+	} {
+		h := snap.Histograms[c.name]
+		if h.Count != 2 || h.Min != int64(c.min) || h.Max != int64(c.max) {
+			t.Fatalf("%s = count %d, min %d, max %d; want 2, %d, %d", c.name, h.Count, h.Min, h.Max, c.min, c.max)
+		}
+	}
+}
+
 // TestSubmitNotBlockedByStalledDispatcher is the regression test for
 // the lock-held dispatch stall: flushLocked used to send on a bounded
 // channel (capacity 4) while holding b.mu, so once the processor fell 4
 // batches behind, the next flush parked with the mutex held and every
-// Submit, Flush, and Close froze with it. With the unbounded hand-off
+// Submit and Close froze with it. With the unbounded hand-off
 // the submit path must stay live no matter how far behind the
 // processor is.
 func TestSubmitNotBlockedByStalledDispatcher(t *testing.T) {
 	proc := newGatedProc()
-	b := New(proc, Config{MaxBatch: 1, MaxDelay: time.Hour})
+	b := New(proc, Config{MaxBatch: 1})
 
 	// Far more flushed batches than the old channel capacity (4), all
 	// while the processor is stuck inside its first ProcessBatch call.
@@ -76,15 +189,6 @@ func TestSubmitNotBlockedByStalledDispatcher(t *testing.T) {
 		t.Fatal("Submit blocked behind the stalled dispatcher (lock-held dispatch stall)")
 	}
 
-	// Flush on an empty queue must also return immediately.
-	flushed := make(chan struct{})
-	go func() { b.Flush(); close(flushed) }()
-	select {
-	case <-flushed:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Flush blocked behind the stalled dispatcher")
-	}
-
 	if pending, backlog := b.Load(); pending != 0 || backlog != batches {
 		t.Fatalf("Load = (%d pending, %d backlog), want (0, %d)", pending, backlog, batches)
 	}
@@ -108,10 +212,11 @@ func TestSubmitNotBlockedByStalledDispatcher(t *testing.T) {
 func TestGaugesLiveDuringProcessorStall(t *testing.T) {
 	reg := metrics.New()
 	proc := newGatedProc()
-	b := New(proc, Config{MaxBatch: 4, MaxDelay: time.Hour, Metrics: reg})
+	b := New(proc, Config{MaxBatch: 4, Metrics: reg})
 	defer b.Close()
+	stall(t, b, proc, keys.Search(1000))
 
-	// Fill and flush 3 whole batches; the processor accepts none of them.
+	// Fill 3 whole batches behind the stalled one.
 	for i := 0; i < 12; i++ {
 		if _, err := b.Submit(keys.Insert(keys.Key(i), 1)); err != nil {
 			t.Fatal(err)
@@ -127,13 +232,11 @@ func TestGaugesLiveDuringProcessorStall(t *testing.T) {
 		if got := snap.Gauges["batcher_queue_depth"]; got != int64(i+1) {
 			t.Fatalf("queue_depth after %d stalled submits = %d, want %d", i+1, got, i+1)
 		}
-		if got := snap.Gauges["batcher_dispatch_backlog"]; got != 3 {
-			t.Fatalf("dispatch_backlog during stall = %d, want 3", got)
+		if got := snap.Gauges["batcher_dispatch_backlog"]; got != 4 {
+			t.Fatalf("dispatch_backlog during stall = %d, want 4", got)
 		}
 	}
-
-	b.Flush()       // dispatch the trickled partial batch too
-	proc.release(4) // 3 full batches + the flushed partial
+	close(proc.gate)
 }
 
 // TestDispatchOrderPreservedUnderStall verifies the hand-off queue
@@ -142,36 +245,21 @@ func TestGaugesLiveDuringProcessorStall(t *testing.T) {
 // flushLocked emitted them, or as-if-serial semantics break.
 func TestDispatchOrderPreservedUnderStall(t *testing.T) {
 	proc := newGatedProc()
-	b := New(proc, Config{MaxBatch: 2, MaxDelay: time.Hour})
-	defer b.Close()
+	b := New(proc, Config{MaxBatch: 2})
+	stall(t, b, proc, keys.Insert(0, 0))
 
 	const batches = 32
-	for i := 0; i < batches; i++ {
-		for j := 0; j < 2; j++ {
-			if _, err := b.Submit(keys.Insert(keys.Key(2*i+j), keys.Value(i))); err != nil {
-				t.Fatal(err)
-			}
+	for i := 0; i < 2*batches; i++ {
+		if _, err := b.Submit(keys.Insert(keys.Key(1+i), keys.Value(i))); err != nil {
+			t.Fatal(err)
 		}
 	}
-	proc.release(batches)
-	b.Flush()
+	close(proc.gate)
+	b.Close()
 
-	deadline := time.After(10 * time.Second)
-	for {
-		proc.mu.Lock()
-		n := len(proc.batches)
-		proc.mu.Unlock()
-		if n == batches {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("only %d/%d batches processed", n, batches)
-		case <-time.After(time.Millisecond):
-		}
+	if len(proc.batches) != 1+batches {
+		t.Fatalf("processed %d batches, want %d", len(proc.batches), 1+batches)
 	}
-	proc.mu.Lock()
-	defer proc.mu.Unlock()
 	next := keys.Key(0)
 	for bi, qs := range proc.batches {
 		for _, q := range qs {
@@ -189,7 +277,7 @@ func TestDispatchOrderPreservedUnderStall(t *testing.T) {
 // (it survives the batch storage being reset for the next batch).
 func TestScanFutureRows(t *testing.T) {
 	for _, pipeline := range []bool{false, true} {
-		b := New(newEngine(t), Config{MaxBatch: 8, MaxDelay: time.Millisecond, Pipeline: pipeline})
+		b := New(newEngine(t), Config{MaxBatch: 8, Pipeline: pipeline})
 
 		for i := 0; i < 5; i++ {
 			if _, err := b.Submit(keys.Insert(keys.Key(10+i), keys.Value(100+i))); err != nil {
@@ -242,7 +330,6 @@ func TestScanFutureRows(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		b.Flush()
 		b.Close()
 		rows, _ = scanF.Rows()
 		for i, kv := range rows {
@@ -256,7 +343,7 @@ func TestScanFutureRows(t *testing.T) {
 // TestRMWFutureResult checks RMW submissions resolve with the
 // pre-update value through the ordinary point-result path.
 func TestRMWFutureResult(t *testing.T) {
-	b := New(newEngine(t), Config{MaxBatch: 1 << 20, MaxDelay: time.Hour})
+	b := New(newEngine(t), Config{MaxBatch: 1 << 20})
 	defer b.Close()
 
 	f1, err := b.Submit(keys.AddDelta(7, 5))
@@ -271,7 +358,6 @@ func TestRMWFutureResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Flush()
 	if res, ok := f1.Get(); !ok || res.Found || res.Value != 0 {
 		t.Fatalf("first AddDelta = %+v, %v; want absent pre-state", res, ok)
 	}
@@ -284,12 +370,13 @@ func TestRMWFutureResult(t *testing.T) {
 }
 
 // TestConcurrentSubmitFlushCloseUnderStall is the -race hammer for the
-// fixed hand-off: many submitters, a flusher, and a closer race against
-// a deliberately slow processor. Every future must resolve exactly once
+// fixed hand-off: many submitters, the dispatcher's group-commit takes
+// (the batcher's only flush), and a closer race against a deliberately
+// slow processor. Every future must resolve exactly once
 // and the batcher must shut down cleanly.
 func TestConcurrentSubmitFlushCloseUnderStall(t *testing.T) {
 	proc := newGatedProc()
-	b := New(proc, Config{MaxBatch: 8, MaxDelay: time.Millisecond})
+	b := New(proc, Config{MaxBatch: 8})
 
 	// Drip-feed the processor from the side so batches drain slowly but
 	// steadily while the hammer runs.
@@ -331,9 +418,6 @@ func TestConcurrentSubmitFlushCloseUnderStall(t *testing.T) {
 					<-f.Done()
 					resolved.Add(1)
 				}()
-				if i%17 == 0 {
-					b.Flush()
-				}
 			}
 		}(w)
 	}

@@ -69,11 +69,7 @@ func (rn *Runner) newInprocBackend(pc servePhaseConfig) (*inprocBackend, error) 
 	if err != nil {
 		return nil, err
 	}
-	b := batcher.New(eng, batcher.Config{
-		MaxBatch: pc.maxBatch,
-		MaxDelay: time.Millisecond,
-		Metrics:  o.Metrics,
-	})
+	b := batcher.New(eng, batcher.Config{MaxBatch: pc.maxBatch, Metrics: o.Metrics})
 	srv, err := server.New(server.Config{Batcher: b, HighWater: pc.highWater, Metrics: o.Metrics})
 	if err != nil {
 		b.Close()
@@ -118,7 +114,6 @@ func (rn *Runner) newExtBackend(pc servePhaseConfig) (*extBackend, error) {
 	cmd := exec.Command(o.ServerBin,
 		"-addr", "127.0.0.1:0",
 		"-workers", fmt.Sprint(o.Workers),
-		"-maxdelay", "1ms",
 		"-maxbatch", fmt.Sprint(pc.maxBatch),
 		"-highwater", fmt.Sprint(pc.highWater),
 		"-drain-grace", "120s",
@@ -393,8 +388,8 @@ func (rn *Runner) runServePhase(w io.Writer, name string, pc servePhaseConfig, c
 // server-side invariant accepted == responses: no accepted request is
 // ever dropped without an answer. With Opts.ServerBin set the server
 // runs as a separate process, giving client and server their own
-// file-descriptor budgets (how `make bench-serve` reaches >= 10k
-// concurrent connections under a 20k fd rlimit).
+// file-descriptor budgets (how `-serverbin` with `-conns 12000`
+// reaches >= 10k concurrent connections under a 20k fd rlimit).
 func ServeExp(rn *Runner, w io.Writer) error {
 	o := rn.Opts
 	conns := o.Conns

@@ -236,7 +236,7 @@ func (s *Server) readLoop(c net.Conn, queue chan<- pending) {
 // admit runs admission control and submission for one request and
 // returns its response slot. Order of checks: drain beats shed (a
 // draining server refuses everything), shed consults the batcher's
-// dispatch backlog — the congestion signal the flushLocked fix keeps
+// dispatch backlog — the congestion signal the unbounded hand-off keeps
 // live even when the processor stalls.
 func (s *Server) admit(req Request) pending {
 	if s.draining.Load() {
@@ -314,9 +314,9 @@ func (s *Server) writeLoop(c net.Conn, queue <-chan pending) {
 }
 
 // Shutdown gracefully drains the server: stop accepting connections,
-// refuse new requests with StatusDraining, keep flushing the batcher
-// so every already-submitted future resolves, write a response for
-// every accepted request, then close all connections. It returns nil
+// refuse new requests with StatusDraining, wait for every
+// already-submitted future to resolve, write a response for every
+// accepted request, then close all connections. It returns nil
 // once every connection goroutine has exited, or ctx.Err() if ctx
 // expires first (connections are then force-closed). Shutdown is
 // idempotent and safe to call concurrently with Serve.
@@ -340,34 +340,18 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.wg.Wait()
 		close(done)
 	}()
-	// Keep flushing: a partial batch submitted just before the drain
-	// flag was set would otherwise wait out the batcher's MaxDelay (or
-	// forever, if MaxDelay is long) while its writer blocks on the
-	// future.
-	tick := time.NewTicker(2 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-done:
-			return nil
-		case <-tick.C:
-			s.cfg.Batcher.Flush()
-		case <-ctx.Done():
-			s.mu.Lock()
-			for c := range s.conns {
-				c.Close()
-			}
-			s.mu.Unlock()
-			// Writers may still be parked on unresolved futures; keep
-			// flushing so they resolve and the goroutines exit.
-			for {
-				select {
-				case <-done:
-					return ctx.Err()
-				case <-tick.C:
-					s.cfg.Batcher.Flush()
-				}
-			}
-		}
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
 	}
+	s.mu.Lock()
+	for c := range s.conns {
+		c.Close()
+	}
+	s.mu.Unlock()
+	// Writers may still be parked on futures; the batcher resolves them
+	// on its own, and then the connection goroutines exit.
+	<-done
+	return ctx.Err()
 }

@@ -65,7 +65,7 @@ func startServer(t testing.TB, cfg server.Config) (*server.Server, string, func(
 // TestAllOpsEndToEnd runs every wire operation through a real engine
 // behind the server and checks the results a client decodes.
 func TestAllOpsEndToEnd(t *testing.T) {
-	b := batcher.New(newEngine(t), batcher.Config{MaxBatch: 64, MaxDelay: time.Millisecond})
+	b := batcher.New(newEngine(t), batcher.Config{MaxBatch: 64})
 	defer b.Close()
 	_, addr, _ := startServer(t, server.Config{Batcher: b})
 	c, err := client.Dial(addr)
@@ -134,7 +134,7 @@ func TestAllOpsEndToEnd(t *testing.T) {
 // checks every response resolves, in submission order, with the right
 // values.
 func TestPipelining(t *testing.T) {
-	b := batcher.New(newEngine(t), batcher.Config{MaxBatch: 128, MaxDelay: time.Millisecond})
+	b := batcher.New(newEngine(t), batcher.Config{MaxBatch: 128})
 	defer b.Close()
 	_, addr, _ := startServer(t, server.Config{Batcher: b})
 	c, err := client.Dial(addr)
@@ -200,7 +200,7 @@ func (p *gatedProc) ProcessBatch(qs []keys.Query, rs *keys.ResultSet) {
 // once the backlog clears.
 func TestAdmissionControlSheds(t *testing.T) {
 	proc := &gatedProc{gate: make(chan struct{})}
-	b := batcher.New(proc, batcher.Config{MaxBatch: 1, MaxDelay: time.Hour})
+	b := batcher.New(proc, batcher.Config{MaxBatch: 1})
 	defer b.Close()
 	s, addr, _ := startServer(t, server.Config{Batcher: b, HighWater: 2})
 	c, err := client.Dial(addr)
@@ -270,7 +270,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 // and every response the clients got back was OK or Draining — never
 // a dropped frame.
 func TestDrainAnswersEveryAcceptedRequest(t *testing.T) {
-	b := batcher.New(newEngine(t), batcher.Config{MaxBatch: 256, MaxDelay: time.Millisecond})
+	b := batcher.New(newEngine(t), batcher.Config{MaxBatch: 256})
 	defer b.Close()
 	s, addr, shutdown := startServer(t, server.Config{Batcher: b})
 
@@ -346,7 +346,7 @@ func TestDrainAnswersEveryAcceptedRequest(t *testing.T) {
 // TestServeRejectsAfterListenerClose: Serve returns nil (not an
 // error) when Shutdown closes the listener.
 func TestShutdownIdempotent(t *testing.T) {
-	b := batcher.New(newEngine(t), batcher.Config{MaxBatch: 8, MaxDelay: time.Millisecond})
+	b := batcher.New(newEngine(t), batcher.Config{MaxBatch: 8})
 	defer b.Close()
 	s, _, shutdown := startServer(t, server.Config{Batcher: b})
 	shutdown()
@@ -368,7 +368,7 @@ func TestNewRequiresBatcher(t *testing.T) {
 // many connections issuing mixed ops concurrently with a mid-flight
 // Shutdown racing them.
 func TestServerConcurrencyHammer(t *testing.T) {
-	b := batcher.New(newEngine(t), batcher.Config{MaxBatch: 128, MaxDelay: time.Millisecond})
+	b := batcher.New(newEngine(t), batcher.Config{MaxBatch: 128})
 	defer b.Close()
 	s, addr, shutdown := startServer(t, server.Config{Batcher: b})
 

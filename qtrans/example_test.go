@@ -2,7 +2,6 @@ package qtrans_test
 
 import (
 	"fmt"
-	"time"
 
 	"repro/qtrans"
 )
@@ -64,7 +63,7 @@ func ExampleDB_Scan() {
 func ExampleDB_Serve() {
 	db, _ := qtrans.Open(qtrans.Options{Workers: 1})
 	defer db.Close()
-	svc := db.Serve(qtrans.ServiceOptions{MaxBatch: 16, MaxDelay: time.Millisecond})
+	svc := db.Serve(qtrans.ServiceOptions{MaxBatch: 16})
 	defer svc.Close()
 
 	if err := svc.Put(5, 55); err != nil {

@@ -761,13 +761,12 @@ type Service struct {
 	b  *batcher.Batcher
 }
 
-// ServiceOptions tunes the online batching.
+// ServiceOptions tunes the online batching. Batches form by group
+// commit: an idle service starts a query at once, and queries that
+// arrive while a batch runs go together in the next one.
 type ServiceOptions struct {
-	// MaxBatch flushes when this many queries are pending (0 = 4096).
+	// MaxBatch caps a batch (0 = 4096).
 	MaxBatch int
-	// MaxDelay bounds how long a query waits before its batch starts
-	// (0 = 10ms).
-	MaxDelay time.Duration
 	// TargetLatency, when positive, auto-tunes the batch size so that
 	// batch processing time approaches the target (the §VI-D
 	// throughput/latency trade). Unavailable when the DB was opened
@@ -785,7 +784,6 @@ func (db *DB) Serve(opts ServiceOptions) *Service {
 		db: db,
 		b: batcher.New(db.eng, batcher.Config{
 			MaxBatch:      opts.MaxBatch,
-			MaxDelay:      opts.MaxDelay,
 			TargetLatency: opts.TargetLatency,
 			Pipeline:      db.pipelined,
 			Metrics:       db.met,

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestOpenZeroOptionsIsFull(t *testing.T) {
@@ -288,7 +287,7 @@ func TestServiceBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	svc := db.Serve(ServiceOptions{MaxBatch: 8, MaxDelay: 2 * time.Millisecond})
+	svc := db.Serve(ServiceOptions{MaxBatch: 8})
 
 	if err := svc.Put(1, 100); err != nil {
 		t.Fatal(err)
@@ -326,7 +325,7 @@ func TestServiceScanAndRMW(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	svc := db.Serve(ServiceOptions{MaxBatch: 8, MaxDelay: time.Millisecond})
+	svc := db.Serve(ServiceOptions{MaxBatch: 8})
 	defer svc.Close()
 
 	for k := Key(10); k < 20; k++ {
@@ -383,7 +382,7 @@ func TestServiceConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	svc := db.Serve(ServiceOptions{MaxBatch: 32, MaxDelay: time.Millisecond})
+	svc := db.Serve(ServiceOptions{MaxBatch: 32})
 	defer svc.Close()
 
 	var wg sync.WaitGroup
