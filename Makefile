@@ -40,13 +40,14 @@
 #                facade and a map oracle with random demotion budgets,
 #                DESIGN.md §14; the crash-recovery fuzzer also carries
 #                a tiered pre-crash arm)
-#   bench-smoke  one-iteration compile-and-run of the pipeline benchmark
-#                plus a tiny tiered-experiment run (catches bit-rot in
-#                the bench harnesses without paying for a measurement)
+#   bench-smoke  one-iteration compile-and-run of the pipeline,
+#                durability, kernel and layout benchmarks (catches
+#                bit-rot in the benchmarks without paying for a
+#                measurement)
 
 GO ?= go
 
-.PHONY: ci vet build test race race-kernels race-layout race-scan race-server race-autoshard race-tiered fuzz-smoke bench-smoke bench bench-kernels bench-layout bench-autoshard bench-tiered
+.PHONY: ci vet build test race race-kernels race-layout race-scan race-server race-autoshard race-tiered fuzz-smoke bench-smoke bench
 
 ci: vet build test race race-kernels race-layout race-scan race-server race-autoshard race-tiered fuzz-smoke bench-smoke
 
@@ -130,38 +131,7 @@ bench-smoke:
 	$(GO) test -run=XXX -bench=BenchmarkDurability -benchtime=1x ./qtrans
 	$(GO) test -run=XXX -bench=BenchmarkKernels -benchtime=1x ./internal/palm
 	$(GO) test -run=XXX -bench=BenchmarkLayout -benchtime=1x ./internal/palm
-	$(GO) run ./cmd/qtransbench -experiment tiered -scale 0.0002 -batches 2 -workers 2
 
 # Full benchmark sweep with allocation reporting (not part of ci).
 bench:
 	$(GO) test -run=XXX -bench=. -benchmem .
-
-# Sorted-batch tree kernel measurements (DESIGN.md §8): the isolated
-# descend/leafapply/endtoend microbenchmarks, then the harness ablation
-# sweep written to BENCH_kernels.json (not part of ci).
-bench-kernels:
-	$(GO) test -run=XXX -bench=BenchmarkKernels -benchtime=200ms ./internal/palm
-	$(GO) run ./cmd/qtransbench -experiment kernels -scale 0.05 -json BENCH_kernels.json
-
-# Gapped vs dense node layout (DESIGN.md §10): the single-threaded
-# search/churn microbenchmarks, then the harness ablation sweep —
-# gapped vs dense across query organizations and update ratios, with
-# splits-per-batch and shifted-slots-per-batch — written to
-# BENCH_layout.json (not part of ci).
-bench-layout:
-	$(GO) test -run=XXX -bench=BenchmarkLayout -benchtime=200ms ./internal/palm
-	$(GO) run ./cmd/qtransbench -experiment layout -scale 0.05 -json BENCH_layout.json
-
-# Traffic-aware autosharding under a drifting hotspot (DESIGN.md §13):
-# the autoshard controller vs the best static equal-count layout at 4
-# shards — written to BENCH_autoshard.json (not part of ci).
-bench-autoshard:
-	$(GO) run ./cmd/qtransbench -experiment autoshard -scale 0.05 -json BENCH_autoshard.json
-
-# Cold-range tiering under a drifting hotspot (DESIGN.md §14): the
-# tiered engine with a quarter-of-dataset resident budget vs the same
-# engine all-in-memory, with residency/disk/fault counters and a
-# bounded-residency assertion — written to BENCH_tiered.json (not part
-# of ci).
-bench-tiered:
-	$(GO) run ./cmd/qtransbench -experiment tiered -scale 0.05 -json BENCH_tiered.json

@@ -6,7 +6,7 @@
 //
 // Run everything: go test -bench=. -benchmem
 // One figure:     go test -bench=BenchmarkFig9
-// Paper-scale runs are the CLI's job (cmd/qtransbench -scale 1).
+// End-to-end and per-layer numbers come from go run ./benchmark.
 package repro
 
 import (
@@ -208,7 +208,7 @@ func BenchmarkFig13LoadBalance(b *testing.B) {
 
 // BenchmarkFig14Breakdown measures org vs intra vs inter on
 // self-similar U-0.25 (Fig. 14a); the per-stage times of Fig. 14c come
-// from the harness (qtransbench -experiment fig14c).
+// from the per-layer metrics of go run ./benchmark -trace 1.
 func BenchmarkFig14Breakdown(b *testing.B) {
 	for _, mode := range []core.Mode{core.Original, core.Intra, core.IntraInter} {
 		b.Run(mode.String(), func(b *testing.B) {

@@ -35,8 +35,8 @@ const (
 	// so the pre-sort cost disappears from the transform at the price
 	// of evaluating every query against the simulation structure. On
 	// hosts where sorting dominates (few cores, cache-resident trees)
-	// this variant can out-run the sort-based QSAT; see the ablation
-	// experiments.
+	// this variant can out-run the sort-based QSAT; see the ablations
+	// in EXPERIMENTS.md.
 	SimIntra
 )
 

@@ -6,10 +6,11 @@ import (
 	"repro/internal/keys"
 )
 
-// Drifting is the moving-hotspot workload behind the autoshard
-// experiment (DESIGN.md §13): a hot window of Width contiguous keys
-// receives HotFraction of the traffic while its center walks the key
-// space at Velocity keys per draw, wrapping around at Span. The
+// Drifting is the moving-hotspot workload behind the tiered-drift-batch
+// benchmark workload and the autoshard design (DESIGN.md §13): a hot
+// window of Width contiguous keys receives HotFraction of the traffic
+// while its center walks the key space at Velocity keys per draw,
+// wrapping around at Span. The
 // remaining draws are uniform over the whole space. Unlike TimeVarying
 // — whose window teleports between simulated hours — the drift here is
 // continuous, which is exactly the case an autoshard controller must

@@ -91,7 +91,8 @@ func TestTieredOffIdentical(t *testing.T) {
 // Len/Scan see the logical whole store throughout.
 func TestTieredBasicDemotePromote(t *testing.T) {
 	fs := faultfs.New()
-	db, err := Open(tierOpts(fs))
+	o := tierOpts(fs)
+	db, err := Open(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,6 +112,15 @@ func TestTieredBasicDemotePromote(t *testing.T) {
 	}
 	if got := db.Len(); got != n {
 		t.Fatalf("Len = %d with cold ranges, want %d", got, n)
+	}
+	// Residency stays within the budget plus the transient slack: one
+	// batch can promote up to MaxActionsPerBatch runs before the next
+	// boundary demotes the overflow, a batch of fresh inserts (8 keys)
+	// lands resident first, and dirty cached pairs sit outside the tree
+	// the budget check reads.
+	bound := int64(o.Tiered.MaxResidentKeys + o.Tiered.MaxActionsPerBatch*o.Tiered.RunKeys + 8 + o.CacheCapacity)
+	if st.ResidentKeys > bound {
+		t.Fatalf("resident keys %d exceed budget %d + slack (bound %d)", st.ResidentKeys, o.Tiered.MaxResidentKeys, bound)
 	}
 
 	// A cold point read is served from the run without promoting.
