@@ -3,23 +3,17 @@
 #   vet          go vet + a gofmt -l cleanliness check over everything
 #   build        compile everything
 #   test         full unit/differential suite
-#   race         the concurrency-heavy packages under the race detector
-#                (the pipeline, the PALM BSP stages — including the
-#                kernel-ablation matrix, all 2^4 sorted-batch kernel ×
-#                layout flag combos differentially vs the oracle — the
-#                sharded engine, the facade stream and service hammers,
-#                the WAL syncer, the batcher close/submit races, and the
-#                metrics registry's sharded counters under snapshot vs
-#                live Serve traffic, and the TCP server front end's
-#                connection/drain machinery)
-#   race-scan    the scan/RMW execution paths (define-overlay engine
-#                batches, the pipeline's extended path, shard scan
-#                split/merge, facade scans) under the race detector
-#   race-tiered  the cold-range tier store (DESIGN.md §14) under the
-#                race detector: the run/residency unit tests, the tier
-#                engine's demotion/promotion/fault paths, and the
-#                facade-level tiered integration tests (checkpoint,
-#                snapshot portability, lost-tier-dir recovery)
+#   race         every concurrency-heavy package under the race detector:
+#                the pipeline, the PALM BSP stages (including the 2^4
+#                sorted-batch kernel ablation matrix), the gapped/dense
+#                tree layouts, the sharded engine and autoshard
+#                controller, the cold-range tier store, the WAL syncer,
+#                the batcher's group-commit dispatch, the metrics
+#                registry, the TCP server front end and its CLI, and the
+#                facade (stream and service hammers, scan/RMW batches,
+#                tiered and durable integration, and the composition
+#                matrix of shards x pipeline x durability x tier x
+#                autoshard against the oracle)
 #   fuzz-smoke   10s runs of the shard differential fuzzer (the
 #                sharded/serial equivalence property of DESIGN.md §6,
 #                including scan/RMW and dense-layout arms), the
@@ -47,9 +41,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race race-kernels race-layout race-scan race-server race-autoshard race-tiered fuzz-smoke bench-smoke bench
+.PHONY: ci vet build test race fuzz-smoke bench-smoke bench
 
-ci: vet build test race race-kernels race-layout race-scan race-server race-autoshard race-tiered fuzz-smoke bench-smoke
+ci: vet build test race fuzz-smoke bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -62,60 +56,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core ./internal/palm ./internal/shard ./internal/wal ./internal/batcher ./internal/metrics ./internal/server ./qtrans
-
-# The sorted-batch kernel ablation matrix (all 2^4 flag combos, small
-# differential workloads vs the oracle) under the race detector. Also
-# part of the plain `race` target's ./internal/palm run; kept callable
-# on its own for quick kernel work.
-race-kernels:
-	$(GO) test -race -run 'KernelAblation' -count=1 ./internal/palm
-
-# The gapped-layout property tests (DESIGN.md §10) under the race
-# detector: random-op differential runs at several orders plus the
-# dense/gapped conversion round-trips. The PALM-level gapped race
-# coverage is the gapped half of the 2^4 race-kernels matrix.
-race-layout:
-	$(GO) test -race -run 'Gapped|Layout' -count=1 ./internal/btree
-
-# The scan/RMW paths (DESIGN.md §11) under the race detector: the
-# engine's define-overlay batches across all modes and layouts (scans
-# read the pre-batch tree in one pass and are patched from the defines
-# that precede them), the pipeline's stage-A overlay build and stage-B
-# evaluate-and-patch, the shard splitter/merger on straddling scans, and
-# the facade-level batch API. Also part of the plain `race` target's
-# package runs; kept callable on its own.
-race-scan:
-	$(GO) test -race -run 'ScanRMW|Overlay|ScanBatch|CoveringKill|ScanStats|CacheDrained' -count=1 ./internal/core
-	$(GO) test -race -run 'SplitScan|Scan' -count=1 ./internal/shard
-	$(GO) test -race -run 'BatchScanAndRMW' -count=1 ./qtrans
-
-# The network front end (DESIGN.md §12) under the race detector: the
-# full client/server stack — pipelining, admission-control shedding,
-# and the mid-load graceful drain — plus the batcher's group-commit
-# dispatch and stall regression suite it depends on. Also part of the
-# plain `race` target; kept callable on its own for server work.
-race-server:
-	$(GO) test -race -count=1 ./internal/server
-	$(GO) test -race -run 'Stall|SizeTriggered|DeadlineTriggered|ExplicitFlush|WaitAndExec' -count=1 ./internal/batcher
-	$(GO) test -race -count=1 ./cmd/qtransserver
-
-# Cold-range tiering (DESIGN.md §14) under the race detector: the full
-# tier package (run/residency formats, store demotion/promotion, the
-# wrapping engine's cold-search faulting), plus the facade-level tiered
-# integration tests. Also part of the plain `race` target's ./qtrans
-# run; kept callable on its own for tier work.
-race-tiered:
-	$(GO) test -race -count=1 ./internal/tier
-	$(GO) test -race -run 'Tiered' -count=1 ./qtrans
-
-# Traffic-aware autosharding (DESIGN.md §13) under the race detector:
-# the controller policy tests (split/merge/hysteresis/boundary moves),
-# the migration cache hand-off, and the facade-level hammer that runs
-# the background controller against concurrent batch traffic. Also part
-# of the plain `race` target's package runs; kept callable on its own.
-race-autoshard:
-	$(GO) test -race -run 'Autoshard' -count=1 ./internal/shard ./qtrans
+	$(GO) test -race ./internal/core ./internal/palm ./internal/btree ./internal/shard ./internal/tier ./internal/wal ./internal/batcher ./internal/metrics ./internal/server ./cmd/qtransserver ./qtrans
 
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzShardEquivalence -fuzztime=10s ./internal/shard

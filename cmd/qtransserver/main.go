@@ -52,7 +52,7 @@ func run(args []string, stdout *os.File) error {
 		maxScan    = fs.Int("maxscan", 0, "clamp scan row limits to this many rows (0 = default 65536)")
 		drainGrace = fs.Duration("drain-grace", 30*time.Second, "graceful-drain deadline before connections are force-closed")
 		metricsOn  = fs.String("metrics-addr", "", "also serve /metrics and /healthz over HTTP on this address (empty = off)")
-		shards     = fs.Int("shards", 1, "range-partition the key space across N engines (1 = single engine)")
+		shards     = fs.Int("shards", 1, "range-partition the key space across N engines (1 = one shard, no split)")
 		autoshard  = fs.Bool("autoshard", false, "traffic-aware automatic resharding: heat-weighted boundary moves, hot splits, cold merges (needs -shards > 1)")
 		tieredDir  = fs.String("tiered", "", "cold-range tiering: spill cold key ranges to runs in this directory, bounding resident keys (empty = off; wiped on start)")
 		tieredBud  = fs.Int("tiered-budget", 1<<20, "tiered resident key budget (needs -tiered)")
@@ -65,9 +65,6 @@ func run(args []string, stdout *os.File) error {
 	}
 	if *shards < 1 {
 		return fmt.Errorf("-shards %d: need at least 1", *shards)
-	}
-	if *autoshard && *shards <= 1 {
-		return fmt.Errorf("-autoshard needs -shards > 1")
 	}
 	if *maxBatch < 0 || *targetLat < 0 || *highWater < 0 || *maxScan < 0 {
 		return fmt.Errorf("-maxbatch/-target-latency/-highwater/-maxscan must be non-negative")

@@ -24,6 +24,7 @@ func TestFlagValidation(t *testing.T) {
 		{"-maxscan", "-1"},
 		{"-drain-grace", "0s"},
 		{"-drain-grace", "-1s"},
+		{"-autoshard"},      // needs -shards > 1
 		{"-addr"},           // missing value
 		{"-no-such-flag"},   // unknown flag
 		{"-workers", "one"}, // unparsable int

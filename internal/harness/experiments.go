@@ -1103,12 +1103,12 @@ func TieredExp(rn *Runner, w io.Writer) error {
 		st     tier.Stats
 	}
 	runArm := func(tiered bool) (*armResult, error) {
-		inner, err := core.NewEngine(core.EngineConfig{
+		inner, err := shard.New(shard.Config{Engine: core.EngineConfig{
 			Mode:          core.IntraInter,
 			Palm:          o.palmConfig(o.Workers, o.Workers > 1),
 			CacheCapacity: cacheCap,
 			Metrics:       o.Metrics,
-		})
+		}})
 		if err != nil {
 			return nil, err
 		}

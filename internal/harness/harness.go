@@ -59,7 +59,7 @@ type Options struct {
 	// deterministic.
 	Autoshard shard.AutoshardConfig
 
-	// TieredDir, when set, wraps single-engine runs (RunOne and the
+	// TieredDir, when set, wraps one-shard runs (RunOne and the
 	// probe paths built on it) with the cold-range tier store
 	// (DESIGN.md §14) rooted at this directory; the directory is wiped
 	// on open. Sharded and streamed runs do not support tiering.
@@ -171,12 +171,12 @@ func (rn *Runner) runCustom(spec workload.Spec, mode core.Mode, updateRatio floa
 		batchSize = 1
 	}
 
-	inner, err := core.NewEngine(core.EngineConfig{
+	inner, err := shard.New(shard.Config{Engine: core.EngineConfig{
 		Mode:          mode,
 		Palm:          o.palmConfig(threads, loadBalance),
 		CacheCapacity: o.CacheCapacity,
 		Metrics:       o.Metrics,
-	})
+	}})
 	if err != nil {
 		return nil, fmt.Errorf("harness: %w", err)
 	}

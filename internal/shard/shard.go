@@ -19,6 +19,7 @@ package shard
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"sync"
 
@@ -133,8 +134,8 @@ func New(cfg Config) (*Engine, error) {
 
 // NewFromTree builds a sharded engine whose initial contents are the
 // pairs of tree, split across the shards by the engine's boundaries
-// (used to restore a snapshot into a sharded deployment). The tree is
-// consumed conceptually: the shards bulk-load disjoint copies.
+// (used to restore a snapshot). The tree is consumed: a single shard
+// adopts it as its own tree, several shards bulk-load disjoint copies.
 func NewFromTree(cfg Config, tree *btree.Tree) (*Engine, error) {
 	if tree == nil {
 		return nil, fmt.Errorf("shard: NewFromTree with nil tree")
@@ -147,7 +148,6 @@ func NewFromTree(cfg Config, tree *btree.Tree) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	ks, vs := tree.Dump()
 	order := tree.Order()
 	cfg.Engine.Palm.Order = order
 	e := &Engine{
@@ -155,6 +155,16 @@ func NewFromTree(cfg Config, tree *btree.Tree) (*Engine, error) {
 		bounds: bounds,
 		shst:   stats.NewShard(n),
 	}
+	if n == 1 {
+		sh, err := core.NewEngineWithTree(cfg.Engine, tree)
+		if err != nil {
+			return nil, err
+		}
+		e.shards = []*core.Engine{sh}
+		e.finishInit()
+		return e, nil
+	}
+	ks, vs := tree.Dump()
 	lo := 0
 	for i := 0; i < n; i++ {
 		hi := len(ks)
@@ -185,7 +195,13 @@ func (e *Engine) finishInit() {
 	for i := range e.subRS {
 		e.subRS[i] = keys.NewResultSet(0)
 	}
-	e.st = stats.NewBatch(e.shards[0].Pool().N())
+	if len(e.shards) == 1 {
+		// One shard's batches are its engine's batches: share its live
+		// statistics block instead of copying it after every batch.
+		e.st = e.shards[0].Stats()
+	} else {
+		e.st = stats.NewBatch(e.shards[0].Pool().N())
+	}
 	if e.cfg.Autoshard.Enabled && len(e.shards) > 1 {
 		cfg := e.cfg.Autoshard.withDefaults()
 		e.heat = newHeatMap(cfg.Buckets, e.cfg.KeyMax, cfg.DecayShift)
@@ -262,8 +278,9 @@ func (e *Engine) Shard(s int) *core.Engine { return e.shards[s] }
 
 // Stats returns the aggregated per-stage statistics of the most
 // recently completed ProcessBatch (summed across the shards that
-// participated). During ProcessStream the per-shard blocks mutate
-// concurrently, so Stats is meaningful only between stream runs.
+// participated; a single shard's own block). During ProcessStream the
+// per-shard blocks mutate concurrently, so Stats is meaningful only
+// between stream runs.
 func (e *Engine) Stats() *stats.Batch { return e.st }
 
 // ShardStats returns the routing/rebalance counters.
@@ -302,8 +319,6 @@ func (e *Engine) ProcessBatch(qs []keys.Query, rs *keys.ResultSet) {
 		e.shst.RecordBatch()
 		e.met.recordRouted(0, len(qs))
 		e.met.recordBatch()
-		e.st.Reset()
-		e.shards[0].Stats().AddTo(e.st)
 		return
 	}
 
@@ -458,6 +473,23 @@ func (e *Engine) Dump() (ks []keys.Key, vs []keys.Value) {
 		vs = append(vs, svs...)
 	}
 	return ks, vs
+}
+
+// Save writes the store (caches flushed first) in the single-tree
+// snapshot format btree.Load reads, whatever the shard count: one shard
+// saves its live tree, several dump into one bulk-loaded tree. Like
+// Dump it takes no lock; the caller holds the scheduling gate.
+func (e *Engine) Save(w io.Writer) error {
+	if len(e.shards) == 1 {
+		e.shards[0].Flush()
+		return e.shards[0].Processor().Tree().Save(w)
+	}
+	ks, vs := e.Dump()
+	tree, err := btree.BulkLoadLayout(e.Order(), engineLayout(e.cfg.Engine), ks, vs)
+	if err != nil {
+		return err
+	}
+	return tree.Save(w)
 }
 
 // Order returns the shards' B+ tree order.

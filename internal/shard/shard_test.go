@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/btree"
@@ -436,6 +438,58 @@ func TestNewFromTree(t *testing.T) {
 	})
 	if count != 7 {
 		t.Fatalf("early Scan visited %d, want 7", count)
+	}
+}
+
+// TestOneShardAdoptsTree pins the one-shard pass-through: NewFromTree
+// adopts the restored tree itself, Save writes that live tree, and
+// Stats is the shard engine's own block — no copies. Several shards
+// Save one tree holding every pair.
+func TestOneShardAdoptsTree(t *testing.T) {
+	for _, n := range []int{1, 3} {
+		tree, err := btree.New(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 300; k += 3 {
+			tree.Insert(keys.Key(k), keys.Value(k*10))
+		}
+		e, err := NewFromTree(Config{Shards: n, Engine: testEngineConfig(core.IntraInter, false), KeyMax: 299}, tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		qs := keys.Number([]keys.Query{keys.Insert(1, 7), keys.Insert(1, 8), keys.Search(3)})
+		e.ProcessBatch(qs, keys.NewResultSet(len(qs)))
+
+		var saved bytes.Buffer
+		if err := e.Save(&saved); err != nil {
+			t.Fatal(err)
+		}
+		if n == 1 {
+			if e.Shard(0).Processor().Tree() != tree {
+				t.Fatal("one shard copied the restored tree instead of adopting it")
+			}
+			if e.Stats() != e.Shard(0).Stats() {
+				t.Fatal("one-shard Stats is not the shard engine's block")
+			}
+			var live bytes.Buffer
+			if err := tree.Save(&live); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(saved.Bytes(), live.Bytes()) {
+				t.Fatal("one-shard Save differs from the live tree's snapshot")
+			}
+		}
+		back, err := btree.Load(&saved, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantKs, wantVs := e.Dump()
+		gotKs, gotVs := back.Dump()
+		if !slices.Equal(gotKs, wantKs) || !slices.Equal(gotVs, wantVs) || len(gotKs) != 101 {
+			t.Fatalf("shards=%d: saved %d pairs, store holds %d", n, len(gotKs), len(wantKs))
+		}
 	}
 }
 

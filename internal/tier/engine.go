@@ -7,27 +7,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/keys"
+	"repro/internal/shard"
 	"repro/internal/stats"
 )
-
-// Inner is the engine surface the tier wrapper drives: the batch
-// interface shared by core.Engine and shard.Engine plus the range
-// primitives (core/range.go, shard/tier.go). The range methods are
-// called only at batch boundaries under the scheduling gate.
-type Inner interface {
-	ProcessBatch(qs []keys.Query, rs *keys.ResultSet)
-	ProcessStream(in <-chan *core.Job, emit func(*core.Job))
-	Flush()
-	Train(hot []keys.Key)
-	Stats() *stats.Batch
-	Close()
-
-	StoredLen() int
-	DrainCacheRange(lo, hi keys.Key)
-	RangeDump(lo, hi keys.Key, max int) ([]keys.Key, []keys.Value, bool)
-	DeleteRange(lo, hi keys.Key) int
-	InsertPairs(ks []keys.Key, vs []keys.Value)
-}
 
 // BatchLogger is the durability hook for promotions: a promoted run's
 // pairs are logged as one insert batch and synced before the manifest
@@ -38,7 +20,7 @@ type BatchLogger interface {
 	Sync() error
 }
 
-// Engine wraps an Inner engine with the tier store (DESIGN.md §14):
+// Engine wraps a shard engine with the tier store (DESIGN.md §14):
 // it classifies each batch against the residency map, faults cold
 // ranges back in when writes, RMWs, or scans touch them, answers cold
 // point searches straight from their runs, and performs at most
@@ -51,7 +33,9 @@ type BatchLogger interface {
 // themselves. Queries must be numbered (Query.Idx = batch position,
 // keys.Number) before ProcessBatch, which the qtrans layer does.
 type Engine struct {
-	inner Inner
+	// inner is the wrapped engine; its range primitives (shard/tier.go)
+	// are called only at batch boundaries under the scheduling gate.
+	inner *shard.Engine
 	store *Store
 	gate  *sync.RWMutex
 	log   BatchLogger
@@ -72,7 +56,7 @@ type Engine struct {
 
 // NewEngine wraps inner with the tier store. maxActions <= 0 defaults
 // to one action per batch boundary.
-func NewEngine(inner Inner, store *Store, maxActions int) *Engine {
+func NewEngine(inner *shard.Engine, store *Store, maxActions int) *Engine {
 	if maxActions <= 0 {
 		maxActions = 1
 	}

@@ -28,7 +28,7 @@
 // point-only logs are byte-identical to those written before RMW
 // existed.
 //
-// A `batch` record is one whole committed batch (the single-engine
+// A `batch` record is one whole committed batch (a one-shard engine's
 // path). The sharded engine appends one `part` record per shard
 // sub-batch followed by a `commit` marker once every shard's part is in
 // the log; a batch without its commit marker is discarded on replay, so
@@ -370,7 +370,7 @@ func (l *Log) appendLocked(kind uint8, lsn uint64, qs []keys.Query, sync bool) e
 
 // CommitBatch appends one whole batch's surviving queries as a single
 // committed record, durable per the sync policy before it returns.
-// This is the single-engine commit path (core.Committer).
+// This is the one-shard commit path (core.Committer).
 func (l *Log) CommitBatch(qs []keys.Query) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

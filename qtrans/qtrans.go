@@ -24,6 +24,7 @@
 package qtrans
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -99,14 +100,17 @@ type Options struct {
 	// Pipeline enables two-stage pipelined execution for streamed
 	// batches (RunStream, Serve): while the tree evaluates batch N, the
 	// QTrans transform of batch N+1 runs concurrently. Semantics are
-	// identical to serial execution; single-batch Run is unaffected.
+	// identical to serial execution; single-batch Run is unaffected. On
+	// a tiered DB (Options.Tiered) RunStream and Serve run batches one
+	// at a time, so Pipeline has no effect there.
 	Pipeline bool
 	// Shards range-partitions the key space across this many
 	// independent engines (each with its own tree, worker pool, and
 	// cache); batches are split by key range, evaluated in parallel,
 	// and re-merged in original query order, so semantics are identical
-	// to the single-engine path. 0 or 1 selects today's single engine —
-	// the zero Options is unchanged. See DESIGN.md §6.
+	// to serial evaluation. 0 or 1 is a one-shard engine, which passes
+	// every batch straight to its one tree with no split or merge. See
+	// DESIGN.md §6.
 	Shards int
 	// ShardKeyMax hints the largest key the workload produces so the
 	// initial equal-width shard boundaries cover the real key range
@@ -114,7 +118,8 @@ type Options struct {
 	// correctness; DB.Rebalance re-splits from the stored keys.
 	ShardKeyMax Key
 	// Autoshard enables traffic-aware automatic resharding of a
-	// sharded DB (Shards > 1): the splitter's routing pass feeds an
+	// sharded DB (Shards > 1; Open returns ErrAutoshardUnsharded
+	// otherwise): the splitter's routing pass feeds an
 	// online per-key-range heat histogram, and a background controller
 	// re-splits boundaries by traffic weight, splits persistently hot
 	// shards, merges persistently cold ones, and migrates keys in
@@ -135,7 +140,10 @@ type Options struct {
 	// ranges back in when they write, RMW, or scan into them (point
 	// searches are served from the runs without promotion). At most
 	// one bounded action runs per batch boundary through the
-	// scheduling gate, so serving never pauses. Combined with
+	// scheduling gate, so serving never pauses. Because each batch's
+	// faults and maintenance need exclusive batch boundaries, RunStream
+	// and Serve on a tiered DB run every batch to completion before
+	// taking the next: Options.Pipeline gives no overlap. Combined with
 	// Durability, runs and the residency manifest participate in crash
 	// recovery. The zero value keeps tiering off with the hot path
 	// alloc-identical to previous releases.
@@ -173,7 +181,8 @@ type Options struct {
 // Options.Autoshard). Every field but Enabled is optional; zero picks
 // the documented default.
 type Autoshard struct {
-	// Enabled turns the controller on (requires Options.Shards > 1).
+	// Enabled turns the controller on (requires Options.Shards > 1, see
+	// ErrAutoshardUnsharded).
 	Enabled bool
 	// Buckets is the heat histogram resolution (0 = 256).
 	Buckets int
@@ -298,27 +307,30 @@ func (opts Options) engineConfig() core.EngineConfig {
 	}
 }
 
-// engine is the execution surface shared by the single core.Engine and
-// the range-partitioned shard.Engine; DB drives whichever Options
-// selected through it.
+// engine is the execution surface shared by the shard engine and the
+// tier wrapper around it; DB drives the outermost layer through it.
 type engine interface {
 	ProcessBatch(qs []keys.Query, rs *keys.ResultSet)
 	ProcessStream(in <-chan *core.Job, emit func(*core.Job))
-	Flush()
 	Train(hot []keys.Key)
 	Stats() *stats.Batch
 	Close()
 }
 
+// ErrAutoshardUnsharded is returned by Open and Load when
+// Options.Autoshard is enabled on a DB with Options.Shards <= 1: the
+// controller re-splits boundaries between shards, so a one-shard DB has
+// nothing to reshard.
+var ErrAutoshardUnsharded = errors.New("qtrans: Options.Autoshard needs Options.Shards > 1")
+
 // DB is a B+ tree database processing query batches.
 type DB struct {
 	eng       engine
-	single    *core.Engine  // non-nil when Shards <= 1
-	sharded   *shard.Engine // non-nil when Shards > 1
+	shards    *shard.Engine // one shard when Options.Shards <= 1
 	pipelined bool
 	layout    btree.Layout // node layout from Options (for snapshots)
 	// tier is the cold-store wrapper (nil when Options.Tiered is off;
-	// when non-nil it is also eng).
+	// when non-nil it wraps shards and is also eng).
 	tier *tier.Engine
 
 	// gate serializes snapshots against batch application: every batch
@@ -342,6 +354,9 @@ type DB struct {
 // batches, torn crash debris — and then serves with write-ahead
 // logging on.
 func Open(opts Options) (*DB, error) {
+	if opts.Autoshard.Enabled && opts.Shards <= 1 {
+		return nil, ErrAutoshardUnsharded
+	}
 	if opts.Durability.Dir != "" {
 		return openDurable(opts)
 	}
@@ -358,7 +373,7 @@ func Open(opts Options) (*DB, error) {
 	return db, nil
 }
 
-// wireTier wraps the engine stack with the tier store when
+// wireTier wraps the shard engine with the tier store when
 // Options.Tiered is on. With wipe, existing tier state is discarded.
 func (db *DB) wireTier(opts Options, wipe bool) error {
 	if opts.Tiered.Dir == "" {
@@ -368,56 +383,36 @@ func (db *DB) wireTier(opts Options, wipe bool) error {
 	if err != nil {
 		return err
 	}
-	var inner tier.Inner = db.single
-	if db.sharded != nil {
-		inner = db.sharded
-	}
-	te := tier.NewEngine(inner, st, opts.Tiered.MaxActionsPerBatch)
+	te := tier.NewEngine(db.shards, st, opts.Tiered.MaxActionsPerBatch)
 	te.SetGate(&db.gate)
 	db.eng, db.tier = te, te
 	return nil
 }
 
-// build constructs the engine stack for opts — sharded or single,
+// build constructs the shard engine for opts — one shard or several,
 // over a restored tree or fresh — and installs the snapshot gate.
 func build(opts Options, tree *btree.Tree) (*DB, error) {
-	db := &DB{pipelined: opts.Pipeline, layout: opts.layout(), met: opts.Metrics}
-	if opts.Shards > 1 {
-		cfg := shard.Config{
-			Shards:    opts.Shards,
-			Engine:    opts.engineConfig(),
-			KeyMax:    opts.ShardKeyMax,
-			Autoshard: opts.Autoshard.shardConfig(),
-		}
-		var se *shard.Engine
-		var err error
-		if tree != nil {
-			se, err = shard.NewFromTree(cfg, tree)
-		} else {
-			se, err = shard.New(cfg)
-		}
-		if err != nil {
-			return nil, err
-		}
-		db.eng, db.sharded = se, se
-		se.SetGate(&db.gate)
-		// The background controller steps through the same gate the
-		// batches hold, so it must start after the gate is installed.
-		se.StartAutoshard()
-		return db, nil
+	cfg := shard.Config{
+		Shards:    opts.Shards,
+		Engine:    opts.engineConfig(),
+		KeyMax:    opts.ShardKeyMax,
+		Autoshard: opts.Autoshard.shardConfig(),
 	}
-	var eng *core.Engine
+	var se *shard.Engine
 	var err error
 	if tree != nil {
-		eng, err = core.NewEngineWithTree(opts.engineConfig(), tree)
+		se, err = shard.NewFromTree(cfg, tree)
 	} else {
-		eng, err = core.NewEngine(opts.engineConfig())
+		se, err = shard.New(cfg)
 	}
 	if err != nil {
 		return nil, err
 	}
-	db.eng, db.single = eng, eng
-	eng.SetGate(&db.gate)
+	db := &DB{eng: se, shards: se, pipelined: opts.Pipeline, layout: opts.layout(), met: opts.Metrics}
+	se.SetGate(&db.gate)
+	// The background controller steps through the same gate the
+	// batches hold, so it must start after the gate is installed.
+	se.StartAutoshard()
 	return db, nil
 }
 
@@ -523,7 +518,8 @@ func (db *DB) Run(b *Batch) *Results {
 // with each batch's results as it completes. Semantics are identical to
 // calling Run on each batch in order; with Options.Pipeline the QTrans
 // transform of the next batch overlaps tree evaluation of the current
-// one. The Results passed to fn reuse internal storage and are valid
+// one (except on a tiered DB, which runs batches one at a time). The
+// Results passed to fn reuse internal storage and are valid
 // only until fn returns; batches are consumed. RunStream returns when
 // in is closed and every batch has been emitted. The DB must not be
 // used concurrently from other goroutines while a RunStream is active.
@@ -589,11 +585,7 @@ func (db *DB) Len() int {
 	if db.tier != nil {
 		return db.tier.Len()
 	}
-	if db.sharded != nil {
-		return db.sharded.Len()
-	}
-	db.eng.Flush()
-	return db.single.Processor().Tree().Len()
+	return db.shards.Len()
 }
 
 // Scan visits all pairs in ascending key order (flushing the caches
@@ -605,12 +597,7 @@ func (db *DB) Scan(fn func(k Key, v Value) bool) {
 		db.tier.Scan(fn)
 		return
 	}
-	if db.sharded != nil {
-		db.sharded.Scan(fn)
-		return
-	}
-	db.eng.Flush()
-	db.single.Processor().Tree().Scan(fn)
+	db.shards.Scan(fn)
 }
 
 // TierStats summarizes a tiered DB's cold store (resident/cold keys,
@@ -634,10 +621,7 @@ func (db *DB) Warm(hot []Key) { db.eng.Train(hot) }
 // returns the number of keys that changed shard; on an unsharded DB it
 // is a no-op.
 func (db *DB) Rebalance() (migrated int, err error) {
-	if db.sharded == nil {
-		return 0, nil
-	}
-	return db.sharded.Rebalance()
+	return db.shards.Rebalance()
 }
 
 // AutoshardStep runs one autoshard controller step synchronously (see
@@ -648,19 +632,16 @@ func (db *DB) Rebalance() (migrated int, err error) {
 // own cadence; a no-op reporting the current shard count when
 // autosharding is off or the DB is unsharded.
 func (db *DB) AutoshardStep() shard.AutoshardReport {
-	if db.sharded == nil {
-		return shard.AutoshardReport{Shards: 1}
-	}
-	return db.sharded.AutoshardStep()
+	return db.shards.AutoshardStep()
 }
 
 // ShardStats exposes the routing/rebalance counters of a sharded DB
 // (nil when unsharded).
 func (db *DB) ShardStats() *stats.Shard {
-	if db.sharded == nil {
+	if db.shards.Shards() == 1 {
 		return nil
 	}
-	return db.sharded.ShardStats()
+	return db.shards.ShardStats()
 }
 
 // Save writes a snapshot of the store (caches flushed first) that Load
@@ -687,23 +668,13 @@ func (db *DB) saveLocked(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		order := db.order()
-		tree, err := btree.BulkLoadLayout(order, db.layout, ks, vs)
+		tree, err := btree.BulkLoadLayout(db.shards.Order(), db.layout, ks, vs)
 		if err != nil {
 			return err
 		}
 		return tree.Save(w)
 	}
-	if db.sharded != nil {
-		ks, vs := db.sharded.Dump()
-		tree, err := btree.BulkLoadLayout(db.sharded.Order(), db.layout, ks, vs)
-		if err != nil {
-			return err
-		}
-		return tree.Save(w)
-	}
-	db.eng.Flush()
-	return db.single.Processor().Tree().Save(w)
+	return db.shards.Save(w)
 }
 
 // Load restores a snapshot written by Save into a fresh DB configured
@@ -714,6 +685,9 @@ func (db *DB) saveLocked(w io.Writer) error {
 func Load(r io.Reader, opts Options) (*DB, error) {
 	if opts.Durability.Dir != "" {
 		return nil, fmt.Errorf("qtrans: Load does not take Options.Durability; Open recovers a durable directory")
+	}
+	if opts.Autoshard.Enabled && opts.Shards <= 1 {
+		return nil, ErrAutoshardUnsharded
 	}
 	tree, err := btree.LoadLayout(r, opts.Order, opts.layout())
 	if err != nil {
@@ -729,14 +703,6 @@ func Load(r io.Reader, opts Options) (*DB, error) {
 		return nil, err
 	}
 	return db, nil
-}
-
-// order returns the tree fanout of the engine stack.
-func (db *DB) order() int {
-	if db.sharded != nil {
-		return db.sharded.Order()
-	}
-	return db.single.Processor().Tree().Order()
 }
 
 // LastBatchStats exposes the instrumentation of the most recent Run.
@@ -778,7 +744,8 @@ type ServiceOptions struct {
 // Serve wraps db in an online Service. The db must not be used
 // directly while the service is open. A DB opened with Pipeline
 // serves overlapped: the transform of one dispatched batch runs
-// while the previous one is still in the tree.
+// while the previous one is still in the tree. A tiered DB serves
+// one batch at a time.
 func (db *DB) Serve(opts ServiceOptions) *Service {
 	return &Service{
 		db: db,
