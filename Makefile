@@ -35,8 +35,8 @@
 #                DESIGN.md §14; the crash-recovery fuzzer also carries
 #                a tiered pre-crash arm)
 #   bench-smoke  one-iteration compile-and-run of the pipeline,
-#                durability, kernel and layout benchmarks (catches
-#                bit-rot in the benchmarks without paying for a
+#                durability, kernel, layout and batch-size benchmarks
+#                (catches bit-rot in the benchmarks without paying for a
 #                measurement)
 
 GO ?= go
@@ -72,6 +72,7 @@ bench-smoke:
 	$(GO) test -run=XXX -bench=BenchmarkDurability -benchtime=1x ./qtrans
 	$(GO) test -run=XXX -bench=BenchmarkKernels -benchtime=1x ./internal/palm
 	$(GO) test -run=XXX -bench=BenchmarkLayout -benchtime=1x ./internal/palm
+	$(GO) test -run=XXX -bench=BenchmarkProcessBatchSize -benchtime=1x ./internal/core
 
 # Full benchmark sweep with allocation reporting (not part of ci).
 bench:

@@ -2,6 +2,7 @@ package bsp
 
 import (
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -39,6 +40,37 @@ func TestPoolRunBarriers(t *testing.T) {
 		if got := atomic.LoadInt64(&counter); got != int64((step+1)*4) {
 			t.Fatalf("after superstep %d counter = %d, want %d", step, got, (step+1)*4)
 		}
+	}
+}
+
+// TestPoolInlineRunsOnCaller checks inline mode: every tid runs once,
+// in tid order, with no superstep handed to the workers, and switching
+// it off restores dispatching.
+func TestPoolInlineRunsOnCaller(t *testing.T) {
+	p := NewPool(3)
+	defer p.Close()
+	p.Run(func(int) {})
+	if got := p.Dispatched(); got != 1 {
+		t.Fatalf("Dispatched after one Run = %d, want 1", got)
+	}
+	p.SetInline(true)
+	var order []int // unsynchronized: inline tids share the caller's goroutine
+	p.For(10, func(tid, lo, hi int) {
+		if wlo, whi := p.Range(tid, 10); lo != wlo || hi != whi {
+			t.Errorf("tid %d got [%d,%d), want [%d,%d)", tid, lo, hi, wlo, whi)
+		}
+		order = append(order, tid)
+	})
+	if want := []int{0, 1, 2}; !slices.Equal(order, want) {
+		t.Fatalf("inline tids ran as %v, want %v", order, want)
+	}
+	if got := p.Dispatched(); got != 1 {
+		t.Fatalf("Dispatched after an inline Run = %d, want 1", got)
+	}
+	p.SetInline(false)
+	p.Run(func(int) {})
+	if got := p.Dispatched(); got != 2 {
+		t.Fatalf("Dispatched after inline off = %d, want 2", got)
 	}
 }
 

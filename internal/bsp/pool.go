@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/keys"
 )
@@ -30,6 +31,12 @@ type Pool struct {
 	done  chan struct{}
 	close sync.Once
 	wg    sync.WaitGroup
+
+	// inline makes Run execute a superstep on the calling goroutine
+	// (see SetInline); dispatched counts the supersteps handed to the
+	// workers instead.
+	inline     bool
+	dispatched atomic.Uint64
 
 	// Sort scratch reused across SortQueries / RadixSortQueries calls.
 	// Because Run (and therefore sorting) has a single caller per pool,
@@ -70,8 +77,16 @@ func (p *Pool) worker(tid int) {
 func (p *Pool) N() int { return p.n }
 
 // Run executes fn(tid) on every worker, tid in [0, N), and blocks until
-// all have completed (the BSP barrier).
+// all have completed (the BSP barrier). In inline mode it calls fn(0)
+// … fn(N-1) in order on the calling goroutine instead.
 func (p *Pool) Run(fn func(tid int)) {
+	if p.inline {
+		for tid := 0; tid < p.n; tid++ {
+			fn(tid)
+		}
+		return
+	}
+	p.dispatched.Add(1)
 	for i := 0; i < p.n; i++ {
 		p.work[i] <- fn
 	}
@@ -79,6 +94,17 @@ func (p *Pool) Run(fn func(tid int)) {
 		<-p.done
 	}
 }
+
+// SetInline switches inline mode on or off. Inline mode keeps every
+// tid's share of a superstep, and the scratch indexed by tid, exactly
+// as in parallel execution; only the workers' handoff and barrier go.
+// That is sound because no superstep waits on another tid within
+// itself. Like Run, it must be called from the pool's single caller.
+func (p *Pool) SetInline(on bool) { p.inline = on }
+
+// Dispatched returns the number of supersteps Run has handed to the
+// workers since the pool was created. Inline supersteps do not count.
+func (p *Pool) Dispatched() uint64 { return p.dispatched.Load() }
 
 // Close shuts the pool down. The pool must not be used afterwards.
 func (p *Pool) Close() {

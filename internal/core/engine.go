@@ -95,8 +95,12 @@ type Engine struct {
 	// flushed maps keys evicted from the cache during the current
 	// batch's cache pass to their flushed state, so later queries on
 	// those keys in the same pass still see the correct pre-batch
-	// value (see the ordering discussion in DESIGN.md §4.3).
-	flushed map[keys.Key]flushState
+	// value (see the ordering discussion in DESIGN.md §4.3). It is
+	// empty between passes. flushPeak is the most flushes one pass has
+	// recorded: the size its table has grown to, since Go maps never
+	// shrink.
+	flushed   map[keys.Key]flushState
+	flushPeak int
 
 	flushQ []keys.Query
 	mergeQ []keys.Query
@@ -211,6 +215,13 @@ func (e *Engine) ProcessBatch(qs []keys.Query, rs *keys.ResultSet) {
 	e.met.recordBatch(e.st, e.met.reg.Since(start))
 }
 
+// inlineBatch is the batch size below which processBatch runs every
+// superstep on the calling goroutine (bsp.Pool.SetInline): under it,
+// waking the workers for each of a batch's supersteps costs more than
+// the parallel share of the work saves. It is the low end of the
+// crossover BenchmarkProcessBatchSize measures (DESIGN.md §4 item 7).
+const inlineBatch = 256
+
 func (e *Engine) processBatch(qs []keys.Query, rs *keys.ResultSet) {
 	e.st.Reset()
 	e.st.BatchSize = len(qs)
@@ -222,7 +233,18 @@ func (e *Engine) processBatch(qs []keys.Query, rs *keys.ResultSet) {
 		e.gate.RLock()
 		defer e.gate.RUnlock()
 	}
+	// Inside the gate: a snapshot's Flush, which holds it exclusively,
+	// runs on the same pool and must find worker scheduling.
+	if len(qs) < inlineBatch {
+		e.pool.SetInline(true)
+		defer e.pool.SetInline(false)
+	}
+	e.runBatch(qs, rs)
+}
 
+// runBatch applies one non-empty batch under whichever scheduling the
+// pool is in.
+func (e *Engine) runBatch(qs []keys.Query, rs *keys.ResultSet) {
 	// Batches carrying range scans or read-modify-writes take the
 	// define-overlay path; pure point batches stay on the hot path
 	// below, byte-for-byte as before.
@@ -381,9 +403,6 @@ func (e *Engine) mergeProcStats(st *stats.Batch) {
 // receives the inferred-return counters.
 func (e *Engine) cachePass(remaining []keys.Query, rs *keys.ResultSet, rt *Router, st *stats.Batch) []keys.Query {
 	e.flushQ = e.flushQ[:0]
-	for k := range e.flushed {
-		delete(e.flushed, k)
-	}
 
 	out := remaining[:0]
 	h1, m1, ev1 := e.topK.Stats()
@@ -451,6 +470,18 @@ func (e *Engine) cachePass(remaining []keys.Query, rs *keys.ResultSet, rt *Route
 	st.CacheEvictions += int(ev2 - ev1)
 	st.CacheFlushes += len(e.flushQ)
 
+	// Empty the map for the next pass. A pass with few flushes next to
+	// the peak deletes its own keys: clearing the whole table would cost
+	// it O(peak). A larger pass clears, because deletes from full groups
+	// leave tombstones that lengthen every later probe.
+	e.flushPeak = max(e.flushPeak, len(e.flushQ))
+	if len(e.flushQ) < e.flushPeak/16 {
+		for _, q := range e.flushQ {
+			delete(e.flushed, q.Key)
+		}
+	} else {
+		clear(e.flushed)
+	}
 	if len(e.flushQ) == 0 {
 		return out
 	}

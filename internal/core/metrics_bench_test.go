@@ -47,31 +47,36 @@ func steadyState(tb testing.TB, mode Mode, reg *metrics.Registry, n int) (*Engin
 // path — the nil gate adds 0 allocs/batch. (The raw path itself
 // allocates a handful of stage closures per pool.Run; that baseline
 // predates instrumentation and is measured, not assumed.) Checked for
-// both the plain PALM path and the fully-optimized one.
+// both the plain PALM path and the fully-optimized one, on a batch
+// above inlineBatch and on one below it.
 func TestMetricsOffZeroAllocsPerBatch(t *testing.T) {
 	for _, m := range []struct {
 		name string
 		mode Mode
 	}{{"org", Original}, {"inter", IntraInter}} {
 		t.Run(m.name, func(t *testing.T) {
-			eng, qs, rs := steadyState(t, m.mode, nil, 512)
-			// Warm any lazily-grown internal buffers out of the
-			// measurement.
-			for i := 0; i < 3; i++ {
-				rs.Reset(len(qs))
-				eng.ProcessBatch(qs, rs)
-			}
-			raw := testing.AllocsPerRun(20, func() {
-				rs.Reset(len(qs))
-				eng.processBatch(qs, rs)
-			})
-			wrapped := testing.AllocsPerRun(20, func() {
-				rs.Reset(len(qs))
-				eng.ProcessBatch(qs, rs)
-			})
-			if wrapped != raw {
-				t.Errorf("metrics-off ProcessBatch allocates %.1f/batch, raw path %.1f — gate adds %.1f, want 0",
-					wrapped, raw, wrapped-raw)
+			for _, n := range []int{inlineBatch / 16, 512} {
+				t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+					eng, qs, rs := steadyState(t, m.mode, nil, n)
+					// Warm any lazily-grown internal buffers out of the
+					// measurement.
+					for i := 0; i < 3; i++ {
+						rs.Reset(len(qs))
+						eng.ProcessBatch(qs, rs)
+					}
+					raw := testing.AllocsPerRun(20, func() {
+						rs.Reset(len(qs))
+						eng.processBatch(qs, rs)
+					})
+					wrapped := testing.AllocsPerRun(20, func() {
+						rs.Reset(len(qs))
+						eng.ProcessBatch(qs, rs)
+					})
+					if wrapped != raw {
+						t.Errorf("metrics-off ProcessBatch allocates %.1f/batch, raw path %.1f — gate adds %.1f, want 0",
+							wrapped, raw, wrapped-raw)
+					}
+				})
 			}
 		})
 	}
