@@ -35,7 +35,8 @@
 #                DESIGN.md §14; the crash-recovery fuzzer also carries
 #                a tiered pre-crash arm)
 #   bench-smoke  one-iteration compile-and-run of the pipeline,
-#                durability, kernel, layout and batch-size benchmarks
+#                durability, kernel, layout, batch-size and QTrans
+#                transform benchmarks
 #                (catches bit-rot in the benchmarks without paying for a
 #                measurement)
 
@@ -73,6 +74,7 @@ bench-smoke:
 	$(GO) test -run=XXX -bench=BenchmarkKernels -benchtime=1x ./internal/palm
 	$(GO) test -run=XXX -bench=BenchmarkLayout -benchtime=1x ./internal/palm
 	$(GO) test -run=XXX -bench=BenchmarkProcessBatchSize -benchtime=1x ./internal/core
+	$(GO) test -run=XXX -bench=BenchmarkTransform1M -benchtime=1x ./internal/core
 
 # Full benchmark sweep with allocation reporting (not part of ci).
 bench:

@@ -84,7 +84,6 @@ func run() error {
 	router.Reset(len(qs))
 	rs := keys.NewResultSet(len(qs))
 	em := core.NewEmitter(&router, rs)
-	em.CollectReps = true
 	core.QSATSequence(sorted, em)
 	for _, q := range em.Out {
 		fmt.Printf("    evaluate %s\n", q)

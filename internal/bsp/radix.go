@@ -103,76 +103,3 @@ func (p *Pool) RadixSortQueries(qs []keys.Query) {
 		copy(qs, src)
 	}
 }
-
-// RadixScratch holds reusable buffers for sequential radix sorts, so
-// per-mini-batch sorting inside QTrans Phase I allocates nothing after
-// warm-up.
-type RadixScratch struct {
-	counts []int
-	buf    []keys.Query
-}
-
-// RadixSortRun stably sorts one run by key with a sequential LSD radix
-// sort (16-bit digits, skipping passes above the maximum key). Small
-// runs fall back to comparison sorting, where the per-pass counter
-// reset would dominate.
-func (s *RadixScratch) RadixSortRun(qs []keys.Query) {
-	n := len(qs)
-	if n < 4096 {
-		sortRun(qs)
-		return
-	}
-	const (
-		digitBits = 16
-		buckets   = 1 << digitBits
-		mask      = buckets - 1
-	)
-	if cap(s.counts) < buckets {
-		s.counts = make([]int, buckets)
-	}
-	if cap(s.buf) < n {
-		s.buf = make([]keys.Query, n)
-	}
-	counts := s.counts[:buckets]
-	buf := s.buf[:n]
-
-	var maxKey keys.Key
-	for i := range qs {
-		if qs[i].Key > maxKey {
-			maxKey = qs[i].Key
-		}
-	}
-	passes := 0
-	for m := uint64(maxKey); ; m >>= digitBits {
-		passes++
-		if m>>digitBits == 0 {
-			break
-		}
-	}
-
-	src, dst := qs, buf
-	for pass := 0; pass < passes; pass++ {
-		shift := uint(pass * digitBits)
-		for i := range counts {
-			counts[i] = 0
-		}
-		for i := 0; i < n; i++ {
-			counts[(uint64(src[i].Key)>>shift)&mask]++
-		}
-		total := 0
-		for b := 0; b < buckets; b++ {
-			c := counts[b]
-			counts[b] = total
-			total += c
-		}
-		for i := 0; i < n; i++ {
-			b := (uint64(src[i].Key) >> shift) & mask
-			dst[counts[b]] = src[i]
-			counts[b]++
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &qs[0] {
-		copy(qs, src)
-	}
-}

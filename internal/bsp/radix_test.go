@@ -96,33 +96,6 @@ func TestRadixSortQueriesMatchesMergeSort(t *testing.T) {
 	}
 }
 
-func TestRadixSortRunSequential(t *testing.T) {
-	var s RadixScratch
-	for _, n := range []int{0, 1, 100, 4095, 4096, 30000} {
-		r := rand.New(rand.NewSource(int64(n)))
-		qs := randomQueries(r, n, 22)
-		orig := append([]keys.Query(nil), qs...)
-		s.RadixSortRun(qs)
-		assertSortedPermutation(t, qs, orig)
-	}
-}
-
-func TestRadixSortRunScratchReuse(t *testing.T) {
-	var s RadixScratch
-	r := rand.New(rand.NewSource(1))
-	qs := randomQueries(r, 10000, 30)
-	s.RadixSortRun(qs)
-	c1, b1 := cap(s.counts), cap(s.buf)
-	qs2 := randomQueries(r, 9000, 30)
-	s.RadixSortRun(qs2)
-	if cap(s.counts) != c1 || cap(s.buf) != b1 {
-		t.Fatal("scratch reallocated on smaller input")
-	}
-	if !keys.IsSortedByKey(qs2) {
-		t.Fatal("reused scratch produced bad sort")
-	}
-}
-
 func BenchmarkRadixSort1M(b *testing.B) {
 	p := NewPool(0)
 	defer p.Close()
@@ -149,10 +122,11 @@ func BenchmarkMergeSortVsRadix(b *testing.B) {
 		}
 	})
 	b.Run("radix", func(b *testing.B) {
-		var s RadixScratch
+		p := NewPool(1)
+		defer p.Close()
 		for i := 0; i < b.N; i++ {
 			copy(qs, base)
-			s.RadixSortRun(qs)
+			p.RadixSortQueries(qs)
 		}
 	})
 }

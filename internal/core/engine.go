@@ -292,27 +292,42 @@ func (e *Engine) runBatch(qs []keys.Query, rs *keys.ResultSet) {
 
 // transformScanRMW is the tree-independent half of a batch containing
 // range scans and/or read-modify-writes (stage A in pipelined
-// execution): the scans are split out and their define overlay built
-// (overlay.go; timed as StageQSAT2 — it is inference), and the point
-// queries are QSAT-transformed as ONE batch, exactly like a point-only
-// batch. Returns the point queries that need the tree (all of them, in
-// batch order, in Original mode). ov.scans is empty for RMW-only
-// batches.
+// execution): the scans are split out, the point queries are sorted
+// once and QSAT-transformed as ONE batch, exactly like a point-only
+// batch, and the scans' define overlay is read off those sorted points
+// (overlay.go; timed as StageQSAT2 — it is inference). Returns the
+// point queries that need the tree (all of them, key-sorted, in
+// Original mode). ov.scans is empty for RMW-only batches.
 func (e *Engine) transformScanRMW(tf *Transformer, ov *scanOverlay, qs []keys.Query, rs *keys.ResultSet, st *stats.Batch, hasScan bool) []keys.Query {
 	ov.scans, ov.fetch = ov.scans[:0], ov.fetch[:0]
 	if hasScan {
 		sw := st.Timer(stats.StageQSAT2)
-		qs = ov.build(qs, &tf.radix[0])
+		qs = ov.build(qs)
 		sw.Stop()
 	}
+	// Transform sorts qs itself. The other modes sort here: Original
+	// for the tree, SimIntra only because the overlay needs the points
+	// sorted.
+	if m := e.cfg.Mode; (m == Original && !e.cfg.Palm.PreSorted) || (m == SimIntra && hasScan) {
+		sw := st.Timer(stats.StageSort)
+		tf.sort(qs)
+		sw.Stop()
+	}
+	var remaining []keys.Query
 	switch e.cfg.Mode {
 	case Original:
-		return qs
+		remaining = qs
 	case SimIntra:
-		return tf.TransformSim(qs, rs, st)
+		remaining = tf.TransformSim(qs, rs, st)
 	default:
-		return tf.Transform(qs, rs, st)
+		remaining = tf.Transform(qs, rs, st)
 	}
+	if hasScan {
+		sw := st.Timer(stats.StageQSAT2)
+		ov.finish(qs)
+		sw.Stop()
+	}
+	return remaining
 }
 
 // applyScanRMW is the tree half of a scan/RMW batch: all surviving
@@ -339,7 +354,7 @@ func (e *Engine) applyScanRMW(tf *Transformer, ov *scanOverlay, remaining []keys
 	}
 	e.st.RemainingQueries = len(remaining) + len(ov.fetch)
 	if e.cfg.Mode == Original {
-		e.proc.ProcessBatch(remaining, rs)
+		e.proc.ProcessBatchSorted(remaining, rs)
 	} else {
 		e.proc.ProcessTransformed(remaining, rs)
 		tf.Broadcast(rs)

@@ -9,11 +9,8 @@ type Emitter struct {
 	// one representative search and one defining query per key.
 	Out []keys.Query
 	// Reps accumulates surviving representative searches whose chains
-	// must be broadcast after evaluation. Only filled when CollectReps.
+	// must be broadcast after evaluation.
 	Reps []int32
-	// CollectReps enables Reps collection (final QSAT pass only; the
-	// mini-batch pass's representatives may still be resolved later).
-	CollectReps bool
 	// Inferred counts answers produced without tree evaluation.
 	Inferred int
 
@@ -83,11 +80,6 @@ func QSATRun(run []keys.Query, e *Emitter) {
 //
 // The run's surviving queries are appended to e.Out in (key, original
 // index) order: representative search first, then q_o.
-//
-// QSATRun (and therefore qsatRunPoint) is used identically by QTrans's
-// Phase-I (mini-batch) and Phase-II (per-key) passes: in Phase II the
-// "searches" are Phase-I representatives carrying chains, which
-// Resolve and Append handle transparently.
 func qsatRunPoint(run []keys.Query, e *Emitter) {
 	var qo keys.Query
 	haveQo := false
@@ -122,9 +114,7 @@ func qsatRunPoint(run []keys.Query, e *Emitter) {
 			e.router.Append(rep, pending[i])
 		}
 		e.Out = append(e.Out, keys.Query{Op: keys.OpSearch, Key: run[0].Key, Idx: rep})
-		if e.CollectReps {
-			e.Reps = append(e.Reps, rep)
-		}
+		e.Reps = append(e.Reps, rep)
 	}
 	if haveQo {
 		e.Out = append(e.Out, qo)
@@ -191,9 +181,7 @@ func qsatRunRMW(run []keys.Query, e *Emitter) {
 			e.router.Append(rep, other)
 		}
 		e.Out = append(e.Out, keys.Query{Op: keys.OpSearch, Key: run[0].Key, Idx: rep})
-		if e.CollectReps {
-			e.Reps = append(e.Reps, rep)
-		}
+		e.Reps = append(e.Reps, rep)
 		pending = pending[:0]
 	}
 
@@ -211,9 +199,7 @@ func qsatRunRMW(run []keys.Query, e *Emitter) {
 			case stPresentUnknownVal:
 				q.LeafAnswer = true
 				e.Out = append(e.Out, q)
-				if e.CollectReps {
-					e.Reps = append(e.Reps, q.Idx)
-				}
+				e.Reps = append(e.Reps, q.Idx)
 			}
 		case keys.OpInsert:
 			flushPending()
@@ -255,8 +241,8 @@ func qsatRunRMW(run []keys.Query, e *Emitter) {
 
 // QSATSequence applies one-pass QSAT to an entire stably key-sorted
 // sequence, returning the reduced sequence via e.Out. This is the
-// sequential QSAT used on each mini-batch in Phase I (and usable
-// standalone).
+// sequential QSAT each Transformer worker runs over its run-aligned
+// slice of the sorted batch (and usable standalone).
 func QSATSequence(qs []keys.Query, e *Emitter) {
 	keys.KeyRuns(qs, func(lo, hi int) {
 		QSATRun(qs[lo:hi], e)

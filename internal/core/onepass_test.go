@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -82,7 +83,6 @@ func runQSATSeq(qs []keys.Query, rs *keys.ResultSet) (*Emitter, *Router) {
 	router := &Router{}
 	router.Reset(len(qs))
 	e := NewEmitter(router, rs)
-	e.CollectReps = true
 	QSATSequence(sorted, e)
 	return e, router
 }
@@ -265,7 +265,7 @@ func TestOnePassMatchesTwoRound(t *testing.T) {
 	}
 }
 
-// TestTransformerSerialEquivalence: parallel two-phase QTrans followed
+// TestTransformerSerialEquivalence: parallel QTrans followed
 // by serial evaluation of the reduced batch plus broadcasts equals
 // serial evaluation of the original batch, for any store and batch.
 func TestTransformerSerialEquivalence(t *testing.T) {
@@ -350,21 +350,71 @@ func TestTransformerEmptyBatch(t *testing.T) {
 	}
 }
 
+// TestRunAlignedBounds pins the rule that splits the sorted batch
+// across QTrans workers: bounds are monotone from 0 to n, never split a
+// same-key run, and leave empty chunks only at the end.
 func TestRunAlignedBounds(t *testing.T) {
-	qs := []keys.Query{
-		{Key: 1}, {Key: 1}, {Key: 1}, {Key: 1}, {Key: 2}, {Key: 3}, {Key: 3}, {Key: 4},
-	}
-	bounds := runAlignedBounds(qs, 3)
-	if bounds[0] != 0 || bounds[len(bounds)-1] != len(qs) {
-		t.Fatalf("bounds = %v", bounds)
-	}
-	for i := 1; i < len(bounds)-1; i++ {
-		b := bounds[i]
-		if b > 0 && b < len(qs) && qs[b].Key == qs[b-1].Key {
-			t.Fatalf("bound %d splits a run: %v", b, bounds)
+	run := func(ks ...keys.Key) []keys.Query {
+		qs := make([]keys.Query, len(ks))
+		for i, k := range ks {
+			qs[i] = keys.Search(k)
 		}
+		return keys.Number(qs)
+	}
+	cases := []struct {
+		name string
+		qs   []keys.Query
+		nw   int
+		want []int
+	}{
+		{"mixed-runs", run(1, 1, 1, 1, 2, 3, 3, 4), 3, []int{0, 4, 5, 8}},
+		{"all-keys-equal", run(5, 5, 5, 5, 5, 5, 5, 5, 5, 5), 4, []int{0, 10, 10, 10, 10}},
+		{"run-longer-than-share-never-splits", run(1, 2, 2, 2, 2, 2, 2, 3), 2, []int{0, 7, 8}},
+		{"long-run-P=4", run(1, 2, 2, 2, 2, 2, 2, 3), 4, []int{0, 7, 8, 8, 8}},
+		{"P-above-distinct-keys", run(1, 1, 1, 2, 2, 3), 5, []int{0, 3, 5, 6, 6, 6}},
+		{"fewer-queries-than-P", run(1, 2), 4, []int{0, 1, 2, 2, 2}},
+		{"empty", nil, 3, []int{0, 0, 0, 0}},
+		{"one-worker", run(1, 2, 2), 1, []int{0, 3}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got := runAlignedBounds(c.qs, c.nw)
+			checkRunAlignedBounds(t, c.qs, got)
+			if !slices.Equal(got, c.want) {
+				t.Fatalf("bounds = %v, want %v", got, c.want)
+			}
+		})
+	}
+	t.Run("random", func(t *testing.T) {
+		r := rand.New(rand.NewSource(9))
+		for iter := 0; iter < 300; iter++ {
+			qs := make([]keys.Query, r.Intn(60))
+			span := 1 + r.Intn(12)
+			for i := range qs {
+				qs[i] = keys.Search(keys.Key(r.Intn(span)))
+			}
+			keys.SortByKey(keys.Number(qs))
+			checkRunAlignedBounds(t, qs, runAlignedBounds(qs, 1+r.Intn(9)))
+		}
+	})
+}
+
+func checkRunAlignedBounds(t *testing.T, qs []keys.Query, bounds []int) {
+	t.Helper()
+	n, nw := len(qs), len(bounds)-1
+	if bounds[0] != 0 || bounds[nw] != n {
+		t.Fatalf("bounds %v do not span [0, %d]", bounds, n)
+	}
+	for i := 1; i < nw; i++ {
+		b := bounds[i]
 		if b < bounds[i-1] {
 			t.Fatalf("bounds not monotone: %v", bounds)
+		}
+		if b > 0 && b < n && qs[b].Key == qs[b-1].Key {
+			t.Fatalf("bound %d splits a run: %v", b, bounds)
+		}
+		if b == bounds[i-1] && b < n {
+			t.Fatalf("empty chunk %d before the end: %v", i-1, bounds)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/bsp"
 	"repro/internal/keys"
 )
 
@@ -60,7 +59,7 @@ type scanPlan struct {
 // patches the current one.
 type scanOverlay struct {
 	scans  []keys.Query // the batch's scans, batch order; empty = none
-	points []keys.Query // the batch's other queries, batch order
+	points []keys.Query // the batch's other queries, batch order until sorted
 	plan   []scanPlan   // parallel to scans
 	fetch  []keys.Query // uncovered scans for EvalScans, Value = plan.fetch
 	order  []int32      // non-empty scans in (lo asc, hi desc) sweep order
@@ -69,12 +68,12 @@ type scanOverlay struct {
 	kills  int          // scans answered from a cover's rows
 }
 
-// build splits the batch's scans from its point queries and prepares
-// the overlay. It needs neither tree nor cache, so the pipeline runs it
-// in stage A, borrowing the transformer's sort scratch. qs is left
-// untouched; the returned point queries (batch order, original Idx) are
-// a copy the transform may reorder.
-func (ov *scanOverlay) build(qs []keys.Query, sorter *bsp.RadixScratch) []keys.Query {
+// build splits the batch's scans from its point queries and merges the
+// scan ranges into spans. It needs neither tree nor cache, so the
+// pipeline runs it in stage A. qs is left untouched; the returned point
+// queries (batch order, original Idx) are a copy the caller sorts —
+// finish then reads the defines off that sorted copy.
+func (ov *scanOverlay) build(qs []keys.Query) []keys.Query {
 	ov.scans, ov.points = ov.scans[:0], ov.points[:0]
 	for i := range qs {
 		if qs[i].Op == keys.OpScan {
@@ -100,30 +99,29 @@ func (ov *scanOverlay) build(qs []keys.Query, sorter *bsp.RadixScratch) []keys.Q
 		}
 	}
 	ov.spans = merged
-
-	ov.defs = ov.defs[:0]
-	for i := range ov.points {
-		if q := &ov.points[i]; q.Op != keys.OpSearch && ov.inSpans(q.Key) {
-			ov.defs = append(ov.defs, *q)
-		}
-	}
-	sorter.RadixSortRun(ov.defs) // stable by key over batch order: (Key, Idx)
-
-	ov.planScans()
 	return ov.points
 }
 
-// inSpans reports whether k lies inside some scan's range.
-func (ov *scanOverlay) inSpans(k keys.Key) bool {
-	lo, hi := 0, len(ov.spans) // first span starting beyond k
-	for lo < hi {
-		if mid := int(uint(lo+hi) >> 1); ov.spans[mid].lo <= k {
-			lo = mid + 1
-		} else {
-			hi = mid
+// finish takes the in-span defines from the batch's point queries,
+// stably sorted by (Key, Idx), in one merge-join walk against the
+// sorted, disjoint spans, and plans the scans. defs inherits the
+// points' (Key, Idx) order, so it needs no sort of its own.
+func (ov *scanOverlay) finish(sorted []keys.Query) {
+	ov.defs = ov.defs[:0]
+	s := 0
+	for i := range sorted {
+		q := &sorted[i]
+		for s < len(ov.spans) && ov.spans[s].hi <= q.Key {
+			s++
+		}
+		if s == len(ov.spans) {
+			break
+		}
+		if q.Op != keys.OpSearch && q.Key >= ov.spans[s].lo {
+			ov.defs = append(ov.defs, *q)
 		}
 	}
-	return lo > 0 && k < ov.spans[lo-1].hi
+	ov.planScans()
 }
 
 // defsIn returns the in-range defines with lo <= key < hi.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/keys"
@@ -122,6 +123,115 @@ func TestOverlayProperty(t *testing.T) {
 			return batches
 		})
 	}
+}
+
+// defsFromSortedPoints runs the overlay's two halves the way the engine
+// does — split, sort the points, merge-join — and checks ov.defs
+// against a brute-force filter of the sorted points. It returns the
+// number of defines taken.
+func defsFromSortedPoints(t *testing.T, ov *scanOverlay, batch []keys.Query) int {
+	t.Helper()
+	pts := ov.build(keys.Number(batch))
+	keys.SortByKey(pts) // stable over batch order: (Key, Idx)
+	ov.finish(pts)
+	var want []keys.Query
+	for _, q := range pts {
+		if q.Op == keys.OpSearch {
+			continue
+		}
+		for _, s := range ov.scans {
+			if s.Key <= q.Key && q.Key < s.Key2 {
+				want = append(want, q)
+				break
+			}
+		}
+	}
+	if !slices.Equal(ov.defs, want) {
+		t.Fatalf("defs %v, want %v", ov.defs, want)
+	}
+	if len(ov.plan) != len(ov.scans) {
+		t.Fatalf("%d scan plans for %d scans", len(ov.plan), len(ov.scans))
+	}
+	return len(ov.defs)
+}
+
+// TestOverlayDefsFromSortedPoints pins the merge-join that takes a scan
+// batch's in-range defines off its sorted point queries: a define on a
+// scan's lo is inside, one on its hi is outside, empty ranges take
+// nothing, and every define kind counts while searches never do.
+func TestOverlayDefsFromSortedPoints(t *testing.T) {
+	const top = ^keys.Key(0)
+	cases := []struct {
+		name  string
+		batch []keys.Query
+		defs  int
+	}{
+		{"touching", []keys.Query{
+			keys.Scan(10, 20, 0), keys.Scan(20, 30, 0),
+			keys.Insert(19, 1), keys.Insert(20, 2), keys.Insert(30, 3), keys.Delete(9), keys.Insert(10, 4),
+		}, 3},
+		{"overlapping", []keys.Query{
+			keys.Insert(15, 1), keys.Scan(10, 25, 0), keys.Delete(22), keys.Scan(20, 40, 1),
+			keys.AddDelta(39, 2), keys.Insert(40, 3),
+		}, 3},
+		{"nested", []keys.Query{
+			keys.Scan(0, 100, 0), keys.Scan(10, 20, 2),
+			keys.Insert(5, 1), keys.Delete(15), keys.Insert(99, 2), keys.Insert(100, 3),
+		}, 3},
+		{"empty-ranges", []keys.Query{
+			keys.Scan(50, 50, 0), keys.Scan(60, 55, 0),
+			keys.Insert(50, 1), keys.Insert(57, 2), keys.Delete(60),
+		}, 0},
+		{"define-on-lo-inside-on-hi-outside", []keys.Query{
+			keys.Insert(10, 1), keys.Delete(20), keys.AddDelta(10, 2), keys.SetIfAbsent(20, 3),
+			keys.Scan(10, 20, 0),
+		}, 2},
+		{"every-define-kind", []keys.Query{
+			keys.Scan(0, 50, 0), keys.Search(1), keys.Insert(1, 1), keys.Delete(2),
+			keys.AddDelta(3, 4), keys.SetIfAbsent(4, 5), keys.Search(4), keys.Insert(1, 6),
+		}, 5},
+		{"defines-beyond-last-span", []keys.Query{
+			keys.Scan(0, 10, 0), keys.Insert(5, 1), keys.Insert(11, 2), keys.Delete(top),
+		}, 1},
+		{"span-to-top", []keys.Query{
+			keys.Scan(top-3, top, 0), keys.Insert(top-3, 1), keys.Insert(top-1, 2), keys.Delete(top),
+		}, 2},
+		{"no-points", []keys.Query{keys.Scan(0, 10, 0), keys.Scan(5, 8, 1)}, 0},
+	}
+	var ov scanOverlay // reused: finish must not carry defines over
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := defsFromSortedPoints(t, &ov, slices.Clone(c.batch)); got != c.defs {
+				t.Fatalf("%d defines in span, want %d", got, c.defs)
+			}
+		})
+	}
+	t.Run("random", func(t *testing.T) {
+		r := rand.New(rand.NewSource(13))
+		for iter := 0; iter < 500; iter++ {
+			space := 4 + r.Intn(60)
+			batch := make([]keys.Query, 1+r.Intn(40))
+			for i := range batch {
+				k := keys.Key(r.Intn(space))
+				switch r.Intn(8) {
+				case 0, 1:
+					lo := keys.Key(r.Intn(space))
+					batch[i] = keys.Scan(lo, lo+keys.Key(r.Intn(space/2))-2, keys.Value(r.Intn(3)))
+				case 2:
+					batch[i] = keys.Insert(k, 1)
+				case 3:
+					batch[i] = keys.Delete(k)
+				case 4:
+					batch[i] = keys.AddDelta(k, 2)
+				case 5:
+					batch[i] = keys.SetIfAbsent(k, 3)
+				default:
+					batch[i] = keys.Search(k)
+				}
+			}
+			defsFromSortedPoints(t, &ov, batch)
+		}
+	})
 }
 
 // TestScanBatchSinglePass checks the shape of scan-batch execution

@@ -1,29 +1,23 @@
 package core
 
 import (
-	"sort"
-
 	"repro/internal/bsp"
 	"repro/internal/keys"
 	"repro/internal/stats"
 )
 
-// Transformer performs the parallel intra-batch QTrans of §V-A over a
-// BSP pool:
+// Transformer performs the parallel intra-batch QTrans over a BSP
+// pool. It sorts the batch once, stably by key, then splits the sorted
+// batch across workers along key-run boundaries (a key's queries must
+// stay on one worker) and runs sequential one-pass QSAT (Algorithm 2)
+// over each worker's slice. This replaces the paper's two-phase §V-A
+// (per-mini-batch sort + QSAT, then shuffle, re-sort and QSAT again):
+// one-pass QSAT needs nothing more than one stably key-sorted batch.
 //
-//	Phase I:  the batch is partitioned into one contiguous mini-batch
-//	          per worker; each worker stably sorts its mini-batch by key
-//	          and runs sequential one-pass QSAT over it.
-//	Phase II: the surviving queries are shuffled (merged) by key, the
-//	          key space is split across workers along run boundaries
-//	          with prefix-sum load balancing, and each worker runs QSAT
-//	          again over every per-key sequence it owns.
-//
-// After Phase II at most one defining query and at most one
-// representative search remain per distinct key. Inferred answers have
-// already been written to the batch's ResultSet; representative
-// searches that survive carry Router chains to broadcast once the tree
-// answers them.
+// Afterwards at most one defining query and at most one representative
+// search remain per distinct key. Inferred answers have already been
+// written to the batch's ResultSet; representative searches that
+// survive carry Router chains to broadcast once the tree answers them.
 //
 // A Transformer is reusable across batches but not concurrently.
 type Transformer struct {
@@ -31,14 +25,11 @@ type Transformer struct {
 	// Router is exposed so the integration layer (Engine) can resolve
 	// cache-served representatives and broadcast surviving ones.
 	Router Router
-	// CompareSort selects comparison sorting for the Phase-I
-	// mini-batch sorts and the Phase-II shuffle instead of the default
-	// radix sort (ablation).
+	// CompareSort selects comparison sorting for the batch sort instead
+	// of the default radix sort (ablation).
 	CompareSort bool
 
 	emitters []*Emitter
-	radix    []bsp.RadixScratch
-	merged   []keys.Query
 	out      []keys.Query
 	reps     []int32
 	inferred int
@@ -48,7 +39,9 @@ type Transformer struct {
 func NewTransformer(pool *bsp.Pool) *Transformer {
 	t := &Transformer{pool: pool}
 	t.emitters = make([]*Emitter, pool.N())
-	t.radix = make([]bsp.RadixScratch, pool.N())
+	for i := range t.emitters {
+		t.emitters[i] = NewEmitter(&t.Router, nil)
+	}
 	return t
 }
 
@@ -60,10 +53,12 @@ func (t *Transformer) Inferred() int { return t.inferred }
 // Transform; after tree evaluation the caller must Broadcast each.
 func (t *Transformer) Reps() []int32 { return t.reps }
 
-// Transform runs both phases on the batch, writing inferred answers
-// into rs and returning the reduced, stably key-sorted query sequence
-// that still requires tree evaluation. The input slice is reordered in
-// place (it becomes the Phase-I sort scratch). st may be nil.
+// Transform sorts the batch in place and runs one QSAT pass over it,
+// writing inferred answers into rs and returning the reduced, stably
+// key-sorted query sequence that still requires tree evaluation. On
+// return qs holds the whole batch, stably sorted by (Key, Idx). The
+// sort is timed as StageQSAT1 and the QSAT pass as StageQSAT2. st may
+// be nil.
 //
 // rs must have been Reset for the whole batch: the Router is sized by
 // it, not by len(qs), because a scan batch hands in only its point
@@ -80,61 +75,18 @@ func (t *Transformer) Transform(qs []keys.Query, rs *keys.ResultSet, st *stats.B
 	if st != nil {
 		sw = st.Timer(stats.StageQSAT1)
 	}
-
-	// Phase I: per-mini-batch sort + QSAT.
-	nw := t.pool.N()
-	n := len(qs)
-	t.pool.Run(func(tid int) {
-		lo, hi := bsp.SplitRange(tid, nw, n)
-		mb := qs[lo:hi]
-		if t.CompareSort {
-			sortStable(mb)
-		} else {
-			t.radix[tid].RadixSortRun(mb)
-		}
-		e := t.emitters[tid]
-		if e == nil {
-			e = NewEmitter(&t.Router, rs)
-			t.emitters[tid] = e
-		} else {
-			e.rs = rs
-		}
-		e.CollectReps = false
-		e.Reset()
-		QSATSequence(mb, e)
-	})
+	t.sort(qs)
 	if st != nil {
 		sw.Stop()
 		sw = st.Timer(stats.StageQSAT2)
 	}
 
-	// Phase II: shuffle by key. The per-worker outputs are each sorted
-	// by (key, original index); concatenating and re-sorting merges
-	// them stably. Cross-mini-batch per-key order is preserved because
-	// mini-batches are contiguous original ranges, so original indices
-	// increase with mini-batch number.
-	t.merged = t.merged[:0]
-	for _, e := range t.emitters {
-		if e != nil {
-			t.merged = append(t.merged, e.Out...)
-			t.inferred += e.Inferred
-		}
-	}
-	if t.CompareSort {
-		t.pool.SortQueries(t.merged)
-	} else {
-		t.pool.RadixSortQueries(t.merged)
-	}
-
-	// Split the merged sequence across workers along key-run
-	// boundaries (a key's queries must stay on one worker, §V-A).
-	bounds := runAlignedBounds(t.merged, nw)
+	bounds := runAlignedBounds(qs, len(t.emitters))
 	t.pool.Run(func(tid int) {
-		lo, hi := bounds[tid], bounds[tid+1]
 		e := t.emitters[tid]
-		e.CollectReps = true
+		e.rs = rs
 		e.Reset()
-		QSATSequence(t.merged[lo:hi], e)
+		QSATSequence(qs[bounds[tid]:bounds[tid+1]], e)
 	})
 
 	t.out = t.out[:0]
@@ -155,7 +107,7 @@ func (t *Transformer) Transform(qs []keys.Query, rs *keys.ResultSet, st *stats.B
 // map, then only the (much smaller) reduced stream is sorted. Like
 // Transform it writes inferred answers into rs, records surviving
 // representatives for Broadcast, and returns the reduced, stably
-// key-sorted sequence. st may be nil.
+// key-sorted sequence. qs itself is left as it was. st may be nil.
 func (t *Transformer) TransformSim(qs []keys.Query, rs *keys.ResultSet, st *stats.Batch) []keys.Query {
 	t.Router.Reset(rs.Len())
 	t.reps = t.reps[:0]
@@ -176,16 +128,23 @@ func (t *Transformer) TransformSim(qs []keys.Query, rs *keys.ResultSet, st *stat
 		sw = st.Timer(stats.StageQSAT2)
 	}
 
-	if t.CompareSort {
-		t.pool.SortQueries(remaining)
-	} else {
-		t.pool.RadixSortQueries(remaining)
-	}
+	t.sort(remaining)
 	if st != nil {
 		sw.Stop()
 		st.InferredReturns += inferred
 	}
 	return remaining
+}
+
+// sort stably key-sorts qs in place on the transformer's pool, by
+// radix sort or, under CompareSort, by merge sort. It is the only sort
+// core runs on a batch before the tree.
+func (t *Transformer) sort(qs []keys.Query) {
+	if t.CompareSort {
+		t.pool.SortQueries(qs)
+	} else {
+		t.pool.RadixSortQueries(qs)
+	}
 }
 
 // Broadcast fans each surviving representative's evaluated result out
@@ -196,32 +155,22 @@ func (t *Transformer) Broadcast(rs *keys.ResultSet) {
 	}
 }
 
-// sortStable stably key-sorts a mini-batch. Sorting by (Key, Idx) with
-// an unstable sort is equivalent because original indices are unique.
-func sortStable(qs []keys.Query) {
-	sort.Slice(qs, func(i, j int) bool {
-		if qs[i].Key != qs[j].Key {
-			return qs[i].Key < qs[j].Key
-		}
-		return qs[i].Idx < qs[j].Idx
-	})
-}
-
-// runAlignedBounds returns nw+1 boundaries splitting qs into nw chunks
-// of near-equal length whose edges never split a same-key run.
+// runAlignedBounds returns nw+1 boundaries splitting the key-sorted qs
+// into nw chunks of near-equal length whose edges never split a
+// same-key run. It is QTrans's only load-balancing rule: a run longer
+// than len(qs)/nw stays whole on one worker, and every chunk takes at
+// least one run while any are left, so with fewer runs than workers
+// only the trailing chunks are empty.
 func runAlignedBounds(qs []keys.Query, nw int) []int {
 	bounds := make([]int, nw+1)
 	n := len(qs)
 	for t := 1; t < nw; t++ {
-		b := t * n / nw
+		b := max(t*n/nw, bounds[t-1]+1)
 		// Advance past the current run.
-		for b > 0 && b < n && qs[b].Key == qs[b-1].Key {
+		for b < n && qs[b].Key == qs[b-1].Key {
 			b++
 		}
-		if b < bounds[t-1] {
-			b = bounds[t-1]
-		}
-		bounds[t] = b
+		bounds[t] = min(b, n)
 	}
 	bounds[nw] = n
 	return bounds

@@ -10,7 +10,7 @@ import (
 // intra-batch QTrans transform of batch N+1 overlaps the PALM tree
 // stages of batch N.
 //
-// Stage split. Sorting and QSAT (Phases I and II) touch only the batch
+// Stage split. The sort and the QSAT pass touch only the batch
 // itself, the slot's Router, and the batch's ResultSet — never the tree
 // or the inter-batch cache. The tree stages (FIND, evaluate,
 // restructure) and the top-K cache pass touch shared state. So:
@@ -177,11 +177,7 @@ func (e *Engine) transformStage(slot *pipeSlot) {
 	case Original:
 		if !e.cfg.Palm.PreSorted {
 			sw := st.Timer(stats.StageSort)
-			if e.cfg.CompareSort {
-				e.tfPool.SortQueries(job.Qs)
-			} else {
-				e.tfPool.RadixSortQueries(job.Qs)
-			}
+			slot.tf.sort(job.Qs)
 			sw.Stop()
 		}
 		slot.remaining = job.Qs

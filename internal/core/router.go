@@ -11,7 +11,8 @@
 //   - The production one-pass QSAT of §IV-E (Algorithm 2), a single
 //     backward sweep over each same-key run of a pre-sorted batch
 //     (onepass.go).
-//   - The parallel two-phase intra-batch transformer of §V-A and the
+//   - The parallel intra-batch transformer (one sort, then one QSAT
+//     pass per worker over run-aligned slices; §V-A) and the
 //     Engine that integrates QTrans (plus the optional inter-batch
 //     top-K cache of §V-B) into the PALM processor (parallel.go,
 //     engine.go).

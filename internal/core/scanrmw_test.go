@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/bsp"
 	"repro/internal/btree"
 	"repro/internal/keys"
 	"repro/internal/oracle"
@@ -294,9 +293,11 @@ func TestCoveringKillNeverDropsKeys(t *testing.T) {
 			hi := lo + keys.Key(r.Intn(32))
 			group[i] = keys.Scan(lo, hi, keys.Value(r.Intn(3)))
 		}
-		if pts := ov.build(keys.Number(group), new(bsp.RadixScratch)); len(pts) != 0 {
+		pts := ov.build(keys.Number(group))
+		if len(pts) != 0 {
 			t.Fatalf("iter %d: %d point queries in a scan-only batch", iter, len(pts))
 		}
+		ov.finish(pts)
 
 		nCovered, nFetch := 0, 0
 		for i, q := range ov.scans {

@@ -21,8 +21,8 @@ type Stage int
 // pipeline (Fig. 8).
 const (
 	StageSort     Stage = iota // pre-sorting the batch by key
-	StageQSAT1                 // QTrans Phase-I: per-mini-batch QSAT
-	StageQSAT2                 // QTrans Phase-II: shuffle + per-key QSAT
+	StageQSAT1                 // QTrans sort (named qsat-phase1 for continuity)
+	StageQSAT2                 // QSAT pass + scan overlay (named qsat-phase2)
 	StageCache                 // inter-batch top-K cache pass
 	StageFind                  // Stage 1: leaf search
 	StageEvaluate              // Stage 2: query evaluation at leaves
