@@ -4,7 +4,8 @@
 #   build        compile everything
 #   test         full unit/differential suite
 #   race         every concurrency-heavy package under the race detector:
-#                the pipeline, the PALM BSP stages (including the 2^4
+#                the pipeline (and its serial/pipelined parity
+#                test), the PALM BSP stages (including the 2^4
 #                sorted-batch kernel ablation matrix), the gapped/dense
 #                tree layouts, the sharded engine and autoshard
 #                controller, the cold-range tier store, the WAL syncer,
@@ -20,9 +21,10 @@
 #                autoshard differential fuzzer (random ops with the
 #                resharding controller stepping between batches vs the
 #                serial oracle, DESIGN.md §13), the
-#                range/RMW differential fuzzer (every engine mode and
-#                layout vs the oracle on batches mixing all five ops,
-#                DESIGN.md §11), the crash-recovery fuzzer (the
+#                range/RMW differential fuzzer (the org and inter
+#                engine modes on gapped and dense layouts vs the oracle
+#                on batches mixing all five ops, DESIGN.md §11), the
+#                crash-recovery fuzzer (the
 #                durability property of DESIGN.md §7: power cut at an
 #                arbitrary byte, then recover to an acked whole-batch
 #                prefix — with gapped and dense pre-crash configs and
@@ -35,8 +37,8 @@
 #                DESIGN.md §14; the crash-recovery fuzzer also carries
 #                a tiered pre-crash arm)
 #   bench-smoke  one-iteration compile-and-run of the pipeline,
-#                durability, kernel, layout, batch-size and QTrans
-#                transform benchmarks
+#                durability, kernel, layout, batch-size, QTrans
+#                transform and mixed scan/RMW batch benchmarks
 #                (catches bit-rot in the benchmarks without paying for a
 #                measurement)
 
@@ -75,6 +77,7 @@ bench-smoke:
 	$(GO) test -run=XXX -bench=BenchmarkLayout -benchtime=1x ./internal/palm
 	$(GO) test -run=XXX -bench=BenchmarkProcessBatchSize -benchtime=1x ./internal/core
 	$(GO) test -run=XXX -bench=BenchmarkTransform1M -benchtime=1x ./internal/core
+	$(GO) test -run=XXX -bench=BenchmarkMixedScanBatch -benchtime=1x ./internal/core
 
 # Full benchmark sweep with allocation reporting (not part of ci).
 bench:

@@ -41,7 +41,7 @@ func run(args []string) error {
 		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "BSP workers")
 		batches = fs.Int("batches", 3, "batches per mode")
 		seed    = fs.Int64("seed", 42, "workload seed")
-		modes   = fs.String("modes", "org,intra,inter,sim", "comma-separated modes")
+		modes   = fs.String("modes", "org,intra,inter", "comma-separated modes")
 		shards  = fs.Int("shards", 1, "range-partitioned shard count (>1 splits the worker budget across shards)")
 		rebal   = fs.Int("rebalance", 0, "rebalance shard boundaries every N batches (0 = never; needs -shards > 1)")
 		auto    = fs.Bool("autoshard", false, "traffic-aware automatic resharding: one controller step per batch (needs -shards > 1)")
@@ -128,12 +128,12 @@ func run(args []string) error {
 
 	byName := map[string]core.Mode{
 		"org": core.Original, "intra": core.Intra,
-		"inter": core.IntraInter, "sim": core.SimIntra,
+		"inter": core.IntraInter,
 	}
 	for _, name := range strings.Split(*modes, ",") {
 		mode, ok := byName[strings.TrimSpace(name)]
 		if !ok {
-			return fmt.Errorf("unknown mode %q (want org, intra, inter, sim)", name)
+			return fmt.Errorf("unknown mode %q (want org, intra, inter)", name)
 		}
 		var res *harness.Result
 		if *shards > 1 {

@@ -3,7 +3,7 @@ package main
 import "testing"
 
 func TestRunTinyProbe(t *testing.T) {
-	err := run([]string{"-dataset", "uniform", "-scale", "0.0002", "-batches", "1", "-workers", "1", "-modes", "org,sim"})
+	err := run([]string{"-dataset", "uniform", "-scale", "0.0002", "-batches", "1", "-workers", "1", "-modes", "org,intra"})
 	if err != nil {
 		t.Fatal(err)
 	}

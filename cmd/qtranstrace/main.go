@@ -154,7 +154,7 @@ func replayCmd(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
 	var (
 		in      = fs.String("in", "", "trace file (required)")
-		modeStr = fs.String("mode", "inter", "engine mode: org, intra, inter, sim")
+		modeStr = fs.String("mode", "inter", "engine mode: org, intra, inter")
 		batch   = fs.Int("batch", 20_000, "batch size")
 		workers = fs.Int("workers", runtime.GOMAXPROCS(0), "BSP workers")
 	)
@@ -166,7 +166,7 @@ func replayCmd(args []string) error {
 	}
 	mode, ok := map[string]core.Mode{
 		"org": core.Original, "intra": core.Intra,
-		"inter": core.IntraInter, "sim": core.SimIntra,
+		"inter": core.IntraInter,
 	}[*modeStr]
 	if !ok {
 		return fmt.Errorf("replay: unknown mode %q", *modeStr)

@@ -20,7 +20,7 @@ func TestGenInfoReplayPipeline(t *testing.T) {
 	if err := run([]string{"info", "-in", out}); err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []string{"org", "intra", "inter", "sim"} {
+	for _, mode := range []string{"org", "intra", "inter"} {
 		if err := run([]string{"replay", "-in", out, "-mode", mode, "-batch", "1000", "-workers", "2"}); err != nil {
 			t.Fatalf("replay %s: %v", mode, err)
 		}
@@ -65,6 +65,7 @@ func TestErrors(t *testing.T) {
 		{"replay"}, // missing -in
 		{"replay", "-in", "/nonexistent", "-mode", "org"},
 		{"replay", "-in", "/nonexistent", "-mode", "warp"},
+		{"replay", "-in", "/nonexistent", "-mode", "sim"},
 		{"gen", "-dataset", "nope", "-out", "/tmp/x.qtr"},
 		{"info", "-in", "/nonexistent"},
 	}

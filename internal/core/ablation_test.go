@@ -128,7 +128,7 @@ func BenchmarkAblationPreSorted(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			pool := bsp.NewPool(1)
 			defer pool.Close()
-			proc, err := palm.New(palm.Config{Workers: 1, LoadBalance: true, PreSorted: pre}, pool)
+			proc, err := palm.New(palm.Config{Workers: 1, LoadBalance: true}, pool)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -147,7 +147,11 @@ func BenchmarkAblationPreSorted(b *testing.B) {
 				}
 				rs.Reset(batchSize)
 				b.StartTimer()
-				proc.ProcessBatch(batch, rs)
+				if pre {
+					proc.ProcessBatchSorted(batch, rs)
+				} else {
+					proc.ProcessBatch(batch, rs)
+				}
 			}
 		})
 	}

@@ -29,15 +29,6 @@ const (
 	// IntraInter additionally enables the inter-batch top-K cache of
 	// §V-B ("inter").
 	IntraInter
-	// SimIntra replaces the symbolic QSAT with the simulation-based
-	// elimination the paper discusses as an "alternative solution" in
-	// §IV-E: the batch is absorbed, unsorted, into a scratch hash map,
-	// so the pre-sort cost disappears from the transform at the price
-	// of evaluating every query against the simulation structure. On
-	// hosts where sorting dominates (few cores, cache-resident trees)
-	// this variant can out-run the sort-based QSAT; see the ablations
-	// in EXPERIMENTS.md.
-	SimIntra
 )
 
 // String names the mode as in the paper's figures.
@@ -49,8 +40,6 @@ func (m Mode) String() string {
 		return "intra"
 	case IntraInter:
 		return "inter"
-	case SimIntra:
-		return "sim"
 	default:
 		return "mode?"
 	}
@@ -67,8 +56,8 @@ type EngineConfig struct {
 	CacheCapacity int
 	// CachePolicy selects the replacement policy (default LRU).
 	CachePolicy cache.Policy
-	// CompareSort selects comparison sorting everywhere instead of the
-	// default radix sort (ablation; see palm.Config.CompareSort).
+	// CompareSort selects comparison sorting for the batch sort instead
+	// of the default radix sort (ablation; see Transformer.CompareSort).
 	CompareSort bool
 	// Pipeline enables two-stage pipelined stream execution: while the
 	// tree stages of batch N run on the engine's pool, the sort + QSAT
@@ -89,8 +78,11 @@ type Engine struct {
 	cfg  EngineConfig
 	pool *bsp.Pool
 	proc *palm.Processor
-	tf   *Transformer
 	topK *cache.TopK
+
+	// serial is the batch plan ProcessBatch runs: the engine's own
+	// Transformer and scan overlay, recording into st.
+	serial batchPlan
 
 	// flushed maps keys evicted from the cache during the current
 	// batch's cache pass to their flushed state, so later queries on
@@ -105,10 +97,8 @@ type Engine struct {
 	flushQ []keys.Query
 	mergeQ []keys.Query
 
-	// Scratch for the scan/RMW batch path (see applyScanRMW): the
-	// serial path's define overlay, and the empty result sink cache
-	// write-backs (defines only, never answered) are applied with.
-	ov      scanOverlay
+	// flushRS is the empty result sink cache write-backs (defines only,
+	// never answered) are applied with.
 	flushRS *keys.ResultSet
 
 	st  *stats.Batch
@@ -149,7 +139,6 @@ func NewEngineWithTree(cfg EngineConfig, tree *btree.Tree) (*Engine, error) {
 }
 
 func newEngine(cfg EngineConfig, tree *btree.Tree) (*Engine, error) {
-	cfg.Palm.CompareSort = cfg.CompareSort
 	pool := bsp.NewPool(cfg.Palm.Workers)
 	var proc *palm.Processor
 	if tree != nil {
@@ -166,12 +155,11 @@ func newEngine(cfg EngineConfig, tree *btree.Tree) (*Engine, error) {
 		cfg:  cfg,
 		pool: pool,
 		proc: proc,
-		tf:   NewTransformer(pool),
 		st:   stats.NewBatch(pool.N()),
 
 		flushRS: keys.NewResultSet(0),
 	}
-	e.tf.CompareSort = cfg.CompareSort
+	e.serial = e.newPlan(pool, e.st)
 	e.met = newEngineMetrics(cfg.Metrics)
 	if cfg.Mode == IntraInter && cfg.CacheCapacity > 0 {
 		e.topK = cache.New(cfg.CacheCapacity, cfg.CachePolicy)
@@ -239,130 +227,110 @@ func (e *Engine) processBatch(qs []keys.Query, rs *keys.ResultSet) {
 		e.pool.SetInline(true)
 		defer e.pool.SetInline(false)
 	}
-	e.runBatch(qs, rs)
+	e.transform(&e.serial, qs, rs)
+	e.apply(&e.serial, rs)
 }
 
-// runBatch applies one non-empty batch under whichever scheduling the
-// pool is in.
-func (e *Engine) runBatch(qs []keys.Query, rs *keys.ResultSet) {
-	// Batches carrying range scans or read-modify-writes take the
-	// define-overlay path; pure point batches stay on the hot path
-	// below, byte-for-byte as before.
-	if scan, rmw := hasScanOrRMW(qs); scan || rmw {
-		remaining := e.transformScanRMW(e.tf, &e.ov, qs, rs, e.st, scan)
-		e.applyScanRMW(e.tf, &e.ov, remaining, rs)
-		return
-	}
+// batchPlan carries one batch from transform to apply: the
+// Transformer that reduced it (its Router broadcasts the survivors'
+// answers), the scans' define overlay, the stats block transform
+// records into, and the queries that still need the tree. The engine
+// owns one for ProcessBatch; each pipeline slot owns another, since
+// stage A transforms the next batch while stage B applies this one.
+type batchPlan struct {
+	tf        *Transformer
+	ov        scanOverlay
+	st        *stats.Batch
+	remaining []keys.Query
+	// extended marks a batch carrying scans or RMWs: those read the
+	// tree directly, so apply drains the cache and skips the cache pass.
+	extended bool
+}
 
+func (e *Engine) newPlan(pool *bsp.Pool, st *stats.Batch) batchPlan {
+	tf := NewTransformer(pool)
+	tf.CompareSort = e.cfg.CompareSort
+	return batchPlan{tf: tf, st: st}
+}
+
+// transform is the tree- and cache-independent half of a non-empty
+// batch (stage A in pipelined execution). Scans are split out first;
+// the point queries are then sorted once, in place — Original mode
+// stops there and sends all of them to the tree, the QTrans modes run
+// the one-pass QSAT over them, writing inferred answers into rs — and
+// the scans' define overlay is read off those sorted points
+// (overlay.go; timed as StageQSAT2, since it is inference).
+func (e *Engine) transform(p *batchPlan, qs []keys.Query, rs *keys.ResultSet) {
+	scan, rmw := hasScanOrRMW(qs)
+	p.extended = scan || rmw
+	p.ov.scans, p.ov.fetch = p.ov.scans[:0], p.ov.fetch[:0]
+	if scan {
+		sw := p.st.Timer(stats.StageQSAT2)
+		qs = p.ov.build(qs)
+		sw.Stop()
+	}
 	if e.cfg.Mode == Original {
-		// Original mode has no QSAT: the whole (pre-sort) batch is its
-		// own surviving set.
-		if !e.commit(qs) {
-			return
-		}
-		e.proc.ProcessBatch(qs, rs)
-		e.mergeProcStats(e.st)
-		e.st.RemainingQueries = len(qs)
-		return
-	}
-
-	var remaining []keys.Query
-	if e.cfg.Mode == SimIntra {
-		remaining = e.tf.TransformSim(qs, rs, e.st)
+		sw := p.st.Timer(stats.StageSort)
+		p.tf.sort(qs)
+		sw.Stop()
+		p.remaining = qs
 	} else {
-		remaining = e.tf.Transform(qs, rs, e.st)
+		p.remaining = p.tf.Transform(qs, rs, p.st)
 	}
-
-	// Commit point: after QSAT, before the cache pass mutates anything.
-	if !e.commit(remaining) {
-		return
-	}
-
-	if e.topK != nil {
-		sw := e.st.Timer(stats.StageCache)
-		remaining = e.cachePass(remaining, rs, &e.tf.Router, e.st)
+	if scan {
+		sw := p.st.Timer(stats.StageQSAT2)
+		p.ov.finish(qs)
 		sw.Stop()
 	}
-
-	e.st.RemainingQueries = len(remaining)
-	e.proc.ProcessTransformed(remaining, rs)
-	e.tf.Broadcast(rs)
-	e.mergeProcStats(e.st)
 }
 
-// transformScanRMW is the tree-independent half of a batch containing
-// range scans and/or read-modify-writes (stage A in pipelined
-// execution): the scans are split out, the point queries are sorted
-// once and QSAT-transformed as ONE batch, exactly like a point-only
-// batch, and the scans' define overlay is read off those sorted points
-// (overlay.go; timed as StageQSAT2 — it is inference). Returns the
-// point queries that need the tree (all of them, key-sorted, in
-// Original mode). ov.scans is empty for RMW-only batches.
-func (e *Engine) transformScanRMW(tf *Transformer, ov *scanOverlay, qs []keys.Query, rs *keys.ResultSet, st *stats.Batch, hasScan bool) []keys.Query {
-	ov.scans, ov.fetch = ov.scans[:0], ov.fetch[:0]
-	if hasScan {
-		sw := st.Timer(stats.StageQSAT2)
-		qs = ov.build(qs)
-		sw.Stop()
-	}
-	// Transform sorts qs itself. The other modes sort here: Original
-	// for the tree, SimIntra only because the overlay needs the points
-	// sorted.
-	if m := e.cfg.Mode; (m == Original && !e.cfg.Palm.PreSorted) || (m == SimIntra && hasScan) {
-		sw := st.Timer(stats.StageSort)
-		tf.sort(qs)
-		sw.Stop()
-	}
-	var remaining []keys.Query
-	switch e.cfg.Mode {
-	case Original:
-		remaining = qs
-	case SimIntra:
-		remaining = tf.TransformSim(qs, rs, st)
-	default:
-		remaining = tf.Transform(qs, rs, st)
-	}
-	if hasScan {
-		sw := st.Timer(stats.StageQSAT2)
-		ov.finish(qs)
-		sw.Stop()
-	}
-	return remaining
-}
-
-// applyScanRMW is the tree half of a scan/RMW batch: all surviving
-// point queries are logged as ONE commit record before any effect
-// (whole-batch crash atomicity; scans are pure reads and never logged),
-// every scan reads the pre-batch tree in one EvalScans pass, the point
-// queries run as one PALM pass, and the scans' rows are patched with
-// the defines that precede them.
+// apply is the tree half of a transformed batch (stage B in pipelined
+// execution), run under the gate strictly in batch order. Its counters
+// and timings go to e.st. In order:
 //
-// The top-K cache is drained first and the cache pass is skipped for
-// the whole batch: scans and RMWs read the tree directly, so clean
-// residents would go stale the moment the batch mutates the tree
-// underneath them. Scan/RMW batches therefore pay full tree price —
-// the intended trade, since the cache's contract is point-only.
-func (e *Engine) applyScanRMW(tf *Transformer, ov *scanOverlay, remaining []keys.Query, rs *keys.ResultSet) {
-	e.drainCache()
+//   - a scan/RMW batch drains the top-K cache first: scans and RMWs read
+//     the tree directly, so clean residents would go stale the moment
+//     the batch mutates the tree underneath them (the cache's contract
+//     is point-only, so such batches pay full tree price);
+//   - the surviving queries are logged as ONE commit record before any
+//     effect reaches tree or cache (whole-batch crash atomicity; scans
+//     are pure reads and never logged);
+//   - every scan reads the pre-batch tree in one EvalScans pass;
+//   - a point batch runs the cache pass;
+//   - the queries left run as one PALM pass (Original mode), or as one
+//     pass over the reduced batch whose representatives' answers are
+//     then broadcast (the QTrans modes);
+//   - the scans' rows are patched with the defines that precede them.
+func (e *Engine) apply(p *batchPlan, rs *keys.ResultSet) {
+	if p.extended {
+		e.drainCache()
+	}
+	remaining := p.remaining
 	if !e.commit(remaining) {
 		return
 	}
-	if len(ov.scans) > 0 {
-		e.st.ScanQueries, e.st.ScanKills = len(ov.scans), ov.kills
-		e.proc.EvalScans(ov.fetch, rs)
+	scans := len(p.ov.scans) > 0
+	if scans {
+		e.st.ScanQueries, e.st.ScanKills = len(p.ov.scans), p.ov.kills
+		e.proc.EvalScans(p.ov.fetch, rs)
 		e.mergeProcStats(e.st)
 	}
-	e.st.RemainingQueries = len(remaining) + len(ov.fetch)
+	if e.topK != nil && !p.extended {
+		sw := e.st.Timer(stats.StageCache)
+		remaining = e.cachePass(remaining, rs, &p.tf.Router, e.st)
+		sw.Stop()
+	}
+	e.st.RemainingQueries = len(remaining) + len(p.ov.fetch)
 	if e.cfg.Mode == Original {
 		e.proc.ProcessBatchSorted(remaining, rs)
 	} else {
 		e.proc.ProcessTransformed(remaining, rs)
-		tf.Broadcast(rs)
+		p.tf.Broadcast(rs)
 	}
 	e.mergeProcStats(e.st)
-	if len(ov.scans) > 0 {
+	if scans {
 		sw := e.st.Timer(stats.StageQSAT2)
-		e.st.ScanRows = ov.patch(rs)
+		e.st.ScanRows = p.ov.patch(rs)
 		sw.Stop()
 	}
 }
@@ -413,8 +381,7 @@ func (e *Engine) mergeProcStats(st *stats.Batch) {
 // entries re-emitted as flush queries that are merged, in key order and
 // ahead of same-key survivors, into the returned sequence.
 //
-// rt is the Router that transformed this batch (the engine's own in
-// serial execution, a pipeline slot's in pipelined execution) and st
+// rt is the Router of the plan that transformed this batch and st
 // receives the inferred-return counters.
 func (e *Engine) cachePass(remaining []keys.Query, rs *keys.ResultSet, rt *Router, st *stats.Batch) []keys.Query {
 	e.flushQ = e.flushQ[:0]

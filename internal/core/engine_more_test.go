@@ -136,7 +136,7 @@ func TestEngineInterleavedModesShareNothing(t *testing.T) {
 		}
 		return eng
 	}
-	engines := []*Engine{mk(Original), mk(Intra), mk(IntraInter), mk(SimIntra)}
+	engines := []*Engine{mk(Original), mk(Intra), mk(IntraInter)}
 	defer func() {
 		for _, e := range engines {
 			e.Close()

@@ -133,7 +133,7 @@ func TestEngineIntraInterPolicies(t *testing.T) {
 func TestEngineCompareSortDifferential(t *testing.T) {
 	// The comparison-sort ablation path must be exactly as correct as
 	// the default radix path, in every mode.
-	for _, mode := range []Mode{Original, Intra, IntraInter, SimIntra} {
+	for _, mode := range []Mode{Original, Intra, IntraInter} {
 		r := rand.New(rand.NewSource(int64(mode) + 77))
 		batches := skewedBatches(r, 3, 2500, 15, 1500, 0.5)
 		engineDifferential(t, EngineConfig{

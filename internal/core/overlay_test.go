@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/keys"
 	"repro/internal/palm"
@@ -16,7 +17,7 @@ import (
 func everyEngine(t *testing.T, batches func() [][]keys.Query) {
 	t.Helper()
 	for _, cfg := range []EngineConfig{
-		{Mode: Original}, {Mode: Intra}, {Mode: IntraInter, CacheCapacity: 4}, {Mode: SimIntra},
+		{Mode: Original}, {Mode: Intra}, {Mode: IntraInter, CacheCapacity: 4},
 	} {
 		cfg.Palm.Workers = 2
 		cfg.Palm.Order = 4 // scans cross leaves even in tiny key spaces
@@ -343,17 +344,47 @@ func TestScanBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkMixedScanBatch times the same workload:
+// BenchmarkMixedScanBatch times the same workload and splits what a
+// scan batch's StageQSAT2 holds into its parts, in ns per submitted
+// query: the overlay's build, the QSAT pass, the overlay's finish and
+// the row patch. To time them it runs transform's steps for a scan
+// batch by hand, then apply, as processBatch does for a batch this
+// size (on the pool's workers).
 //
 //	go test -run '^$' -bench MixedScanBatch -benchmem ./internal/core
 func BenchmarkMixedScanBatch(b *testing.B) {
 	eng, next, rs := mixedScanEngine(b)
+	p, st := &eng.serial, eng.Stats()
+	var build, pass, finish, patch time.Duration
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		qs := next()
 		rs.Reset(len(qs))
-		eng.ProcessBatch(qs, rs)
+		st.Reset()
+		st.BatchSize = len(qs)
+		p.extended = true
+
+		t0 := time.Now()
+		points := p.ov.build(qs)
+		build += time.Since(t0)
+		p.remaining = p.tf.Transform(points, rs, st) // sort: StageQSAT1, pass: StageQSAT2
+		t0 = time.Now()
+		p.ov.finish(points)
+		finish += time.Since(t0)
+
+		passed := st.Elapsed[stats.StageQSAT2]
+		eng.apply(p, rs) // adds the patch to StageQSAT2
+		pass += passed
+		patch += st.Elapsed[stats.StageQSAT2] - passed
 	}
+	if st.ScanQueries == 0 || st.ScanRows == 0 {
+		b.Fatalf("workload ran no scans: %+v", st)
+	}
+	perQuery := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(b.N*16384) }
+	b.ReportMetric(perQuery(build), "build-ns/query")
+	b.ReportMetric(perQuery(pass), "qsat-pass-ns/query")
+	b.ReportMetric(perQuery(finish), "finish-ns/query")
+	b.ReportMetric(perQuery(patch), "patch-ns/query")
 	b.ReportMetric(float64(b.N)*16384/b.Elapsed().Seconds(), "queries/s")
 }

@@ -102,40 +102,6 @@ func (t *Transformer) Transform(qs []keys.Query, rs *keys.ResultSet, st *stats.B
 	return t.out
 }
 
-// TransformSim runs the simulation-based elimination of §IV-E (the
-// SimIntra mode): the unsorted batch is absorbed into a scratch hash
-// map, then only the (much smaller) reduced stream is sorted. Like
-// Transform it writes inferred answers into rs, records surviving
-// representatives for Broadcast, and returns the reduced, stably
-// key-sorted sequence. qs itself is left as it was. st may be nil.
-func (t *Transformer) TransformSim(qs []keys.Query, rs *keys.ResultSet, st *stats.Batch) []keys.Query {
-	t.Router.Reset(rs.Len())
-	t.reps = t.reps[:0]
-	t.inferred = 0
-	if len(qs) == 0 {
-		return nil
-	}
-
-	var sw stats.Stopwatch
-	if st != nil {
-		sw = st.Timer(stats.StageQSAT1)
-	}
-	remaining, reps, inferred := SimQSAT(qs, &t.Router, rs)
-	t.inferred += inferred
-	t.reps = append(t.reps, reps...)
-	if st != nil {
-		sw.Stop()
-		sw = st.Timer(stats.StageQSAT2)
-	}
-
-	t.sort(remaining)
-	if st != nil {
-		sw.Stop()
-		st.InferredReturns += inferred
-	}
-	return remaining
-}
-
 // sort stably key-sorts qs in place on the transformer's pool, by
 // radix sort or, under CompareSort, by merge sort. It is the only sort
 // core runs on a batch before the tree.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"time"
+
 	"repro/internal/bsp"
 	"repro/internal/keys"
 	"repro/internal/stats"
@@ -10,15 +12,17 @@ import (
 // intra-batch QTrans transform of batch N+1 overlaps the PALM tree
 // stages of batch N.
 //
-// Stage split. The sort and the QSAT pass touch only the batch
-// itself, the slot's Router, and the batch's ResultSet — never the tree
-// or the inter-batch cache. The tree stages (FIND, evaluate,
-// restructure) and the top-K cache pass touch shared state. So:
+// Stage split. Every batch runs one transform/apply pair (engine.go).
+// transform — scan split, sort, QSAT, define overlay — touches only the
+// batch itself, its plan's Transformer/Router and overlay, and the
+// batch's ResultSet: never the tree or the inter-batch cache. apply —
+// commit, cache pass, PALM stages, broadcast, scan patch — touches
+// shared state. ProcessBatch calls the pair back to back; a pipelined
+// stream splits it:
 //
-//	stage A (transform): sort + QSAT on a second BSP pool, one batch
-//	    ahead, into a per-slot Transformer/Router/stats.
-//	stage B (tree): top-K cache pass, PALM stages, representative
-//	    broadcast — on the engine's own pool, strictly in batch order.
+//	stage A: transform on a second BSP pool, one batch ahead, into a
+//	    per-slot plan.
+//	stage B: apply on the engine's own pool, strictly in batch order.
 //
 // Handoff rule (the correctness hinge, DESIGN.md §4.6): the top-K cache
 // is read and written ONLY in stage B. Stage A never consults the
@@ -26,13 +30,13 @@ import (
 // mutating cache and tree; batch N+1's cache pass starts only after
 // batch N's evaluation has committed. Because QTrans's intra-batch
 // transform is independent of tree and cache state, the observable
-// semantics — results, final tree, flushed cache — are byte-identical
-// to serial execution. The differential tests in pipeline_test.go
-// verify exactly that.
+// semantics — results, final tree, flushed cache, per-batch counters —
+// are identical to serial execution. The differential and parity tests
+// in pipeline_test.go verify exactly that.
 //
 // Two slots are enough: one batch transforming, one batch in the tree.
-// Each slot owns a Transformer (bound to the transform pool), a stats
-// block, a lendable ResultSet, and the reduced-query view, so
+// Each slot owns a plan (a Transformer bound to the transform pool, a
+// scan overlay, a stats block) and a lendable ResultSet, so
 // steady-state streaming allocates nothing.
 
 // Job is one batch travelling through ProcessStream. Qs is reordered in
@@ -56,18 +60,9 @@ type Job struct {
 // pipeSlot is one stage-A workspace. Ownership alternates between the
 // stages via channels: stage A fills it, stage B drains it.
 type pipeSlot struct {
-	tf        *Transformer
-	st        *stats.Batch
-	rs        *keys.ResultSet
-	job       *Job
-	remaining []keys.Query
-
-	// Scan/RMW batches carry their define overlay through the handoff:
-	// building it and transforming the point queries still runs in
-	// stage A (both are tree- and cache-independent), only execution
-	// and the row patch wait for stage B.
-	extended bool
-	ov       scanOverlay
+	batchPlan
+	rs  *keys.ResultSet
+	job *Job
 }
 
 // initPipeline lazily builds the transform pool and the double-buffered
@@ -79,12 +74,9 @@ func (e *Engine) initPipeline() {
 	e.tfPool = bsp.NewPool(e.pool.N())
 	e.slots = make([]*pipeSlot, 2)
 	for i := range e.slots {
-		tf := NewTransformer(e.tfPool)
-		tf.CompareSort = e.cfg.CompareSort
 		e.slots[i] = &pipeSlot{
-			tf: tf,
-			st: stats.NewBatch(e.tfPool.N()),
-			rs: keys.NewResultSet(0),
+			batchPlan: e.newPlan(e.tfPool, stats.NewBatch(e.tfPool.N())),
+			rs:        keys.NewResultSet(0),
 		}
 	}
 }
@@ -118,6 +110,9 @@ func (e *Engine) ProcessStream(in <-chan *Job, emit func(*Job)) {
 	}
 	handoff := make(chan *pipeSlot, 1)
 
+	// Stage A: transform each job into a free slot's plan on the
+	// transform pool, writing inferred answers into the job's ResultSet.
+	// No tree or cache access happens here.
 	go func() {
 		for job := range in {
 			slot := <-free
@@ -126,21 +121,40 @@ func (e *Engine) ProcessStream(in <-chan *Job, emit func(*Job)) {
 				job.RS = slot.rs
 			}
 			job.RS.Reset(len(job.Qs))
-			e.transformStage(slot)
+			slot.st.Reset()
+			slot.st.BatchSize = len(job.Qs)
+			if len(job.Qs) > 0 {
+				e.transform(&slot.batchPlan, job.Qs, job.RS)
+			}
 			handoff <- slot
 		}
 		close(handoff)
 	}()
 
+	// Stage B: apply each slot under the gate on the engine's pool,
+	// strictly in batch order, so commits are logged and the cache pass
+	// runs in arrival order even though transforms overlap (the handoff
+	// rule). The engine's Stats() block is rebuilt from the slot's
+	// transform timings plus apply's own. With metrics on, the batch
+	// wall is this stage's wall: the transform overlapped the previous
+	// batch, and its time is already in the slot's stage timings.
 	for slot := range handoff {
-		if e.met == nil {
-			e.treeStage(slot)
-		} else {
-			// Pipelined batch wall is the tree-stage wall: the transform
-			// overlapped the previous batch, and its time is already in
-			// the slot's stage timings folded by treeStage.
-			start := e.met.reg.Now()
-			e.treeStage(slot)
+		var start time.Time
+		if e.met != nil {
+			start = e.met.reg.Now()
+		}
+		e.st.Reset()
+		slot.st.AddTo(e.st)
+		if len(slot.job.Qs) > 0 {
+			if e.gate != nil {
+				e.gate.RLock()
+			}
+			e.apply(&slot.batchPlan, slot.job.RS)
+			if e.gate != nil {
+				e.gate.RUnlock()
+			}
+		}
+		if e.met != nil {
 			e.met.recordBatch(e.st, e.met.reg.Since(start))
 		}
 		job := slot.job
@@ -150,91 +164,4 @@ func (e *Engine) ProcessStream(in <-chan *Job, emit func(*Job)) {
 		// The job itself is the caller's again — no accesses past emit.
 		free <- slot
 	}
-}
-
-// transformStage runs stage A for the slot's job on the transform pool:
-// Original mode pre-sorts the batch; the QTrans modes run the full
-// intra-batch transform, writing inferred answers into the job's
-// ResultSet. No tree or cache access happens here.
-func (e *Engine) transformStage(slot *pipeSlot) {
-	job := slot.job
-	st := slot.st
-	st.Reset()
-	st.BatchSize = len(job.Qs)
-	slot.remaining = nil
-	slot.extended = false
-	if len(job.Qs) == 0 {
-		return
-	}
-
-	if scan, rmw := hasScanOrRMW(job.Qs); scan || rmw {
-		slot.extended = true
-		slot.remaining = e.transformScanRMW(slot.tf, &slot.ov, job.Qs, job.RS, st, scan)
-		return
-	}
-
-	switch e.cfg.Mode {
-	case Original:
-		if !e.cfg.Palm.PreSorted {
-			sw := st.Timer(stats.StageSort)
-			slot.tf.sort(job.Qs)
-			sw.Stop()
-		}
-		slot.remaining = job.Qs
-	case SimIntra:
-		slot.remaining = slot.tf.TransformSim(job.Qs, job.RS, st)
-	default: // Intra, IntraInter
-		slot.remaining = slot.tf.Transform(job.Qs, job.RS, st)
-	}
-}
-
-// treeStage runs stage B for the slot's job on the engine's pool: the
-// top-K cache pass (serialized here, in batch order — the handoff
-// rule), the PALM tree stages, and the representative broadcast. The
-// engine's Stats() block is rebuilt from the slot's transform timings
-// plus this stage's own.
-func (e *Engine) treeStage(slot *pipeSlot) {
-	job := slot.job
-	e.st.Reset()
-	slot.st.AddTo(e.st)
-	if len(job.Qs) == 0 {
-		return
-	}
-
-	// Batch application: gate + commit point, exactly as in
-	// ProcessBatch. treeStage runs strictly in batch order, so commits
-	// are logged in arrival order even though transforms overlap.
-	if e.gate != nil {
-		e.gate.RLock()
-		defer e.gate.RUnlock()
-	}
-
-	if slot.extended {
-		e.applyScanRMW(slot.tf, &slot.ov, slot.remaining, job.RS)
-		return
-	}
-
-	if e.cfg.Mode == Original {
-		if !e.commit(job.Qs) {
-			return
-		}
-		e.st.RemainingQueries = len(job.Qs)
-		e.proc.ProcessBatchSorted(job.Qs, job.RS)
-		e.mergeProcStats(e.st)
-		return
-	}
-
-	remaining := slot.remaining
-	if !e.commit(remaining) {
-		return
-	}
-	if e.topK != nil {
-		sw := e.st.Timer(stats.StageCache)
-		remaining = e.cachePass(remaining, job.RS, &slot.tf.Router, e.st)
-		sw.Stop()
-	}
-	e.st.RemainingQueries = len(remaining)
-	e.proc.ProcessTransformed(remaining, job.RS)
-	slot.tf.Broadcast(job.RS)
-	e.mergeProcStats(e.st)
 }

@@ -3,12 +3,14 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/btree"
 	"repro/internal/keys"
 	"repro/internal/oracle"
 	"repro/internal/palm"
+	"repro/internal/stats"
 )
 
 // streamDifferential drives batches through ProcessStream and checks
@@ -68,7 +70,7 @@ func streamDifferential(t *testing.T, cfg EngineConfig, batches [][]keys.Query) 
 // is byte-identical to serial execution (both are checked against the
 // oracle) for every mode, with and without the inter-batch cache.
 func TestPipelineDifferential(t *testing.T) {
-	for _, mode := range []Mode{Original, Intra, IntraInter, SimIntra} {
+	for _, mode := range []Mode{Original, Intra, IntraInter} {
 		for _, capacity := range []int{0, 64} {
 			if capacity > 0 && mode != IntraInter {
 				continue
@@ -141,6 +143,172 @@ func TestPipelineCallerResultSets(t *testing.T) {
 		if !ok || !res.Found || res.Value != keys.Value(100+i) {
 			t.Fatalf("job %d: search = %+v, %v; want %d", i, res, ok, 100+i)
 		}
+	}
+}
+
+// batchCounters is a batch's stats.Batch without its timings and
+// per-worker leaf-op split: what serial and pipelined execution must
+// agree on exactly.
+type batchCounters struct {
+	BatchSize, RemainingQueries, InferredReturns         int
+	CacheHits, CacheMisses, CacheFlushes, CacheEvictions int
+	ScanQueries, ScanKills, ScanRows                     int
+}
+
+func countersOf(st *stats.Batch) batchCounters {
+	return batchCounters{
+		st.BatchSize, st.RemainingQueries, st.InferredReturns,
+		st.CacheHits, st.CacheMisses, st.CacheFlushes, st.CacheEvictions,
+		st.ScanQueries, st.ScanKills, st.ScanRows,
+	}
+}
+
+// rmwBatch is mixedPointBatch with read-modify-writes and no scans.
+func rmwBatch(r *rand.Rand, size, keySpace int) []keys.Query {
+	qs := mixedPointBatch(r, size, keySpace)
+	for i := range qs {
+		k := qs[i].Key
+		switch r.Intn(4) {
+		case 0:
+			qs[i] = keys.AddDelta(k, keys.Value(1+r.Intn(100)))
+		case 1:
+			qs[i] = keys.SetIfAbsent(k, keys.Value(r.Intn(1000)))
+		}
+	}
+	return keys.Number(qs)
+}
+
+// parityTwins builds twin engines of one mode — the second pipelined —
+// and a seeded batch list for them: point-only, RMW-only and scan+RMW
+// batches, each below and above inlineBatch.
+func parityTwins(t *testing.T, mode Mode) (serial, piped *Engine, batches [][]keys.Query) {
+	t.Helper()
+	cfg := EngineConfig{
+		Mode:          mode,
+		Palm:          palm.Config{Order: 8, Workers: 2, LoadBalance: true},
+		CacheCapacity: 128,
+	}
+	serial, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(serial.Close)
+	cfg.Pipeline = true
+	piped, err = NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(piped.Close)
+
+	r := rand.New(rand.NewSource(int64(mode) + 41))
+	for round := 0; round < 3; round++ {
+		for _, n := range []int{5, inlineBatch - 1, 1500} {
+			// Two point batches in a row: the second hits what the
+			// first admitted (scan/RMW batches drain the cache).
+			batches = append(batches, mixedPointBatch(r, n, 300), mixedPointBatch(r, n, 300),
+				rmwBatch(r, n, 300), mixedBatch(r, n, 300))
+		}
+	}
+	return serial, piped, batches
+}
+
+// streamBatches runs copies of batches through a pipelined
+// ProcessStream, calling emit with each batch's position.
+func streamBatches(t *testing.T, eng *Engine, batches [][]keys.Query, emit func(i int, j *Job)) {
+	t.Helper()
+	in := make(chan *Job)
+	go func() {
+		for i, b := range batches {
+			in <- &Job{Qs: append([]keys.Query(nil), b...), Tag: i}
+		}
+		close(in)
+	}()
+	emitted := 0
+	eng.ProcessStream(in, func(j *Job) {
+		emit(j.Tag.(int), j)
+		emitted++
+	})
+	if emitted != len(batches) {
+		t.Fatalf("emitted %d of %d batches", emitted, len(batches))
+	}
+}
+
+// TestSerialPipelinedParity runs twin engines over the same batches,
+// one through ProcessBatch and one through a pipelined ProcessStream,
+// and demands identical results and identical per-batch counters for
+// every batch, then identical stores after Flush.
+func TestSerialPipelinedParity(t *testing.T) {
+	for _, mode := range []Mode{Original, Intra, IntraInter} {
+		t.Run(mode.String(), func(t *testing.T) {
+			serial, piped, batches := parityTwins(t, mode)
+			want := make([]*keys.ResultSet, len(batches))
+			wantSt := make([]batchCounters, len(batches))
+			for i, b := range batches {
+				want[i] = keys.NewResultSet(len(b))
+				serial.ProcessBatch(append([]keys.Query(nil), b...), want[i])
+				wantSt[i] = countersOf(serial.Stats())
+			}
+			streamBatches(t, piped, batches, func(i int, j *Job) {
+				tag := fmt.Sprintf("batch %d (%d queries)", i, len(batches[i]))
+				compareBatch(t, tag, batches[i], want[i], j.RS)
+				if got := countersOf(piped.Stats()); got != wantSt[i] {
+					t.Fatalf("%s: pipelined counters %+v, serial %+v", tag, got, wantSt[i])
+				}
+			})
+			if mode == IntraInter {
+				hits := 0
+				for _, c := range wantSt {
+					hits += c.CacheHits
+				}
+				if hits == 0 {
+					t.Fatal("the cache served no hits: the cache pass went untested")
+				}
+			}
+
+			serial.Flush()
+			piped.Flush()
+			sk, sv := serial.Processor().Tree().Dump()
+			pk, pv := piped.Processor().Tree().Dump()
+			if !slices.Equal(sk, pk) || !slices.Equal(sv, pv) {
+				t.Fatalf("stores differ after Flush: serial %d keys, pipelined %d", len(sk), len(pk))
+			}
+		})
+	}
+}
+
+// TestSerialPipelinedCommitParity checks that serial and pipelined
+// execution hand the durability hook the same record for every batch:
+// the same surviving queries, in the same order.
+func TestSerialPipelinedCommitParity(t *testing.T) {
+	for _, mode := range []Mode{Original, Intra, IntraInter} {
+		t.Run(mode.String(), func(t *testing.T) {
+			serial, piped, batches := parityTwins(t, mode)
+			record := func(log *[][]keys.Query) Committer {
+				return CommitterFunc(func(qs []keys.Query) error {
+					*log = append(*log, slices.Clone(qs))
+					return nil
+				})
+			}
+			var serialLog, pipedLog [][]keys.Query
+			serial.SetCommitter(record(&serialLog))
+			piped.SetCommitter(record(&pipedLog))
+
+			for _, b := range batches {
+				serial.ProcessBatch(append([]keys.Query(nil), b...), keys.NewResultSet(len(b)))
+			}
+			streamBatches(t, piped, batches, func(int, *Job) {})
+			if len(serialLog) != len(batches) || len(pipedLog) != len(batches) {
+				t.Fatalf("commit records: serial %d, pipelined %d, want %d", len(serialLog), len(pipedLog), len(batches))
+			}
+			for i := range batches {
+				if !slices.Equal(serialLog[i], pipedLog[i]) {
+					t.Fatalf("batch %d: pipelined record %v, serial %v", i, pipedLog[i], serialLog[i])
+				}
+				if !keys.IsSortedByKey(serialLog[i]) {
+					t.Fatalf("batch %d: record not key-sorted: %v", i, serialLog[i])
+				}
+			}
+		})
 	}
 }
 

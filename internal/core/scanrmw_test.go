@@ -123,7 +123,7 @@ func itoa(n int) string {
 // extended query set: every engine mode, gapped and dense layouts,
 // against the oracle on batches mixing all five operations.
 func TestEngineScanRMWDifferential(t *testing.T) {
-	for _, mode := range []Mode{Original, Intra, IntraInter, SimIntra} {
+	for _, mode := range []Mode{Original, Intra, IntraInter} {
 		for _, dense := range []bool{false, true} {
 			name := mode.String()
 			if dense {
@@ -189,7 +189,7 @@ func TestEngineScanRMWKernelAblations(t *testing.T) {
 // hit eventually — the transformed execution must equal the serial
 // oracle.
 func TestEngineScanRMWSmallBatches(t *testing.T) {
-	for _, mode := range []Mode{Original, Intra, IntraInter, SimIntra} {
+	for _, mode := range []Mode{Original, Intra, IntraInter} {
 		t.Run(mode.String(), func(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(mode) + 1))
 			batches := make([][]keys.Query, 400)
@@ -435,7 +435,7 @@ func FuzzRangeRMWEquivalence(f *testing.F) {
 		if len(qs) == 0 {
 			return
 		}
-		for _, mode := range []Mode{Original, IntraInter, SimIntra} {
+		for _, mode := range []Mode{Original, IntraInter} {
 			for _, dense := range []bool{false, true} {
 				o := oracle.New()
 				want := keys.NewResultSet(len(qs))

@@ -9,8 +9,9 @@ import "repro/internal/keys"
 // and emitting only the queries whose effects survive. The paper notes
 // two drawbacks that the ablation benchmarks quantify: every query
 // must still be "evaluated" (against the simulation structure), and no
-// query can be skipped outright. SimQSAT exists as the experimental
-// baseline for that comparison; the Engine always uses one-pass QSAT.
+// query can be skipped outright. The Engine always uses one-pass QSAT;
+// SimQSAT stays as an independent reference implementation that the
+// QSAT equivalence tests and fuzzer check the one-pass QSAT against.
 
 // simState is the simulated per-key state.
 type simState struct {

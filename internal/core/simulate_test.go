@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/keys"
-	"repro/internal/palm"
 )
 
 func TestSimQSATPaperExample(t *testing.T) {
@@ -117,15 +116,6 @@ func TestSimQSATMatchesOnePass(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestEngineSimIntraDifferential(t *testing.T) {
-	r := rand.New(rand.NewSource(21))
-	batches := skewedBatches(r, 5, 3000, 20, 2000, 0.5)
-	engineDifferential(t, EngineConfig{
-		Mode: SimIntra,
-		Palm: palm.Config{Order: 8, Workers: 4, LoadBalance: true},
-	}, batches)
 }
 
 func BenchmarkAblationSimQSAT(b *testing.B) {

@@ -61,7 +61,7 @@ func TestSmallBatchRunsInline(t *testing.T) {
 // the same final store. Every other batch carries scans and RMWs.
 func TestEngineSmallBatchDifferential(t *testing.T) {
 	sizes := []int{1, 2, 7, inlineBatch - 1, inlineBatch, inlineBatch + 1, 2048}
-	for _, mode := range []Mode{Original, Intra, IntraInter, SimIntra} {
+	for _, mode := range []Mode{Original, Intra, IntraInter} {
 		t.Run(mode.String(), func(t *testing.T) {
 			r := rand.New(rand.NewSource(31))
 			var batches [][]keys.Query
@@ -190,7 +190,8 @@ func BenchmarkProcessBatchSize(b *testing.B) {
 						keys.Number(append(qs[:0], stream[next:next+size]...))
 						next += size
 						rs.Reset(size)
-						eng.runBatch(qs, rs)
+						eng.transform(&eng.serial, qs, rs)
+						eng.apply(&eng.serial, rs)
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/query")
 				})

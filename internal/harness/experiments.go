@@ -72,7 +72,7 @@ func Experiments() []Experiment {
 		Experiment{"fig14b", "query reduction ratio, self-similar", Fig14b},
 		Experiment{"fig14c", "stage time breakdown, self-similar", Fig14c},
 		Experiment{"fig15", "batch size impact, self-similar U-0.25", Fig15},
-		Experiment{"abl1", "transform strategy ablation: org vs intra vs inter vs sim (zipfian)", Ablation1},
+		Experiment{"abl1", "transform strategy ablation: org vs intra vs inter (zipfian)", Ablation1},
 		Experiment{"pipe", "pipelined vs serial stream execution, self-similar U-0.25", PipelineExp},
 		Experiment{"shard", "range-partitioned sharding sweep: throughput and imbalance per shard count", ShardExp},
 		Experiment{"abl2", "tree utilization under churn: relaxed batched deletes vs strict serial", Ablation2},
@@ -302,26 +302,24 @@ func scaleInt(v int, scale float64) int {
 	return out
 }
 
-// Ablation1 compares all four engine modes — including the §IV-E
-// "alternative solution" (simulation-based elimination, mode "sim") —
-// on the zipfian dataset across update ratios. Not a paper figure; it
-// quantifies the discussion at the end of §IV-E.
+// Ablation1 compares the three engine modes on the zipfian dataset
+// across update ratios. Not a paper figure.
 func Ablation1(rn *Runner, w io.Writer) error {
 	spec, err := workload.SpecByName("zipfian", rn.Opts.Scale)
 	if err != nil {
 		return err
 	}
-	row(w, "update_ratio", "org_qps", "intra_qps", "inter_qps", "sim_qps")
+	row(w, "update_ratio", "org_qps", "intra_qps", "inter_qps")
 	for _, u := range UpdateRatios {
-		var qps [4]float64
-		for i, mode := range []core.Mode{core.Original, core.Intra, core.IntraInter, core.SimIntra} {
+		var qps [3]float64
+		for i, mode := range []core.Mode{core.Original, core.Intra, core.IntraInter} {
 			res, err := rn.RunOne(spec, mode, u, 0, 0)
 			if err != nil {
 				return err
 			}
 			qps[i] = res.Throughput
 		}
-		row(w, u, qps[0], qps[1], qps[2], qps[3])
+		row(w, u, qps[0], qps[1], qps[2])
 	}
 	return nil
 }

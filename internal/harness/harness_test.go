@@ -242,7 +242,7 @@ func TestAblation1Output(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"org_qps", "intra_qps", "inter_qps", "sim_qps"} {
+	for _, want := range []string{"org_qps", "intra_qps", "inter_qps"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("abl1 missing %q:\n%s", want, out)
 		}

@@ -43,9 +43,6 @@ type Config struct {
 	// count regardless of how many queries each holds — the ablation of
 	// Fig. 13.
 	LoadBalance bool
-	// PreSorted declares that batches arrive already stably key-sorted,
-	// skipping the internal parallel sort (§IV-E pre-sorting).
-	PreSorted bool
 	// CompareSort selects the parallel comparison merge sort for the
 	// pre-sorting step instead of the default parallel radix sort
 	// (ablation; radix is several times faster on integer keys).
@@ -233,16 +230,14 @@ func (p *Processor) Stats() *stats.Batch { return p.batchStats }
 
 // ProcessBatch evaluates the batch with §II-A semantics equivalent to
 // serial in-order evaluation, recording search results into rs (indexed
-// by Query.Idx). qs is reordered in place (stable key sort) unless
-// cfg.PreSorted.
+// by Query.Idx). qs is reordered in place (stable key sort).
 func (p *Processor) ProcessBatch(qs []keys.Query, rs *keys.ResultSet) {
-	p.processBatch(qs, rs, p.cfg.PreSorted)
+	p.processBatch(qs, rs, false)
 }
 
 // ProcessBatchSorted is ProcessBatch for a batch that is already stably
-// key-sorted — e.g. one whose sort ran in the pipelined stage A while
-// the previous batch's tree stages were still executing — so the
-// internal pre-sort is skipped regardless of cfg.PreSorted.
+// key-sorted (§IV-E pre-sorting) — e.g. one whose sort ran in the
+// engine's transform — so the internal sort is skipped.
 func (p *Processor) ProcessBatchSorted(qs []keys.Query, rs *keys.ResultSet) {
 	p.processBatch(qs, rs, true)
 }

@@ -15,6 +15,13 @@ import (
 // batch and the full tree contents at the end.
 func runDifferential(t *testing.T, cfg Config, batches [][]keys.Query) {
 	t.Helper()
+	runDifferentialWith(t, cfg, batches, (*Processor).ProcessBatch)
+}
+
+// runDifferentialWith is runDifferential with the batch entry point
+// (ProcessBatch or ProcessBatchSorted) chosen by the caller.
+func runDifferentialWith(t *testing.T, cfg Config, batches [][]keys.Query, process func(*Processor, []keys.Query, *keys.ResultSet)) {
+	t.Helper()
 	p, err := New(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +35,7 @@ func runDifferential(t *testing.T, cfg Config, batches [][]keys.Query) {
 		o.ApplyAll(batch, want)
 
 		got := keys.NewResultSet(len(batch))
-		p.ProcessBatch(batch, got)
+		process(p, batch, got)
 
 		for i := 0; i < len(batch); i++ {
 			w, wok := want.Get(int32(i))
@@ -268,7 +275,7 @@ func TestDifferentialPreSorted(t *testing.T) {
 		keys.SortByKey(b)
 	}
 	// Oracle must see the same (sorted) order the processor does.
-	runDifferential(t, Config{Order: 8, Workers: 4, LoadBalance: true, PreSorted: true}, batches)
+	runDifferentialWith(t, Config{Order: 8, Workers: 4, LoadBalance: true}, batches, (*Processor).ProcessBatchSorted)
 }
 
 func TestFindAndAnswerSearches(t *testing.T) {

@@ -58,11 +58,11 @@ func checkAgainst(t *testing.T, tag string, batch int, want, got *keys.ResultSet
 
 // TestShardedMatchesUnsharded runs identical batch sequences through
 // the oracle, an unsharded engine, and sharded engines with N in
-// {1, 2, 3, 8}, across all four engine modes, and demands byte-
+// {1, 2, 3, 8}, across all three engine modes, and demands byte-
 // identical results and final stores.
 func TestShardedMatchesUnsharded(t *testing.T) {
 	const span = 256
-	for _, mode := range []core.Mode{core.Original, core.Intra, core.IntraInter, core.SimIntra} {
+	for _, mode := range []core.Mode{core.Original, core.Intra, core.IntraInter} {
 		for _, n := range []int{1, 2, 3, 8} {
 			orc := oracle.New()
 			plain, err := core.NewEngine(testEngineConfig(mode, false))

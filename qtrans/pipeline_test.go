@@ -13,7 +13,7 @@ import (
 // the same per-batch results and the same final store as batch-at-a-
 // time Run on a second DB.
 func TestRunStreamMatchesRun(t *testing.T) {
-	for _, opt := range []Optimization{None, IntraBatch, Full, Simulation} {
+	for _, opt := range []Optimization{None, IntraBatch, Full} {
 		for _, pipelined := range []bool{false, true} {
 			stream, err := Open(Options{Order: 8, Workers: 3, Optimization: opt, CacheCapacity: 64, Pipeline: pipelined})
 			if err != nil {

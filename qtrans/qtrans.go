@@ -68,10 +68,6 @@ const (
 	None
 	// IntraBatch adds only the parallel intra-batch QTrans (§V-A).
 	IntraBatch
-	// Simulation uses the hash-based elimination of §IV-E's
-	// "alternative solution" instead of sort-based QSAT; fastest on
-	// few-core hosts where sorting dominates.
-	Simulation
 )
 
 func (o Optimization) mode() core.Mode {
@@ -80,8 +76,6 @@ func (o Optimization) mode() core.Mode {
 		return core.Original
 	case IntraBatch:
 		return core.Intra
-	case Simulation:
-		return core.SimIntra
 	default:
 		return core.IntraInter
 	}

@@ -22,7 +22,7 @@ func TestOpenZeroOptionsIsFull(t *testing.T) {
 }
 
 func TestAllOptimizationLevels(t *testing.T) {
-	for _, opt := range []Optimization{None, IntraBatch, Full, Simulation} {
+	for _, opt := range []Optimization{None, IntraBatch, Full} {
 		db, err := Open(Options{Optimization: opt, Workers: 2, Order: 16, CacheCapacity: 64})
 		if err != nil {
 			t.Fatalf("opt %v: %v", opt, err)
