@@ -5,7 +5,9 @@
 #   test         full unit/differential suite
 #   race         every concurrency-heavy package under the race detector:
 #                the pipeline (and its serial/pipelined parity
-#                test), the PALM BSP stages (including the 2^4
+#                test), the top-K cache's phase-1 probe API (probes and
+#                in-place defines from many goroutines on disjoint
+#                keys), the PALM BSP stages (including the 2^4
 #                sorted-batch kernel ablation matrix), the gapped/dense
 #                tree layouts, the sharded engine and autoshard
 #                controller, the cold-range tier store, the WAL syncer,
@@ -24,6 +26,11 @@
 #                range/RMW differential fuzzer (the org and inter
 #                engine modes on gapped and dense layouts vs the oracle
 #                on batches mixing all five ops, DESIGN.md §11), the
+#                cache-pass fuzzer (point batches through the two-phase
+#                top-K cache pass at several capacities and worker
+#                counts plus a pipelined arm vs the oracle, with
+#                identical cache counters for every worker count,
+#                DESIGN.md §4 item 7), the
 #                crash-recovery fuzzer (the
 #                durability property of DESIGN.md §7: power cut at an
 #                arbitrary byte, then recover to an acked whole-batch
@@ -38,7 +45,8 @@
 #                a tiered pre-crash arm)
 #   bench-smoke  one-iteration compile-and-run of the pipeline,
 #                durability, kernel, layout, batch-size, QTrans
-#                transform and mixed scan/RMW batch benchmarks
+#                transform, mixed scan/RMW batch and cache pass
+#                benchmarks
 #                (catches bit-rot in the benchmarks without paying for a
 #                measurement)
 
@@ -59,12 +67,13 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core ./internal/palm ./internal/btree ./internal/shard ./internal/tier ./internal/wal ./internal/batcher ./internal/metrics ./internal/server ./cmd/qtransserver ./qtrans
+	$(GO) test -race ./internal/core ./internal/cache ./internal/palm ./internal/btree ./internal/shard ./internal/tier ./internal/wal ./internal/batcher ./internal/metrics ./internal/server ./cmd/qtransserver ./qtrans
 
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzShardEquivalence -fuzztime=10s ./internal/shard
 	$(GO) test -run=^$$ -fuzz=FuzzAutoshard -fuzztime=10s ./internal/shard
 	$(GO) test -run=^$$ -fuzz=FuzzRangeRMWEquivalence -fuzztime=10s ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzCachePassEquivalence -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzCrashRecovery -fuzztime=10s ./qtrans
 	$(GO) test -run=^$$ -fuzz=FuzzTieredEquivalence -fuzztime=10s ./qtrans
 	$(GO) test -run=^$$ -fuzz=FuzzTreeOps -fuzztime=10s ./internal/btree
@@ -78,6 +87,7 @@ bench-smoke:
 	$(GO) test -run=XXX -bench=BenchmarkProcessBatchSize -benchtime=1x ./internal/core
 	$(GO) test -run=XXX -bench=BenchmarkTransform1M -benchtime=1x ./internal/core
 	$(GO) test -run=XXX -bench=BenchmarkMixedScanBatch -benchtime=1x ./internal/core
+	$(GO) test -run=XXX -bench=BenchmarkCachePass -benchtime=1x ./internal/core
 
 # Full benchmark sweep with allocation reporting (not part of ci).
 bench:

@@ -12,14 +12,19 @@
 // jointly equal the serial-semantics store, which the differential
 // tests verify.
 //
-// Storage is a fixed-size open-addressing hash table with the recency
-// list threaded through slot indices (see table.go), exploiting the
-// fixed capacity exactly as §V-B suggests ("the hash function can be
-// designed in an efficient way so that hashing conflicts can be
-// minimized"): no per-entry allocation, no pointer chasing.
+// Storage is a fixed-size open-addressing hash table whose probed key
+// column and occupancy bitmap are kept apart from the per-slot value
+// and flag bytes (see table.go), exploiting the fixed capacity exactly
+// as §V-B suggests ("the hash function can be designed in an efficient
+// way so that hashing conflicts can be minimized"): no per-entry
+// allocation, no pointer chasing. Replacement is CLOCK over slot
+// indices, the approximation of the paper's LRU that costs a hit one
+// byte write.
 //
-// Replacement policies: LRU (default, as the paper suggests), FIFO, and
-// CLOCK, selectable for the ablation benchmarks.
+// The engine runs its cache pass in two phases (core's cachePass):
+// Probe and Define, which change no table structure and no shared
+// counter, run from many goroutines on disjoint keys; admissions and
+// evictions then run serially.
 package cache
 
 import (
@@ -28,28 +33,20 @@ import (
 	"repro/internal/keys"
 )
 
-// Policy selects the replacement policy.
+// Policy names the replacement policy. It has a single value, LRU,
+// which CLOCK over slot indices approximates.
 type Policy int
 
-// Replacement policies.
-const (
-	LRU Policy = iota
-	FIFO
-	CLOCK
-)
+// LRU is the only policy: least-recently-used replacement as the paper
+// suggests, served by CLOCK.
+const LRU Policy = 0
 
 // String names the policy.
 func (p Policy) String() string {
-	switch p {
-	case LRU:
+	if p == LRU {
 		return "lru"
-	case FIFO:
-		return "fifo"
-	case CLOCK:
-		return "clock"
-	default:
-		return fmt.Sprintf("policy(%d)", int(p))
 	}
+	return fmt.Sprintf("policy(%d)", int(p))
 }
 
 // Entry is a snapshot of one cached key's state.
@@ -64,13 +61,14 @@ type Entry struct {
 	Dirty bool
 }
 
-// TopK is the fixed-capacity cache. Not safe for concurrent use: the
-// Engine runs the cache pass as a single sequential superstep, which is
-// cheap because after QTrans at most two queries per distinct key
-// remain (§V-B: "cache operations will be reduced to a minimum").
+// Slot is the table position of a resident entry, as returned by
+// Probe. It stays valid until the next admission, eviction or drain.
+type Slot int32
+
+// TopK is the fixed-capacity cache. Only Probe and Define may run
+// concurrently, on distinct keys, and only while nothing else runs.
 type TopK struct {
 	capacity int
-	policy   Policy
 	t        *table
 
 	// OnEvict, when non-nil, observes every eviction (clean or dirty)
@@ -82,9 +80,10 @@ type TopK struct {
 }
 
 // New creates a cache holding at most capacity entries. capacity <= 0
-// disables the cache (every lookup misses, admits are dropped).
-func New(capacity int, policy Policy) *TopK {
-	c := &TopK{capacity: capacity, policy: policy}
+// disables the cache (every lookup misses, admits are dropped). LRU is
+// the only policy.
+func New(capacity int, _ Policy) *TopK {
+	c := &TopK{capacity: capacity}
 	if capacity > 0 {
 		c.t = newTable(capacity)
 	}
@@ -107,24 +106,57 @@ func (c *TopK) Stats() (hits, misses, evictions int64) {
 	return c.hits, c.misses, c.evictions
 }
 
-// Lookup returns a snapshot of k's entry if resident, updating recency.
+// Lookup returns a snapshot of k's entry if resident, raising its
+// reference level, and counts the hit or miss.
 func (c *TopK) Lookup(k keys.Key) (Entry, bool) {
-	if c.t == nil {
+	e, _, ok := c.Probe(k)
+	if ok {
+		c.hits++
+	} else {
 		c.misses++
-		return Entry{}, false
 	}
-	idx := c.t.find(k)
-	if idx < 0 {
-		c.misses++
-		return Entry{}, false
-	}
-	c.hits++
-	c.touch(idx)
-	s := &c.t.slots[idx]
-	return Entry{Key: s.key, Value: s.value, Tombstone: s.tombstone, Dirty: s.dirty}, true
+	return e, ok
 }
 
-// Contains reports residency without recency update or stats counting.
+// Probe is Lookup without the counting: it returns a snapshot of k's
+// entry and its slot if k is resident, raising the slot's reference
+// level. It reads the key column and bitmap and writes only the slot's
+// flag byte, so goroutines may Probe and Define distinct keys
+// concurrently while no admission, eviction or drain runs. Fold their
+// hit and miss tallies in with Count afterwards.
+func (c *TopK) Probe(k keys.Key) (Entry, Slot, bool) {
+	if c.t == nil {
+		return Entry{}, -1, false
+	}
+	i := c.t.find(k)
+	if i < 0 {
+		return Entry{}, -1, false
+	}
+	f := c.t.flags[i]
+	c.t.flags[i] = touched(f)
+	return Entry{Key: k, Value: c.t.vals[i], Tombstone: f&flagTomb != 0, Dirty: f&flagDirty != 0}, Slot(i), true
+}
+
+// Define records I(k, v) — or D(k) when tomb — into the resident slot s
+// that Probe returned, making it dirty at a hit's reference level. It writes only
+// s's value and flag bytes; see Probe for what may run beside it.
+func (c *TopK) Define(s Slot, v keys.Value, tomb bool) {
+	f := flagDirty | refHit
+	if tomb {
+		f |= flagTomb
+	}
+	c.t.vals[s], c.t.flags[s] = v, f
+}
+
+// Count adds hits and misses tallied outside the cache (by the callers
+// of Probe) to Stats.
+func (c *TopK) Count(hits, misses int) {
+	c.hits += int64(hits)
+	c.misses += int64(misses)
+}
+
+// Contains reports residency without touching the reference level or
+// counting.
 func (c *TopK) Contains(k keys.Key) bool {
 	return c.t != nil && c.t.find(k) >= 0
 }
@@ -146,21 +178,17 @@ func (c *TopK) write(k keys.Key, v keys.Value, tomb bool) (keys.Query, bool) {
 	if c.t == nil {
 		return keys.Query{}, false
 	}
-	if idx := c.t.find(k); idx >= 0 {
-		s := &c.t.slots[idx]
-		s.value, s.tombstone, s.dirty = v, tomb, true
-		c.touch(idx)
+	if i := c.t.find(k); i >= 0 {
+		c.Define(Slot(i), v, tomb)
 		return keys.Query{}, false
 	}
-	var flush keys.Query
-	evicted := false
-	if c.t.used >= c.capacity {
-		flush, evicted = c.evict(c.selectVictim())
+	flush, evicted := c.makeRoom()
+	i := c.t.insert(k)
+	c.t.vals[i] = v
+	c.t.flags[i] = flagDirty | refOne
+	if tomb {
+		c.t.flags[i] |= flagTomb
 	}
-	idx := c.t.insert(k)
-	s := &c.t.slots[idx]
-	s.value, s.tombstone, s.dirty, s.ref = v, tomb, true, true
-	c.t.pushHead(idx)
 	return flush, evicted
 }
 
@@ -181,46 +209,55 @@ func (c *TopK) admit(k keys.Key, v keys.Value, tomb bool) (keys.Query, bool) {
 	if c.t == nil {
 		return keys.Query{}, false
 	}
-	if idx := c.t.find(k); idx >= 0 {
-		s := &c.t.slots[idx]
+	if i := c.t.find(k); i >= 0 {
+		f := touched(c.t.flags[i])
 		if !tomb {
 			// Refresh a resident entry with authoritative tree state;
 			// the dirty bit is preserved (the entry may carry newer
 			// writes than the tree).
-			s.value, s.tombstone = v, false
+			c.t.vals[i] = v
+			f &^= flagTomb
 		}
 		// For tombstone admission of a resident entry the existing
-		// state is at least as fresh; only recency updates.
-		c.touch(idx)
+		// state is at least as fresh; only the reference level changes.
+		c.t.flags[i] = f
 		return keys.Query{}, false
 	}
-	var flush keys.Query
-	evicted := false
-	if c.t.used >= c.capacity {
-		flush, evicted = c.evict(c.selectVictim())
+	flush, evicted := c.makeRoom()
+	i := c.t.insert(k)
+	c.t.vals[i] = v
+	c.t.flags[i] = refOne
+	if tomb {
+		c.t.flags[i] |= flagTomb
 	}
-	idx := c.t.insert(k)
-	s := &c.t.slots[idx]
-	s.value, s.tombstone, s.ref = v, tomb, true
-	c.t.pushHead(idx)
 	return flush, evicted
 }
 
-// evict removes slot idx, returning the flush query for a dirty entry.
-func (c *TopK) evict(idx int32) (keys.Query, bool) {
-	s := c.t.slots[idx]
-	c.t.remove(idx)
-	c.evictions++
-	if c.OnEvict != nil {
-		c.OnEvict(s.key)
-	}
-	if !s.dirty {
+// makeRoom evicts the CLOCK victim when the cache is full, returning
+// the flush query owed for a dirty victim.
+func (c *TopK) makeRoom() (keys.Query, bool) {
+	if c.t.used < c.capacity {
 		return keys.Query{}, false
 	}
-	if s.tombstone {
-		return keys.Query{Op: keys.OpDelete, Key: s.key, Idx: -1}, true
+	i := c.t.victim()
+	k, v, f := c.t.keys[i], c.t.vals[i], c.t.flags[i]
+	c.t.remove(i)
+	c.evictions++
+	if c.OnEvict != nil {
+		c.OnEvict(k)
 	}
-	return keys.Query{Op: keys.OpInsert, Key: s.key, Value: s.value, Idx: -1}, true
+	if f&flagDirty == 0 {
+		return keys.Query{}, false
+	}
+	return flushQuery(k, v, f), true
+}
+
+// flushQuery is the tree query that writes a dirty entry back.
+func flushQuery(k keys.Key, v keys.Value, f uint8) keys.Query {
+	if f&flagTomb != 0 {
+		return keys.Query{Op: keys.OpDelete, Key: k, Idx: -1}
+	}
+	return keys.Query{Op: keys.OpInsert, Key: k, Value: v, Idx: -1}
 }
 
 // FlushAll drains every dirty entry as flush queries (order is
@@ -231,18 +268,12 @@ func (c *TopK) FlushAll() []keys.Query {
 		return nil
 	}
 	var out []keys.Query
-	for i := range c.t.slots {
-		s := &c.t.slots[i]
-		if !s.occupied || !s.dirty {
-			continue
+	c.t.each(func(i int) {
+		if f := c.t.flags[i]; f&flagDirty != 0 {
+			out = append(out, flushQuery(c.t.keys[i], c.t.vals[i], f))
+			c.t.flags[i] = f &^ flagDirty
 		}
-		if s.tombstone {
-			out = append(out, keys.Query{Op: keys.OpDelete, Key: s.key, Idx: -1})
-		} else {
-			out = append(out, keys.Query{Op: keys.OpInsert, Key: s.key, Value: s.value, Idx: -1})
-		}
-		s.dirty = false
-	}
+	})
 	return out
 }
 
@@ -277,70 +308,20 @@ func (c *TopK) DrainRange(lo, hi keys.Key) []keys.Query {
 	// removing while walking the slot array could skip entries.
 	var victims []keys.Key
 	var out []keys.Query
-	for i := range c.t.slots {
-		s := &c.t.slots[i]
-		if !s.occupied || s.key < lo || s.key >= hi {
-			continue
+	c.t.each(func(i int) {
+		k := c.t.keys[i]
+		if k < lo || k >= hi {
+			return
 		}
-		victims = append(victims, s.key)
-		if !s.dirty {
-			continue
+		victims = append(victims, k)
+		if f := c.t.flags[i]; f&flagDirty != 0 {
+			out = append(out, flushQuery(k, c.t.vals[i], f))
 		}
-		if s.tombstone {
-			out = append(out, keys.Query{Op: keys.OpDelete, Key: s.key, Idx: -1})
-		} else {
-			out = append(out, keys.Query{Op: keys.OpInsert, Key: s.key, Value: s.value, Idx: -1})
-		}
-	}
+	})
 	for _, k := range victims {
-		if idx := c.t.find(k); idx >= 0 {
-			c.t.remove(idx)
+		if i := c.t.find(k); i >= 0 {
+			c.t.remove(i)
 		}
-	}
-	return out
-}
-
-// selectVictim picks the slot to evict per the policy.
-func (c *TopK) selectVictim() int32 {
-	switch c.policy {
-	case CLOCK:
-		// Sweep from the hand towards the head (wrapping to the
-		// tail), clearing reference bits until an unreferenced entry
-		// is found.
-		for {
-			if c.t.hand < 0 {
-				c.t.hand = c.t.tail
-			}
-			idx := c.t.hand
-			c.t.hand = c.t.slots[idx].prev
-			if !c.t.slots[idx].ref {
-				return idx
-			}
-			c.t.slots[idx].ref = false
-		}
-	default: // LRU and FIFO both evict the tail.
-		return c.t.tail
-	}
-}
-
-// touch updates recency on access.
-func (c *TopK) touch(idx int32) {
-	c.t.slots[idx].ref = true
-	if c.policy == LRU && c.t.head != idx {
-		c.t.unlink(idx)
-		c.t.pushHead(idx)
-	}
-}
-
-// Keys returns the resident keys in recency order (most recent first).
-// Intended for tests.
-func (c *TopK) Keys() []keys.Key {
-	if c.t == nil {
-		return nil
-	}
-	out := make([]keys.Key, 0, c.t.used)
-	for i := c.t.head; i >= 0; i = c.t.slots[i].next {
-		out = append(out, c.t.slots[i].key)
 	}
 	return out
 }

@@ -1,46 +1,64 @@
 package cache
 
-import "repro/internal/keys"
+import (
+	"math/bits"
+
+	"repro/internal/keys"
+)
 
 // This file implements the flat storage behind TopK: an open-addressing
-// hash table (linear probing, backward-shift deletion) over a slice of
-// slots, with the recency list threaded through slot indices instead of
-// pointers. §V-B motivates exactly this: "as the number of entries is
-// fixed, the hash function can be designed in an efficient way" — the
-// fixed capacity lets the table be sized once, keeps probes short, and
-// avoids per-entry allocation and pointer chasing entirely.
+// hash table (linear probing, backward-shift deletion) whose columns
+// are split by who reads them. §V-B motivates the fixed layout: "as the
+// number of entries is fixed, the hash function can be designed in an
+// efficient way" — the fixed capacity lets the table be sized once,
+// keeps probes short, and avoids per-entry allocation entirely.
+//
+// A probe reads only the occupancy bitmap and the key column (8 B per
+// slot), never the payload, so the bytes every lookup walks stay
+// dense; the value and flag columns are touched only for the one slot
+// a probe lands on. Replacement is CLOCK over slot indices: the hand
+// sweeps the slot array in index order and a hit sets one flag byte.
 
-// slot is one table slot. occupied distinguishes empty slots; prev and
-// next are recency-list links (slot indices, -1 terminated).
-type slot struct {
-	key       keys.Key
-	value     keys.Value
-	occupied  bool
-	tombstone bool
-	dirty     bool
-	ref       bool
-	prev      int32
-	next      int32
-}
+// Per-slot flag byte: two state bits and a reference level, the number
+// of times the CLOCK hand passes the slot before evicting it. Admission
+// sets level 1 and a hit or a write level 2, so a key that was used
+// outlives one that was only admitted, and a batch's admissions outlive
+// the residents the hand has already passed.
+const (
+	flagTomb  uint8        = 1 << iota // cached deletion: the key is known absent
+	flagDirty                          // diverges from the tree; flushed on eviction
+	refOne                             // reference level 1, set on admission
+	refHit    = 2 * refOne             // reference level 2, set by a hit or a write
+	refMask   = 3 * refOne
+)
 
-// table is the open-addressed slot store plus the recency list.
+// touched returns flag byte f with its reference level raised to a hit's.
+func touched(f uint8) uint8 { return f&^refMask | refHit }
+
+// table is the open-addressed slot store.
 type table struct {
-	slots []slot
+	keys  []keys.Key   // probed column: the key of each occupied slot
+	occ   []uint64     // occupancy bitmap: bit i set = slot i holds a key
+	vals  []keys.Value // payload column: meaningless for a tombstone
+	flags []uint8      // payload column: flagTomb | flagDirty | reference level
 	mask  uint64
 	used  int
-	head  int32 // most recently used / inserted
-	tail  int32 // least recently used / first inserted
-	hand  int32 // CLOCK hand (slot index)
+	hand  uint64 // CLOCK hand (slot index)
 }
 
 // newTable sizes the table for capacity entries at <= 50% load.
 func newTable(capacity int) *table {
-	size := 8
+	size := 64
 	for size < capacity*2 {
 		size <<= 1
 	}
-	t := &table{slots: make([]slot, size), mask: uint64(size - 1), head: -1, tail: -1, hand: -1}
-	return t
+	return &table{
+		keys:  make([]keys.Key, size),
+		occ:   make([]uint64, size/64),
+		vals:  make([]keys.Value, size),
+		flags: make([]uint8, size),
+		mask:  uint64(size - 1),
+	}
 }
 
 // hash mixes the key (SplitMix64 finalizer) onto the table.
@@ -54,53 +72,49 @@ func (t *table) hash(k keys.Key) uint64 {
 	return x & t.mask
 }
 
-// find returns the slot index of k, or -1.
+func (t *table) occupied(i uint64) bool { return t.occ[i>>6]&(1<<(i&63)) != 0 }
+
+// find returns the slot index of k, or -1. It reads only the bitmap and
+// the key column.
 func (t *table) find(k keys.Key) int32 {
-	for i := t.hash(k); ; i = (i + 1) & t.mask {
-		s := &t.slots[i]
-		if !s.occupied {
-			return -1
-		}
-		if s.key == k {
+	for i := t.hash(k); t.occupied(i); i = (i + 1) & t.mask {
+		if t.keys[i] == k {
 			return int32(i)
 		}
 	}
+	return -1
 }
 
 // insert places k into the table (which must have free space and not
-// already contain k) and returns its slot index. The new slot's list
-// links are initialized but not attached.
+// already contain k) and returns its slot index, with a zero value and
+// clear flags.
 func (t *table) insert(k keys.Key) int32 {
-	for i := t.hash(k); ; i = (i + 1) & t.mask {
-		s := &t.slots[i]
-		if !s.occupied {
-			*s = slot{key: k, occupied: true, prev: -1, next: -1}
-			t.used++
-			return int32(i)
-		}
+	i := t.hash(k)
+	for t.occupied(i) {
+		i = (i + 1) & t.mask
 	}
+	t.occ[i>>6] |= 1 << (i & 63)
+	t.keys[i], t.vals[i], t.flags[i] = k, 0, 0
+	t.used++
+	return int32(i)
 }
 
 // remove deletes slot idx using backward-shift so probe chains stay
-// intact without tombstone slots. Shifted slots' list links move with
-// them, so neighbors are re-pointed.
+// intact without tombstone slots.
 func (t *table) remove(idx int32) {
-	t.unlink(idx)
-	if t.hand == idx {
-		t.hand = t.slots[idx].prev
-	}
 	i := uint64(idx)
-	t.slots[i] = slot{}
+	t.occ[i>>6] &^= 1 << (i & 63)
 	t.used--
 	// Backward-shift: re-place any displaced successors.
-	for j := (i + 1) & t.mask; t.slots[j].occupied; j = (j + 1) & t.mask {
-		home := t.hash(t.slots[j].key)
+	for j := (i + 1) & t.mask; t.occupied(j); j = (j + 1) & t.mask {
 		// If slot j's home position lies within (i, j] (cyclically), it
 		// cannot move back to i; otherwise shift it into the hole.
-		if inCyclicRange(home, i, j) {
+		if inCyclicRange(t.hash(t.keys[j]), i, j) {
 			continue
 		}
-		t.moveSlot(int32(j), int32(i))
+		t.keys[i], t.vals[i], t.flags[i] = t.keys[j], t.vals[j], t.flags[j]
+		t.occ[i>>6] |= 1 << (i & 63)
+		t.occ[j>>6] &^= 1 << (j & 63)
 		i = j
 	}
 }
@@ -114,53 +128,35 @@ func inCyclicRange(home, hole, j uint64) bool {
 	return home > hole || home <= j
 }
 
-// moveSlot relocates an occupied slot to an empty index, fixing the
-// recency list links of its neighbors (and head/tail/hand).
-func (t *table) moveSlot(from, to int32) {
-	s := t.slots[from]
-	t.slots[to] = s
-	t.slots[from] = slot{}
-	if s.prev >= 0 {
-		t.slots[s.prev].next = to
-	} else if t.head == from {
-		t.head = to
-	}
-	if s.next >= 0 {
-		t.slots[s.next].prev = to
-	} else if t.tail == from {
-		t.tail = to
-	}
-	if t.hand == from {
-		t.hand = to
+// each calls fn with the index of every occupied slot, in slot order.
+func (t *table) each(fn func(i int)) {
+	for w, word := range t.occ {
+		for ; word != 0; word &= word - 1 {
+			fn(w<<6 | bits.TrailingZeros64(word))
+		}
 	}
 }
 
-// pushHead attaches slot idx at the head of the recency list.
-func (t *table) pushHead(idx int32) {
-	s := &t.slots[idx]
-	s.prev = -1
-	s.next = t.head
-	if t.head >= 0 {
-		t.slots[t.head].prev = idx
+// victim advances the CLOCK hand to the first occupied slot whose
+// reference level is 0, lowering the levels it passes by one, and
+// returns it.
+// The hand moves past the victim, so the entry admitted in its place
+// gets a full sweep before it is considered. The table must not be
+// empty. Empty stretches are skipped a bitmap word at a time.
+func (t *table) victim() int32 {
+	for {
+		i := t.hand
+		w := t.occ[i>>6] >> (i & 63)
+		if w == 0 {
+			// Nothing occupied from i to the end of its word.
+			t.hand = ((i | 63) + 1) & t.mask
+			continue
+		}
+		i += uint64(bits.TrailingZeros64(w))
+		t.hand = (i + 1) & t.mask
+		if t.flags[i]&refMask == 0 {
+			return int32(i)
+		}
+		t.flags[i] -= refOne
 	}
-	t.head = idx
-	if t.tail < 0 {
-		t.tail = idx
-	}
-}
-
-// unlink detaches slot idx from the recency list.
-func (t *table) unlink(idx int32) {
-	s := &t.slots[idx]
-	if s.prev >= 0 {
-		t.slots[s.prev].next = s.next
-	} else if t.head == idx {
-		t.head = s.next
-	}
-	if s.next >= 0 {
-		t.slots[s.next].prev = s.prev
-	} else if t.tail == idx {
-		t.tail = s.prev
-	}
-	s.prev, s.next = -1, -1
 }

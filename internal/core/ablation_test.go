@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/bsp"
-	"repro/internal/cache"
 	"repro/internal/keys"
 	"repro/internal/palm"
 	"repro/internal/workload"
@@ -63,21 +62,6 @@ func BenchmarkAblationCacheCapacity(b *testing.B) {
 				Mode:          IntraInter,
 				Palm:          palm.Config{Workers: 1, LoadBalance: true},
 				CacheCapacity: k,
-			})
-		})
-	}
-}
-
-// BenchmarkAblationCachePolicy compares LRU, FIFO, and CLOCK
-// replacement at a fixed capacity.
-func BenchmarkAblationCachePolicy(b *testing.B) {
-	for _, pol := range []cache.Policy{cache.LRU, cache.FIFO, cache.CLOCK} {
-		b.Run(pol.String(), func(b *testing.B) {
-			benchEngine(b, EngineConfig{
-				Mode:          IntraInter,
-				Palm:          palm.Config{Workers: 1, LoadBalance: true},
-				CacheCapacity: 1 << 12,
-				CachePolicy:   pol,
 			})
 		})
 	}

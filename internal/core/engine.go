@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -54,8 +55,6 @@ type EngineConfig struct {
 	// CacheCapacity is the top-K cache size (K); used only in
 	// IntraInter mode. <= 0 disables the cache even in IntraInter.
 	CacheCapacity int
-	// CachePolicy selects the replacement policy (default LRU).
-	CachePolicy cache.Policy
 	// CompareSort selects comparison sorting for the batch sort instead
 	// of the default radix sort (ablation; see Transformer.CompareSort).
 	CompareSort bool
@@ -84,18 +83,10 @@ type Engine struct {
 	// Transformer and scan overlay, recording into st.
 	serial batchPlan
 
-	// flushed maps keys evicted from the cache during the current
-	// batch's cache pass to their flushed state, so later queries on
-	// those keys in the same pass still see the correct pre-batch
-	// value (see the ordering discussion in DESIGN.md §4.3). It is
-	// empty between passes. flushPeak is the most flushes one pass has
-	// recorded: the size its table has grown to, since Go maps never
-	// shrink.
-	flushed   map[keys.Key]flushState
-	flushPeak int
-
+	// probes is the cache pass's per-worker phase-1 scratch; flushQ
+	// holds its phase-2 flushes.
+	probes []probeScratch
 	flushQ []keys.Query
-	mergeQ []keys.Query
 
 	// flushRS is the empty result sink cache write-backs (defines only,
 	// never answered) are applied with.
@@ -116,11 +107,6 @@ type Engine struct {
 	committer Committer
 	commitErr atomic.Value // error; sticky once set
 	gate      *sync.RWMutex
-}
-
-type flushState struct {
-	value   keys.Value
-	deleted bool
 }
 
 // NewEngine builds an Engine. The Engine owns its pool and processor;
@@ -162,8 +148,8 @@ func newEngine(cfg EngineConfig, tree *btree.Tree) (*Engine, error) {
 	e.serial = e.newPlan(pool, e.st)
 	e.met = newEngineMetrics(cfg.Metrics)
 	if cfg.Mode == IntraInter && cfg.CacheCapacity > 0 {
-		e.topK = cache.New(cfg.CacheCapacity, cfg.CachePolicy)
-		e.flushed = make(map[keys.Key]flushState)
+		e.topK = cache.New(cfg.CacheCapacity, cache.LRU)
+		e.probes = make([]probeScratch, pool.N())
 	}
 	return e, nil
 }
@@ -343,19 +329,28 @@ func (e *Engine) drainCache() {
 	}
 }
 
-// writeBack applies cache flush queries to the tree in key order. The
-// sort is stable: two flushes of one key must land in emission order.
+// writeBack applies cache flush queries to the tree in key order.
 // Flushes carry Idx -1 and are not logged — they re-apply state from
 // previously committed batches.
 func (e *Engine) writeBack(fl []keys.Query) {
 	if len(fl) == 0 {
 		return
 	}
-	slices.SortStableFunc(fl, cmpKey)
+	e.sortFlushes(fl)
 	e.proc.ProcessTransformed(fl, e.flushRS)
 }
 
-func cmpKey(a, b keys.Query) int { return cmp.Compare(a.Key, b.Key) }
+// sortFlushes key-sorts cache flush queries, which come out of the
+// table in slot order and carry distinct keys: a pool radix sort for a
+// prefill-sized set, pdqsort below the size where the radix sort's
+// 64 Ki-bucket passes cost more than comparisons.
+func (e *Engine) sortFlushes(fl []keys.Query) {
+	if len(fl) >= 8192 {
+		e.pool.RadixSortQueries(fl)
+	} else {
+		slices.SortFunc(fl, func(a, b keys.Query) int { return cmp.Compare(a.Key, b.Key) })
+	}
+}
 
 // mergeProcStats folds the processor's stage timings, leaf-op counters
 // and Stage-1 fence hits into st.
@@ -381,124 +376,143 @@ func (e *Engine) mergeProcStats(st *stats.Batch) {
 // entries re-emitted as flush queries that are merged, in key order and
 // ahead of same-key survivors, into the returned sequence.
 //
+// The pass has two phases. Phase 1 (probeCache) probes every run's key
+// in parallel and changes no table structure; phase 2 (admitCache)
+// admits the pending defines serially, in key order, evicting as it
+// goes. Every probe therefore sees the pre-batch cache: no search can
+// meet a key this same pass has already flushed, so a miss search is
+// answered by Stage 1 find against the pre-batch tree, which still
+// holds that key's pre-batch state (DESIGN.md §4 item 7).
+//
 // rt is the Router of the plan that transformed this batch and st
-// receives the inferred-return counters.
+// receives the cache and inferred-return counters.
 func (e *Engine) cachePass(remaining []keys.Query, rs *keys.ResultSet, rt *Router, st *stats.Batch) []keys.Query {
-	e.flushQ = e.flushQ[:0]
+	out := e.probeCache(remaining, rs, rt, st)
+	e.admitCache(st)
+	return e.mergeFlushes(out)
+}
 
-	out := remaining[:0]
-	h1, m1, ev1 := e.topK.Stats()
+// probeScratch is one worker's phase-1 state, reused across batches.
+type probeScratch struct {
+	// admits holds the defines on non-resident keys, in key order.
+	admits []keys.Query
+	// kept is how many surviving searches the worker compacted to the
+	// front of its chunk.
+	kept                   int
+	hits, misses, inferred int
+}
 
-	keys.KeyRuns(remaining, func(lo, hi int) {
-		k := remaining[lo].Key
-		entry, resident := e.topK.Lookup(k)
+// probe runs phase 1 over one run-aligned chunk of the reduced batch:
+// each run's key is probed once; a resident key answers its search
+// from the pre-batch entry and takes its define in place, a
+// non-resident key's search is compacted to the chunk's front (for the
+// tree) and its define queued for admission.
+func (ps *probeScratch) probe(c *cache.TopK, qs []keys.Query, rs *keys.ResultSet, rt *Router) {
+	ps.admits = ps.admits[:0]
+	ps.kept, ps.hits, ps.misses, ps.inferred = 0, 0, 0, 0
+	// Compaction writes stay at or behind the run being read.
+	keys.KeyRuns(qs, func(lo, hi int) {
+		entry, slot, resident := c.Probe(qs[lo].Key)
 		if resident {
-			// The reduced run is [search?, define?]: the snapshot taken
-			// by Lookup is valid for the search (which precedes any
-			// define), and defines update the resident entry in place.
-			for i := lo; i < hi; i++ {
-				q := remaining[i]
-				switch q.Op {
-				case keys.OpSearch:
-					if entry.Tombstone {
-						st.InferredReturns += rt.Resolve(rs, q.Idx, 0, false)
-					} else {
-						st.InferredReturns += rt.Resolve(rs, q.Idx, entry.Value, true)
-					}
-				case keys.OpInsert:
-					e.topK.WriteInsert(q.Key, q.Value)
-				case keys.OpDelete:
-					e.topK.WriteDelete(q.Key)
-				}
-			}
-			return
+			ps.hits++
+		} else {
+			ps.misses++
 		}
-
-		for i := lo; i < hi; i++ {
-			q := remaining[i]
-			switch q.Op {
-			case keys.OpSearch:
-				// If this key was flushed earlier in this very pass,
-				// its pre-batch state is known without a tree visit.
-				if fs, ok := e.flushed[k]; ok {
-					if fs.deleted {
-						st.InferredReturns += rt.Resolve(rs, q.Idx, 0, false)
-					} else {
-						st.InferredReturns += rt.Resolve(rs, q.Idx, fs.value, true)
-					}
-					// The representative stays in the transformer's
-					// broadcast list; re-broadcasting the recorded
-					// result after evaluation is a harmless no-op.
-					continue
-				}
-				out = append(out, q)
-			case keys.OpInsert:
-				flush, evicted := e.topK.WriteInsert(q.Key, q.Value)
-				if evicted {
-					e.recordFlush(flush)
-				}
-			case keys.OpDelete:
-				flush, evicted := e.topK.WriteDelete(q.Key)
-				if evicted {
-					e.recordFlush(flush)
-				}
+		for _, q := range qs[lo:hi] {
+			switch {
+			case q.Op == keys.OpSearch && !resident:
+				qs[ps.kept] = q
+				ps.kept++
+			case q.Op == keys.OpSearch && entry.Tombstone:
+				ps.inferred += rt.Resolve(rs, q.Idx, 0, false)
+			case q.Op == keys.OpSearch:
+				ps.inferred += rt.Resolve(rs, q.Idx, entry.Value, true)
+			case resident:
+				c.Define(slot, q.Value, q.Op == keys.OpDelete)
+			default:
+				ps.admits = append(ps.admits, q)
 			}
 		}
 	})
-
-	h2, m2, ev2 := e.topK.Stats()
-	st.CacheHits += int(h2 - h1)
-	st.CacheMisses += int(m2 - m1)
-	st.CacheEvictions += int(ev2 - ev1)
-	st.CacheFlushes += len(e.flushQ)
-
-	// Empty the map for the next pass. A pass with few flushes next to
-	// the peak deletes its own keys: clearing the whole table would cost
-	// it O(peak). A larger pass clears, because deletes from full groups
-	// leave tombstones that lengthen every later probe.
-	e.flushPeak = max(e.flushPeak, len(e.flushQ))
-	if len(e.flushQ) < e.flushPeak/16 {
-		for _, q := range e.flushQ {
-			delete(e.flushed, q.Key)
-		}
-	} else {
-		clear(e.flushed)
-	}
-	if len(e.flushQ) == 0 {
-		return out
-	}
-
-	// Merge flush queries (key-sorted, Idx = -1 so they order before
-	// same-key survivors) into the reduced sequence. The sort must be
-	// stable: a key evicted, readmitted by its own defining query, and
-	// evicted again within one pass emits two flushes whose emission
-	// order decides the key's final tree state.
-	slices.SortStableFunc(e.flushQ, cmpKey)
-	e.mergeQ = e.mergeQ[:0]
-	i, j := 0, 0
-	for i < len(out) && j < len(e.flushQ) {
-		if out[i].Key < e.flushQ[j].Key || (out[i].Key == e.flushQ[j].Key && out[i].Idx <= e.flushQ[j].Idx) {
-			e.mergeQ = append(e.mergeQ, out[i])
-			i++
-		} else {
-			e.mergeQ = append(e.mergeQ, e.flushQ[j])
-			j++
-		}
-	}
-	e.mergeQ = append(e.mergeQ, out[i:]...)
-	e.mergeQ = append(e.mergeQ, e.flushQ[j:]...)
-	return e.mergeQ
 }
 
-// recordFlush stores an eviction flush query and remembers the flushed
-// state for same-pass lookups.
-func (e *Engine) recordFlush(q keys.Query) {
-	e.flushQ = append(e.flushQ, q)
-	if q.Op == keys.OpDelete {
-		e.flushed[q.Key] = flushState{deleted: true}
-	} else {
-		e.flushed[q.Key] = flushState{value: q.Value}
+// probeCache is phase 1: one superstep over run-aligned chunks of the
+// reduced batch (a key's run stays on one worker, so no two workers
+// touch one slot). It then folds the workers' counters into st and
+// joins their surviving searches, in key order, at the front of
+// remaining, which it returns.
+func (e *Engine) probeCache(remaining []keys.Query, rs *keys.ResultSet, rt *Router, st *stats.Batch) []keys.Query {
+	bounds := runAlignedBounds(remaining, len(e.probes))
+	e.pool.Run(func(tid int) {
+		e.probes[tid].probe(e.topK, remaining[bounds[tid]:bounds[tid+1]], rs, rt)
+	})
+	n, hits, misses := 0, 0, 0
+	for w := range e.probes {
+		ps := &e.probes[w]
+		n += copy(remaining[n:], remaining[bounds[w]:bounds[w]+ps.kept])
+		hits += ps.hits
+		misses += ps.misses
+		st.InferredReturns += ps.inferred
 	}
+	e.topK.Count(hits, misses)
+	st.CacheHits += hits
+	st.CacheMisses += misses
+	return remaining[:n]
+}
+
+// admitCache is phase 2: it admits the queued defines serially, in key
+// order (the workers' chunks are in key order), collecting the dirty
+// evictions' flush queries in e.flushQ.
+func (e *Engine) admitCache(st *stats.Batch) {
+	e.flushQ = e.flushQ[:0]
+	_, _, ev := e.topK.Stats()
+	for w := range e.probes {
+		for _, q := range e.probes[w].admits {
+			var flush keys.Query
+			var evicted bool
+			if q.Op == keys.OpDelete {
+				flush, evicted = e.topK.WriteDelete(q.Key)
+			} else {
+				flush, evicted = e.topK.WriteInsert(q.Key, q.Value)
+			}
+			if evicted {
+				e.flushQ = append(e.flushQ, flush)
+			}
+		}
+	}
+	_, _, ev2 := e.topK.Stats()
+	st.CacheEvictions += int(ev2 - ev)
+	st.CacheFlushes += len(e.flushQ)
+}
+
+// mergeFlushes merges the pass's flush queries (key-sorted, Idx = -1 so
+// they order before same-key survivors) into the surviving sequence
+// out, in place: out came from the front of the reduced batch, and
+// every flush stands for an admitted define that left it, so out's
+// capacity holds both. The merge runs from the back, moving each block
+// of survivors once, to its final place.
+//
+// A key flushes at most once per pass: a resident key is never
+// readmitted by the pass, and an admitted one is admitted once. If it
+// also has a surviving search, the key was admitted by its own define,
+// and Stage 1 find answers that search against the pre-batch tree
+// before Stage 2 applies the flush.
+func (e *Engine) mergeFlushes(out []keys.Query) []keys.Query {
+	fl := e.flushQ
+	if len(fl) == 0 {
+		return out
+	}
+	e.sortFlushes(fl)
+	hi := len(out) // out[:hi] are the survivors not yet moved
+	out = out[:hi+len(fl)]
+	for j := len(fl) - 1; j >= 0; j-- {
+		k := fl[j].Key
+		lo := sort.Search(hi, func(i int) bool { return out[i].Key >= k })
+		copy(out[lo+j+1:], out[lo:hi])
+		out[lo+j] = fl[j]
+		hi = lo
+	}
+	return out
 }
 
 // Train pre-populates the top-K cache with the given keys (§V-B: "the

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/btree"
-	"repro/internal/cache"
 	"repro/internal/keys"
 	"repro/internal/oracle"
 	"repro/internal/palm"
@@ -117,17 +116,16 @@ func TestEngineIntraInterDifferential(t *testing.T) {
 	}
 }
 
+// TestEngineIntraInterPolicies runs the replacement policy (LRU, served
+// by CLOCK) at a capacity small enough that every batch evicts.
 func TestEngineIntraInterPolicies(t *testing.T) {
-	for _, pol := range []cache.Policy{cache.LRU, cache.FIFO, cache.CLOCK} {
-		r := rand.New(rand.NewSource(int64(pol) + 100))
-		batches := skewedBatches(r, 4, 2000, 10, 500, 0.6)
-		engineDifferential(t, EngineConfig{
-			Mode:          IntraInter,
-			Palm:          palm.Config{Order: 8, Workers: 4, LoadBalance: true},
-			CacheCapacity: 8,
-			CachePolicy:   pol,
-		}, batches)
-	}
+	r := rand.New(rand.NewSource(100))
+	batches := skewedBatches(r, 4, 2000, 10, 500, 0.6)
+	engineDifferential(t, EngineConfig{
+		Mode:          IntraInter,
+		Palm:          palm.Config{Order: 8, Workers: 4, LoadBalance: true},
+		CacheCapacity: 8,
+	}, batches)
 }
 
 func TestEngineCompareSortDifferential(t *testing.T) {

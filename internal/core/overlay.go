@@ -103,22 +103,22 @@ func (ov *scanOverlay) build(qs []keys.Query) []keys.Query {
 }
 
 // finish takes the in-span defines from the batch's point queries,
-// stably sorted by (Key, Idx), in one merge-join walk against the
-// sorted, disjoint spans, and plans the scans. defs inherits the
-// points' (Key, Idx) order, so it needs no sort of its own.
+// stably sorted by (Key, Idx), and plans the scans. Per span it
+// binary-searches the first point at or above the span's low key and
+// walks only the points inside the span; the spans are sorted and
+// disjoint, so each search starts where the last walk stopped. defs
+// inherits the points' (Key, Idx) order, so it needs no sort of its
+// own.
 func (ov *scanOverlay) finish(sorted []keys.Query) {
 	ov.defs = ov.defs[:0]
-	s := 0
-	for i := range sorted {
-		q := &sorted[i]
-		for s < len(ov.spans) && ov.spans[s].hi <= q.Key {
-			s++
-		}
-		if s == len(ov.spans) {
-			break
-		}
-		if q.Op != keys.OpSearch && q.Key >= ov.spans[s].lo {
-			ov.defs = append(ov.defs, *q)
+	i := 0
+	for _, sp := range ov.spans {
+		rest := sorted[i:]
+		i += sort.Search(len(rest), func(j int) bool { return rest[j].Key >= sp.lo })
+		for ; i < len(sorted) && sorted[i].Key < sp.hi; i++ {
+			if sorted[i].Op != keys.OpSearch {
+				ov.defs = append(ov.defs, sorted[i])
+			}
 		}
 	}
 	ov.planScans()

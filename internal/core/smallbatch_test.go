@@ -81,10 +81,12 @@ func TestEngineSmallBatchDifferential(t *testing.T) {
 	}
 }
 
-// TestCachePassFlushMapEmptied checks that the cache pass leaves its
-// flush map empty after every batch, including after a prefill that
-// evicts well over 10 000 dirty entries, and that the same-pass
-// "evicted, then searched" answer still comes from that map.
+// TestCachePassFlushMapEmptied checks that the cache pass carries no
+// flush state from one batch to the next — its flush buffer holds
+// exactly the batch's own flushes, even after a prefill that evicts well
+// over 10 000 dirty entries — and that the same-pass "evicted, then
+// searched" case needs no flush map: every probe precedes every
+// eviction, so the search is answered from the still-resident entry.
 func TestCachePassFlushMapEmptied(t *testing.T) {
 	eng, err := NewEngine(EngineConfig{
 		Mode:          IntraInter,
@@ -99,8 +101,8 @@ func TestCachePassFlushMapEmptied(t *testing.T) {
 		t.Helper()
 		rs := keys.NewResultSet(len(qs))
 		eng.ProcessBatch(keys.Number(qs), rs)
-		if n := len(eng.flushed); n != 0 {
-			t.Fatalf("flush map holds %d entries after a batch, want 0", n)
+		if n, want := len(eng.flushQ), eng.Stats().CacheFlushes; n != want {
+			t.Fatalf("flush buffer holds %d queries after a batch with %d flushes", n, want)
 		}
 		return rs
 	}

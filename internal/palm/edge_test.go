@@ -183,3 +183,27 @@ func TestCompareSortModeMatchesRadix(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeApplyEmptiesRootLeaf: a group of eight or more deletes takes
+// the gapped merge kernel, and when it deletes every key of a tree
+// that is one root leaf, the leaf must come out empty — the root has
+// no parent to unlink it.
+func TestMergeApplyEmptiesRootLeaf(t *testing.T) {
+	p, err := New(Config{Workers: 1, LoadBalance: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.ProcessBatch(keys.Number([]keys.Query{keys.Insert(0, 7)}), keys.NewResultSet(1))
+	var qs []keys.Query
+	for k := keys.Key(0); k < 8; k++ {
+		qs = append(qs, keys.Delete(k))
+	}
+	p.ProcessTransformed(keys.Number(qs), keys.NewResultSet(len(qs)))
+	if ks, _ := p.Tree().Dump(); len(ks) != 0 || p.Tree().Len() != 0 {
+		t.Fatalf("tree holds %v (Len %d) after deleting its only key", ks, p.Tree().Len())
+	}
+	if err := p.Tree().Validate(btree.RelaxedFill); err != nil {
+		t.Fatal(err)
+	}
+}

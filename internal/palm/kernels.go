@@ -473,6 +473,9 @@ func (p *Processor) evalGroupGappedOverflow(g *leafGroup, qs []keys.Query, rs *k
 		level: g.path.Len() - 1, slot: slotOf(&g.path),
 	}
 	if m == 0 {
+		// Empty the leaf itself too: a parent unlinks it, but a root
+		// leaf stays, and must not keep its old entries.
+		btree.PackLeafGapped(leaf, nil, nil)
 		w.reqs = append(w.reqs, req) // nil repl: remove the emptied leaf
 		return
 	}

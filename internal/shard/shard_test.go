@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/btree"
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/keys"
 	"repro/internal/oracle"
@@ -21,7 +20,6 @@ func testEngineConfig(mode core.Mode, pipeline bool) core.EngineConfig {
 		Mode:          mode,
 		Palm:          palm.Config{Order: 8, Workers: 2, LoadBalance: true},
 		CacheCapacity: 16,
-		CachePolicy:   cache.LRU,
 		Pipeline:      pipeline,
 	}
 }

@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/batcher"
 	"repro/internal/btree"
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/keys"
 	"repro/internal/palm"
@@ -295,7 +294,6 @@ func (opts Options) engineConfig() core.EngineConfig {
 			NoGappedLayout:     opts.NoGappedLayout,
 		},
 		CacheCapacity: capacity,
-		CachePolicy:   cache.LRU,
 		Pipeline:      opts.Pipeline,
 		Metrics:       opts.Metrics,
 	}
