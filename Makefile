@@ -4,7 +4,9 @@
 #   build        compile everything
 #   test         full unit/differential suite
 #   race         every concurrency-heavy package under the race detector:
-#                the pipeline (and its serial/pipelined parity
+#                the BSP pool and its batch sorts (the radix sort's
+#                partition scatters into one shared buffer), the
+#                pipeline (and its serial/pipelined parity
 #                test), the top-K cache's phase-1 probe API (probes and
 #                in-place defines from many goroutines on disjoint
 #                keys), the PALM BSP stages (including the 2^4
@@ -17,7 +19,10 @@
 #                tiered and durable integration, and the composition
 #                matrix of shards x pipeline x durability x tier x
 #                autoshard against the oracle)
-#   fuzz-smoke   10s runs of the shard differential fuzzer (the
+#   fuzz-smoke   10s runs of the batch radix sort fuzzer (every size,
+#                key width and pool size against the reference stable
+#                sort, DESIGN.md §4 item 0), the shard differential
+#                fuzzer (the
 #                sharded/serial equivalence property of DESIGN.md §6,
 #                including scan/RMW and dense-layout arms), the
 #                autoshard differential fuzzer (random ops with the
@@ -43,10 +48,10 @@
 #                facade and a map oracle with random demotion budgets,
 #                DESIGN.md §14; the crash-recovery fuzzer also carries
 #                a tiered pre-crash arm)
-#   bench-smoke  one-iteration compile-and-run of the pipeline,
-#                durability, kernel, layout, batch-size, QTrans
-#                transform, mixed scan/RMW batch and cache pass
-#                benchmarks
+#   bench-smoke  one-iteration compile-and-run of the batch sort
+#                size table, the pipeline, durability, kernel, layout,
+#                batch-size, QTrans transform, mixed scan/RMW batch and
+#                cache pass benchmarks
 #                (catches bit-rot in the benchmarks without paying for a
 #                measurement)
 
@@ -67,9 +72,10 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core ./internal/cache ./internal/palm ./internal/btree ./internal/shard ./internal/tier ./internal/wal ./internal/batcher ./internal/metrics ./internal/server ./cmd/qtransserver ./qtrans
+	$(GO) test -race ./internal/bsp ./internal/core ./internal/cache ./internal/palm ./internal/btree ./internal/shard ./internal/tier ./internal/wal ./internal/batcher ./internal/metrics ./internal/server ./cmd/qtransserver ./qtrans
 
 fuzz-smoke:
+	$(GO) test -run=^$$ -fuzz=FuzzRadixSortQueries -fuzztime=10s ./internal/bsp
 	$(GO) test -run=^$$ -fuzz=FuzzShardEquivalence -fuzztime=10s ./internal/shard
 	$(GO) test -run=^$$ -fuzz=FuzzAutoshard -fuzztime=10s ./internal/shard
 	$(GO) test -run=^$$ -fuzz=FuzzRangeRMWEquivalence -fuzztime=10s ./internal/core
@@ -80,6 +86,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/server
 
 bench-smoke:
+	$(GO) test -run=XXX -bench=BenchmarkSortQueries -benchtime=1x ./internal/bsp
 	$(GO) test -run=XXX -bench=BenchmarkPipeline -benchtime=1x .
 	$(GO) test -run=XXX -bench=BenchmarkDurability -benchtime=1x ./qtrans
 	$(GO) test -run=XXX -bench=BenchmarkKernels -benchtime=1x ./internal/palm

@@ -44,7 +44,8 @@ type Pool struct {
 	// steady-state batch sorting allocation-free.
 	sortBuf    []keys.Query
 	sortBounds []int
-	radixCnt   [][]int
+	tally      []radixTally
+	job        radixJob
 }
 
 // NewPool creates a pool of n workers. n <= 0 selects runtime.GOMAXPROCS(0).
@@ -62,6 +63,7 @@ func NewPool(n int) *Pool {
 		p.work[i] = make(chan func(tid int))
 		go p.worker(i)
 	}
+	p.initRadix()
 	return p
 }
 

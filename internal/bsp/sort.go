@@ -1,7 +1,8 @@
 package bsp
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/keys"
 )
@@ -46,11 +47,7 @@ func (p *Pool) SortQueries(qs []keys.Query) {
 	})
 
 	// Merge rounds: runs double in width each round.
-	if cap(p.sortBuf) < n {
-		p.sortBuf = make([]keys.Query, n)
-	}
-	buf := p.sortBuf[:n]
-	src, dst := qs, buf
+	src, dst := qs, p.scratch(n)
 	runs := p.n
 	for runs > 1 {
 		pairs := runs / 2
@@ -87,13 +84,14 @@ func (p *Pool) SortQueries(qs []keys.Query) {
 // sortRun stably sorts one run by (key, original index). Because Idx is
 // unique per batch, sorting by the (Key, Idx) pair with an unstable sort
 // yields the same permutation as a stable sort by Key alone, and
-// sort.Slice avoids sort.SliceStable's extra allocations.
+// slices.SortFunc needs neither SliceStable's extra work nor a
+// reflection swapper.
 func sortRun(qs []keys.Query) {
-	sort.Slice(qs, func(i, j int) bool {
-		if qs[i].Key != qs[j].Key {
-			return qs[i].Key < qs[j].Key
+	slices.SortFunc(qs, func(a, b keys.Query) int {
+		if a.Key != b.Key {
+			return cmp.Compare(a.Key, b.Key)
 		}
-		return qs[i].Idx < qs[j].Idx
+		return cmp.Compare(a.Idx, b.Idx)
 	})
 }
 

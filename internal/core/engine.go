@@ -1,9 +1,7 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -83,9 +81,10 @@ type Engine struct {
 	// Transformer and scan overlay, recording into st.
 	serial batchPlan
 
-	// probes is the cache pass's per-worker phase-1 scratch; flushQ
-	// holds its phase-2 flushes.
+	// probes is the cache pass's per-worker phase-1 scratch and probe
+	// its superstep; flushQ holds its phase-2 flushes.
 	probes []probeScratch
+	probe  probeJob
 	flushQ []keys.Query
 
 	// flushRS is the empty result sink cache write-backs (defines only,
@@ -150,6 +149,7 @@ func newEngine(cfg EngineConfig, tree *btree.Tree) (*Engine, error) {
 	if cfg.Mode == IntraInter && cfg.CacheCapacity > 0 {
 		e.topK = cache.New(cfg.CacheCapacity, cache.LRU)
 		e.probes = make([]probeScratch, pool.N())
+		e.probe.init(e)
 	}
 	return e, nil
 }
@@ -336,20 +336,8 @@ func (e *Engine) writeBack(fl []keys.Query) {
 	if len(fl) == 0 {
 		return
 	}
-	e.sortFlushes(fl)
+	e.pool.RadixSortQueries(fl)
 	e.proc.ProcessTransformed(fl, e.flushRS)
-}
-
-// sortFlushes key-sorts cache flush queries, which come out of the
-// table in slot order and carry distinct keys: a pool radix sort for a
-// prefill-sized set, pdqsort below the size where the radix sort's
-// 64 Ki-bucket passes cost more than comparisons.
-func (e *Engine) sortFlushes(fl []keys.Query) {
-	if len(fl) >= 8192 {
-		e.pool.RadixSortQueries(fl)
-	} else {
-		slices.SortFunc(fl, func(a, b keys.Query) int { return cmp.Compare(a.Key, b.Key) })
-	}
 }
 
 // mergeProcStats folds the processor's stage timings, leaf-op counters
@@ -436,16 +424,34 @@ func (ps *probeScratch) probe(c *cache.TopK, qs []keys.Query, rs *keys.ResultSet
 	})
 }
 
+// probeJob is phase 1's superstep and the batch it reads. The step is
+// built once, so a batch hands the pool no new closure.
+type probeJob struct {
+	step   func(tid int)
+	qs     []keys.Query
+	rs     *keys.ResultSet
+	rt     *Router
+	bounds []int
+}
+
+func (j *probeJob) init(e *Engine) {
+	j.bounds = make([]int, len(e.probes)+1)
+	j.step = func(tid int) {
+		e.probes[tid].probe(e.topK, j.qs[j.bounds[tid]:j.bounds[tid+1]], j.rs, j.rt)
+	}
+}
+
 // probeCache is phase 1: one superstep over run-aligned chunks of the
 // reduced batch (a key's run stays on one worker, so no two workers
 // touch one slot). It then folds the workers' counters into st and
 // joins their surviving searches, in key order, at the front of
 // remaining, which it returns.
 func (e *Engine) probeCache(remaining []keys.Query, rs *keys.ResultSet, rt *Router, st *stats.Batch) []keys.Query {
-	bounds := runAlignedBounds(remaining, len(e.probes))
-	e.pool.Run(func(tid int) {
-		e.probes[tid].probe(e.topK, remaining[bounds[tid]:bounds[tid+1]], rs, rt)
-	})
+	j := &e.probe
+	bounds := runAlignedBounds(remaining, j.bounds)
+	j.qs, j.rs, j.rt = remaining, rs, rt
+	e.pool.Run(j.step)
+	j.qs, j.rs, j.rt = nil, nil, nil
 	n, hits, misses := 0, 0, 0
 	for w := range e.probes {
 		ps := &e.probes[w]
@@ -502,7 +508,7 @@ func (e *Engine) mergeFlushes(out []keys.Query) []keys.Query {
 	if len(fl) == 0 {
 		return out
 	}
-	e.sortFlushes(fl)
+	e.pool.RadixSortQueries(fl)
 	hi := len(out) // out[:hi] are the survivors not yet moved
 	out = out[:hi+len(fl)]
 	for j := len(fl) - 1; j >= 0; j-- {

@@ -378,7 +378,7 @@ func TestRunAlignedBounds(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got := runAlignedBounds(c.qs, c.nw)
+			got := runAlignedBounds(c.qs, make([]int, c.nw+1))
 			checkRunAlignedBounds(t, c.qs, got)
 			if !slices.Equal(got, c.want) {
 				t.Fatalf("bounds = %v, want %v", got, c.want)
@@ -394,7 +394,7 @@ func TestRunAlignedBounds(t *testing.T) {
 				qs[i] = keys.Search(keys.Key(r.Intn(span)))
 			}
 			keys.SortByKey(keys.Number(qs))
-			checkRunAlignedBounds(t, qs, runAlignedBounds(qs, 1+r.Intn(9)))
+			checkRunAlignedBounds(t, qs, runAlignedBounds(qs, make([]int, 2+r.Intn(9))))
 		}
 	})
 }

@@ -48,8 +48,10 @@ type scanPlan struct {
 	// scan's (the covering-scan kill), or -1 to walk the tree.
 	cover int32
 	// fetch is how many tree rows the scan needs (0 = all): its limit
-	// plus one per in-range delete that precedes it, so that patching
-	// can never leave it short of rows the tree still holds.
+	// plus one per in-batch delete in its range, so that patching can
+	// never leave it short of rows the tree still holds. Deletes that
+	// follow the scan are counted too; the longer fetch is harmless
+	// (see overlay).
 	fetch keys.Value
 }
 
@@ -65,6 +67,7 @@ type scanOverlay struct {
 	order  []int32      // non-empty scans in (lo asc, hi desc) sweep order
 	spans  []keySpan    // union of the scan ranges, sorted and disjoint
 	defs   []keys.Query // defining queries inside spans, (Key, Idx) order
+	dels   []int32      // dels[i] = deletes among defs[:i]
 	kills  int          // scans answered from a cover's rows
 }
 
@@ -108,26 +111,38 @@ func (ov *scanOverlay) build(qs []keys.Query) []keys.Query {
 // walks only the points inside the span; the spans are sorted and
 // disjoint, so each search starts where the last walk stopped. defs
 // inherits the points' (Key, Idx) order, so it needs no sort of its
-// own.
+// own; dels counts its deletes as it grows.
 func (ov *scanOverlay) finish(sorted []keys.Query) {
-	ov.defs = ov.defs[:0]
+	ov.defs, ov.dels = ov.defs[:0], append(ov.dels[:0], 0)
 	i := 0
 	for _, sp := range ov.spans {
 		rest := sorted[i:]
 		i += sort.Search(len(rest), func(j int) bool { return rest[j].Key >= sp.lo })
 		for ; i < len(sorted) && sorted[i].Key < sp.hi; i++ {
-			if sorted[i].Op != keys.OpSearch {
+			if op := sorted[i].Op; op != keys.OpSearch {
 				ov.defs = append(ov.defs, sorted[i])
+				d := ov.dels[len(ov.dels)-1]
+				if op == keys.OpDelete {
+					d++
+				}
+				ov.dels = append(ov.dels, d)
 			}
 		}
 	}
 	ov.planScans()
 }
 
+// defRange returns the bounds [a, b) of the in-range defines with
+// lo <= key < hi in defs.
+func (ov *scanOverlay) defRange(lo, hi keys.Key) (a, b int) {
+	a = sort.Search(len(ov.defs), func(i int) bool { return ov.defs[i].Key >= lo })
+	b = a + sort.Search(len(ov.defs)-a, func(i int) bool { return ov.defs[a+i].Key >= hi })
+	return a, b
+}
+
 // defsIn returns the in-range defines with lo <= key < hi.
 func (ov *scanOverlay) defsIn(lo, hi keys.Key) []keys.Query {
-	a := sort.Search(len(ov.defs), func(i int) bool { return ov.defs[i].Key >= lo })
-	b := a + sort.Search(len(ov.defs)-a, func(i int) bool { return ov.defs[a+i].Key >= hi })
+	a, b := ov.defRange(lo, hi)
 	return ov.defs[a:b]
 }
 
@@ -157,12 +172,8 @@ func (ov *scanOverlay) planScans() {
 	for _, i := range ov.order {
 		q, pl := ov.scans[i], &ov.plan[i]
 		if q.Value > 0 {
-			pl.fetch = q.Value
-			for _, d := range ov.defsIn(q.Key, q.Key2) {
-				if d.Op == keys.OpDelete && d.Idx < q.Idx {
-					pl.fetch++
-				}
-			}
+			a, b := ov.defRange(q.Key, q.Key2)
+			pl.fetch = q.Value + keys.Value(ov.dels[b]-ov.dels[a])
 			if pl.fetch < q.Value { // wrapped: fetch everything
 				pl.fetch = 0
 			}
@@ -228,9 +239,10 @@ func truncRows(rows []keys.KV, limit keys.Value) []keys.KV {
 
 // overlay merges scan q's raw tree rows with the defines that precede
 // it. Keys the tree fetch stopped short of read as absent; that is
-// harmless, because a short fetch holds limit + D rows, at most D of
-// which the overlay removes, so the limit is reached at or before the
-// last fetched key and everything after it is truncated.
+// harmless, because a short fetch holds limit + D rows (D counts the
+// batch's deletes in the scan's range, preceding it or not), at most D
+// of which the overlay removes, so the limit is reached at or before
+// the last fetched key and everything after it is truncated.
 func (ov *scanOverlay) overlay(slab *keys.RowSlab, raw []keys.KV, q *keys.Query) []keys.KV {
 	defs := ov.defsIn(q.Key, q.Key2)
 	if !slices.ContainsFunc(defs, func(d keys.Query) bool { return d.Idx < q.Idx }) {

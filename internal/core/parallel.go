@@ -33,14 +33,27 @@ type Transformer struct {
 	out      []keys.Query
 	reps     []int32
 	inferred int
+
+	// The QSAT superstep and what it reads: built once, so a batch
+	// hands the pool no new closure.
+	qsatStep func(tid int)
+	batch    []keys.Query
+	rs       *keys.ResultSet
+	bounds   []int
 }
 
 // NewTransformer creates a Transformer running on pool.
 func NewTransformer(pool *bsp.Pool) *Transformer {
-	t := &Transformer{pool: pool}
+	t := &Transformer{pool: pool, bounds: make([]int, pool.N()+1)}
 	t.emitters = make([]*Emitter, pool.N())
 	for i := range t.emitters {
 		t.emitters[i] = NewEmitter(&t.Router, nil)
+	}
+	t.qsatStep = func(tid int) {
+		e := t.emitters[tid]
+		e.rs = t.rs
+		e.Reset()
+		QSATSequence(t.batch[t.bounds[tid]:t.bounds[tid+1]], e)
 	}
 	return t
 }
@@ -81,13 +94,10 @@ func (t *Transformer) Transform(qs []keys.Query, rs *keys.ResultSet, st *stats.B
 		sw = st.Timer(stats.StageQSAT2)
 	}
 
-	bounds := runAlignedBounds(qs, len(t.emitters))
-	t.pool.Run(func(tid int) {
-		e := t.emitters[tid]
-		e.rs = rs
-		e.Reset()
-		QSATSequence(qs[bounds[tid]:bounds[tid+1]], e)
-	})
+	runAlignedBounds(qs, t.bounds)
+	t.batch, t.rs = qs, rs
+	t.pool.Run(t.qsatStep)
+	t.batch, t.rs = nil, nil
 
 	t.out = t.out[:0]
 	for _, e := range t.emitters {
@@ -121,14 +131,15 @@ func (t *Transformer) Broadcast(rs *keys.ResultSet) {
 	}
 }
 
-// runAlignedBounds returns nw+1 boundaries splitting the key-sorted qs
-// into nw chunks of near-equal length whose edges never split a
-// same-key run. It is QTrans's only load-balancing rule: a run longer
-// than len(qs)/nw stays whole on one worker, and every chunk takes at
-// least one run while any are left, so with fewer runs than workers
-// only the trailing chunks are empty.
-func runAlignedBounds(qs []keys.Query, nw int) []int {
-	bounds := make([]int, nw+1)
+// runAlignedBounds fills bounds (nw+1 entries) with the boundaries
+// splitting the key-sorted qs into nw chunks of near-equal length whose
+// edges never split a same-key run, and returns it. It is QTrans's only
+// load-balancing rule: a run longer than len(qs)/nw stays whole on one
+// worker, and every chunk takes at least one run while any are left, so
+// with fewer runs than workers only the trailing chunks are empty.
+func runAlignedBounds(qs []keys.Query, bounds []int) []int {
+	nw := len(bounds) - 1
+	bounds[0] = 0
 	n := len(qs)
 	for t := 1; t < nw; t++ {
 		b := max(t*n/nw, bounds[t-1]+1)

@@ -142,7 +142,10 @@ func TestTransformMatchesSerialQSAT(t *testing.T) {
 
 // TestTransformSortsOnce pins the transform's shape by the supersteps
 // it hands the pool: exactly those of one pool sort of the batch, plus
-// one for the QSAT pass.
+// one for the QSAT pass. A 16 384-query batch is below the radix
+// sort's partitioned size, so that sort runs on the caller and
+// dispatches none; the merge sort dispatches its chunk sort and one
+// merge round on two workers.
 func TestTransformSortsOnce(t *testing.T) {
 	pool := bsp.NewPool(2)
 	defer pool.Close()
@@ -152,13 +155,16 @@ func TestTransformSortsOnce(t *testing.T) {
 		qs[i] = keys.Search(keys.Key(r.Intn(1 << 21)))
 	}
 	keys.Number(qs)
-	for _, compare := range []bool{false, true} {
+	for compare, want := range map[bool]uint64{false: 0, true: 2} {
 		t.Run(fmt.Sprintf("CompareSort=%v", compare), func(t *testing.T) {
 			tf := NewTransformer(pool)
 			tf.CompareSort = compare
 			d0 := pool.Dispatched()
 			tf.sort(slices.Clone(qs))
 			sortSteps := pool.Dispatched() - d0
+			if sortSteps != want {
+				t.Fatalf("sort dispatched %d supersteps, want %d", sortSteps, want)
+			}
 			d0 = pool.Dispatched()
 			tf.Transform(slices.Clone(qs), keys.NewResultSet(len(qs)), nil)
 			if got := pool.Dispatched() - d0; got != sortSteps+1 {

@@ -14,7 +14,11 @@ import (
 // exact dispatch counter: a point batch and a scan/RMW batch below
 // inlineBatch hand no superstep to the workers, a large batch does, and
 // calls outside processBatch (here Flush) still dispatch afterwards.
+// A 4096-query batch sorts on the caller (below the radix sort's
+// partitioned size), so it dispatches PALM's two supersteps in org
+// mode, and in inter mode those plus the QSAT pass and the cache probe.
 func TestSmallBatchRunsInline(t *testing.T) {
+	large := map[Mode]uint64{Original: 2, IntraInter: 4}
 	for _, mode := range []Mode{Original, IntraInter} {
 		t.Run(mode.String(), func(t *testing.T) {
 			eng, err := NewEngine(EngineConfig{
@@ -33,8 +37,8 @@ func TestSmallBatchRunsInline(t *testing.T) {
 				return eng.Pool().Dispatched() - before
 			}
 
-			if d := run(mixedPointBatch(r, 4096, 1<<14)); d < 4 {
-				t.Errorf("4096-query batch dispatched %d supersteps, want >= 4", d)
+			if d := run(mixedPointBatch(r, 4096, 1<<14)); d != large[mode] {
+				t.Errorf("4096-query batch dispatched %d supersteps, want %d", d, large[mode])
 			}
 			if d := run(mixedBatch(r, inlineBatch-1, 1<<14)); d != 0 {
 				t.Errorf("scan/RMW batch of %d dispatched %d supersteps, want 0", inlineBatch-1, d)
