@@ -9,28 +9,28 @@
 #                pipeline (and its serial/pipelined parity
 #                test), the top-K cache's phase-1 probe API (probes and
 #                in-place defines from many goroutines on disjoint
-#                keys), the PALM BSP stages (including the 2^4
-#                sorted-batch kernel ablation matrix), the gapped/dense
-#                tree layouts, the sharded engine and autoshard
-#                controller, the cold-range tier store, the WAL syncer,
-#                the batcher's group-commit dispatch, the metrics
-#                registry, the TCP server front end and its CLI, and the
-#                facade (stream and service hammers, scan/RMW batches,
-#                tiered and durable integration, and the composition
-#                matrix of shards x pipeline x durability x tier x
-#                autoshard against the oracle)
+#                keys), the PALM BSP stages and their sorted-batch
+#                kernel differentials, the gapped tree, the sharded
+#                engine and autoshard controller, the cold-range tier
+#                store, the WAL syncer, the batcher's group-commit
+#                dispatch, the metrics registry, the TCP server front
+#                end and its CLI, and the facade (stream and service
+#                hammers, scan/RMW batches, tiered and durable
+#                integration, and the composition matrix of shards x
+#                pipeline x durability x tier x autoshard against the
+#                oracle)
 #   fuzz-smoke   10s runs of the batch radix sort fuzzer (every size,
 #                key width and pool size against the reference stable
 #                sort, DESIGN.md §4 item 0), the shard differential
 #                fuzzer (the
 #                sharded/serial equivalence property of DESIGN.md §6,
-#                including scan/RMW and dense-layout arms), the
+#                including scan/RMW arms), the
 #                autoshard differential fuzzer (random ops with the
 #                resharding controller stepping between batches vs the
 #                serial oracle, DESIGN.md §13), the
 #                range/RMW differential fuzzer (the org and inter
-#                engine modes on gapped and dense layouts vs the oracle
-#                on batches mixing all five ops, DESIGN.md §11), the
+#                engine modes vs the oracle on batches mixing all five
+#                ops, DESIGN.md §11), the
 #                cache-pass fuzzer (point batches through the two-phase
 #                top-K cache pass at several capacities and worker
 #                counts plus a pipelined arm vs the oracle, with
@@ -39,17 +39,16 @@
 #                crash-recovery fuzzer (the
 #                durability property of DESIGN.md §7: power cut at an
 #                arbitrary byte, then recover to an acked whole-batch
-#                prefix — with gapped and dense pre-crash configs and
-#                RMW in the workload), and the dual-layout tree fuzzer
-#                (gapped and dense trees in lockstep vs a map oracle,
-#                DESIGN.md §10), the wire-protocol frame decoder
+#                prefix — with RMW in the workload), the tree fuzzer
+#                (the gapped tree vs a map oracle, DESIGN.md §10), the
+#                wire-protocol frame decoder
 #                (canonical re-encode property, DESIGN.md §12), and the
 #                tiered differential fuzzer (tiered facade vs the plain
 #                facade and a map oracle with random demotion budgets,
 #                DESIGN.md §14; the crash-recovery fuzzer also carries
 #                a tiered pre-crash arm)
 #   bench-smoke  one-iteration compile-and-run of the batch sort
-#                size table, the pipeline, durability, kernel, layout,
+#                size table, the pipeline, durability, kernel,
 #                batch-size, QTrans transform, mixed scan/RMW batch and
 #                cache pass benchmarks
 #                (catches bit-rot in the benchmarks without paying for a
@@ -90,7 +89,6 @@ bench-smoke:
 	$(GO) test -run=XXX -bench=BenchmarkPipeline -benchtime=1x .
 	$(GO) test -run=XXX -bench=BenchmarkDurability -benchtime=1x ./qtrans
 	$(GO) test -run=XXX -bench=BenchmarkKernels -benchtime=1x ./internal/palm
-	$(GO) test -run=XXX -bench=BenchmarkLayout -benchtime=1x ./internal/palm
 	$(GO) test -run=XXX -bench=BenchmarkProcessBatchSize -benchtime=1x ./internal/core
 	$(GO) test -run=XXX -bench=BenchmarkTransform1M -benchtime=1x ./internal/core
 	$(GO) test -run=XXX -bench=BenchmarkMixedScanBatch -benchtime=1x ./internal/core

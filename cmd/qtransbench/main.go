@@ -37,7 +37,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("qtransbench", flag.ContinueOnError)
 	var (
-		experiment = fs.String("experiment", "", "experiment id (fig4, fig9a..d, fig10a..d, fig11a..d, fig12a..b, fig13, fig14a..c, fig15, abl1, abl2, pipe, shard, autoshard, tiered, kernels, layout, scan, metrics, serve, table1, table2) or 'all'")
+		experiment = fs.String("experiment", "", "experiment id (fig4, fig9a..d, fig10a..d, fig11a..d, fig12a..b, fig13, fig14a..c, fig15, abl1, abl2, pipe, shard, autoshard, tiered, scan, metrics, serve, table1, table2) or 'all'")
 		list       = fs.Bool("list", false, "list available experiments and exit")
 		scale      = fs.Float64("scale", 0.002, "dataset scale factor in (0,1]; 1 = paper scale (Table I sizes)")
 		workers    = fs.Int("workers", runtime.GOMAXPROCS(0), "BSP worker threads")
@@ -50,11 +50,6 @@ func run(args []string) error {
 
 		conns     = fs.Int("conns", 0, "concurrent client connections for the serve experiment (0 = scale-derived)")
 		serverBin = fs.String("serverbin", "", "path to a built qtransserver binary for the serve experiment (empty = in-process server)")
-
-		pathReuse  = fs.Bool("pathreuse", true, "path-reuse descent kernel (false = fresh root descent per query)")
-		branchless = fs.Bool("branchless", true, "branchless intra-node search kernel (false = closure-based binary search)")
-		mergeApply = fs.Bool("mergeapply", true, "merge-based leaf application kernel (false = per-query leaf updates)")
-		gapped     = fs.Bool("gapped", true, "gapped (BS-tree) node layout (false = classic dense nodes)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -87,18 +82,14 @@ func run(args []string) error {
 	}
 
 	rn := harness.NewRunner(harness.Options{
-		Scale:              *scale,
-		Workers:            *workers,
-		Order:              *order,
-		Seed:               *seed,
-		CacheCapacity:      *cacheCap,
-		Batches:            *batches,
-		NoPathReuse:        !*pathReuse,
-		NoBranchlessSearch: !*branchless,
-		NoMergeApply:       !*mergeApply,
-		NoGappedLayout:     !*gapped,
-		Conns:              *conns,
-		ServerBin:          *serverBin,
+		Scale:         *scale,
+		Workers:       *workers,
+		Order:         *order,
+		Seed:          *seed,
+		CacheCapacity: *cacheCap,
+		Batches:       *batches,
+		Conns:         *conns,
+		ServerBin:     *serverBin,
 	})
 
 	exps := harness.Experiments()

@@ -48,11 +48,6 @@ func run(args []string) error {
 		tiered  = fs.Bool("tiered", false, "cold-range tiering: spill cold key ranges to runs in a temp directory, bounding resident keys (needs -shards = 1)")
 		tierBud = fs.Int("tiered-budget", 0, "tiered resident key budget (0 = a quarter of the keys stored after prefill)")
 
-		pathReuse  = fs.Bool("pathreuse", true, "path-reuse descent kernel (false = fresh root descent per query)")
-		branchless = fs.Bool("branchless", true, "branchless intra-node search kernel (false = closure-based binary search)")
-		mergeApply = fs.Bool("mergeapply", true, "merge-based leaf application kernel (false = per-query leaf updates)")
-		gapped     = fs.Bool("gapped", true, "gapped (BS-tree) node layout (false = classic dense nodes)")
-
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address during the run (e.g. :9100); also prints the final metrics table")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -112,14 +107,10 @@ func run(args []string) error {
 	rn := harness.NewRunner(harness.Options{
 		Scale: *scale, Workers: *workers, Seed: *seed,
 		CacheCapacity: 1 << 16, Batches: *batches,
-		NoPathReuse:        !*pathReuse,
-		NoBranchlessSearch: !*branchless,
-		NoMergeApply:       !*mergeApply,
-		NoGappedLayout:     !*gapped,
-		Metrics:            reg,
-		Autoshard:          shard.AutoshardConfig{Enabled: *auto},
-		TieredDir:          tierDir,
-		TieredBudget:       *tierBud,
+		Metrics:      reg,
+		Autoshard:    shard.AutoshardConfig{Enabled: *auto},
+		TieredDir:    tierDir,
+		TieredBudget: *tierBud,
 	})
 	spec, err := workload.SpecByName(*dataset, *scale)
 	if err != nil {

@@ -46,9 +46,6 @@ func TestRunRejectsBadValues(t *testing.T) {
 		{"negative rebalance", []string{"-rebalance", "-1"}},
 		{"rebalance without shards", []string{"-rebalance", "5"}},
 		{"rebalance with one shard", []string{"-rebalance", "5", "-shards", "1"}},
-		{"non-bool pathreuse", []string{"-pathreuse=maybe"}},
-		{"non-bool branchless", []string{"-branchless=2"}},
-		{"non-bool mergeapply", []string{"-mergeapply=yep"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -23,7 +23,7 @@ import (
 )
 
 // DefaultOrder is the default maximum fanout. The paper's artifact uses
-// wide nodes tuned to KNL cache lines; with the default gapped layout a
+// wide nodes tuned to KNL cache lines; at the default order a gapped
 // node is a fixed 63-slot key array (504 B, ~8 cache lines — about one
 // 4-line sector pair per half), small enough that the unconditional
 // full-width scan stays L1-resident while leaving real gap slack
@@ -35,28 +35,28 @@ const MinOrder = 3
 
 // Node is one B+ tree node. Exported (with read-only accessors) so the
 // PALM processor in a sibling package can stage bottom-up modifications;
-// user code should treat nodes as opaque.
+// user code should treat nodes as opaque. Every node uses the gapped
+// slot layout of gapped.go.
 type Node struct {
-	// Keys holds the node's keys in ascending slot order. For a dense
-	// node every slot is a real entry; for a gapped node (Gapped()) the
-	// array has fixed width Cap() and free slots duplicate the entry to
-	// their right (or hold SentinelKey), so Keys is sorted either way.
-	// For a leaf, Keys[i] pairs with Vals[i]. For an internal node,
-	// Keys[i] separates Children[i] (< Keys[i]) from Children[i+1]
-	// (>= Keys[i]); gapped internal nodes keep their Len() separators as
-	// a dense prefix with a sentinel tail.
+	// Keys holds the node's keys in ascending slot order: a fixed-width
+	// array of Cap() slots whose free slots duplicate the entry to
+	// their right (or hold SentinelKey), so Keys is always sorted. For
+	// a leaf, Keys[i] pairs with Vals[i]. For an internal node, Keys[i]
+	// separates Children[i] (< Keys[i]) from Children[i+1] (>= Keys[i]);
+	// internal nodes keep their Len() separators as a dense prefix with
+	// a sentinel tail.
 	Keys []keys.Key
 	// Vals holds leaf payloads, one per key slot; nil for internal nodes.
 	Vals []keys.Value
 	// Children holds child pointers; nil for leaves. Always dense
-	// (len == Len()+1) in both layouts.
+	// (len == Len()+1).
 	Children []*Node
 	// Next chains leaves left-to-right; nil for internal nodes and the
 	// rightmost leaf.
 	Next *Node
 
-	// occ is the gapped layout's presence bitmap over key slots; nil for
-	// dense nodes. count is the number of occupied slots. See Gapped.
+	// occ is the presence bitmap over key slots and count the number
+	// of occupied slots (gapped.go).
 	occ   []uint64
 	count int32
 }
@@ -64,55 +64,29 @@ type Node struct {
 // Leaf reports whether n is a leaf node.
 func (n *Node) Leaf() bool { return n.Children == nil }
 
-// Len returns the number of entries stored in the node (occupied slots
-// for a gapped node; every slot for a dense one).
-func (n *Node) Len() int {
-	if n.occ != nil {
-		return int(n.count)
-	}
-	return len(n.Keys)
-}
+// Len returns the number of entries stored in the node (its occupied
+// slots).
+func (n *Node) Len() int { return int(n.count) }
 
 // Tree is a B+ tree of a fixed order. The zero value is not usable; use
 // New. Tree's serial methods are not safe for concurrent use; the PALM
 // processor provides safe batched concurrency on top.
 type Tree struct {
-	root   *Node
-	order  int // max children of an internal node; max leaf entries = order-1
-	size   int // number of key-value pairs
-	layout Layout
+	root  *Node
+	order int // max children of an internal node; max leaf entries = order-1
+	size  int // number of key-value pairs
 }
 
-// New creates an empty tree of the given order with the default gapped
-// layout. Orders below MinOrder are rejected; order <= 0 selects
-// DefaultOrder.
+// New creates an empty tree of the given order. Orders below MinOrder
+// are rejected; order <= 0 selects DefaultOrder.
 func New(order int) (*Tree, error) {
-	return NewLayout(order, LayoutGapped)
-}
-
-// NewLayout creates an empty tree of the given order and node layout.
-func NewLayout(order int, layout Layout) (*Tree, error) {
 	if order <= 0 {
 		order = DefaultOrder
 	}
 	if order < MinOrder {
 		return nil, fmt.Errorf("btree: order %d below minimum %d", order, MinOrder)
 	}
-	return &Tree{
-		root:   NewLeafLayout(order, layout),
-		order:  order,
-		layout: layout,
-	}, nil
-}
-
-// NewLeafLayout returns an empty leaf node for a tree of the given
-// order and layout (used by Stage-3 restructuring to reset a drained
-// root).
-func NewLeafLayout(order int, layout Layout) *Node {
-	if layout == LayoutDense {
-		return &Node{Keys: make([]keys.Key, 0, order)}
-	}
-	return NewGappedLeaf(order - 1)
+	return &Tree{root: NewGappedLeaf(order - 1), order: order}, nil
 }
 
 // MustNew is New for known-good orders; it panics on error. Intended for
@@ -127,9 +101,6 @@ func MustNew(order int) *Tree {
 
 // Order returns the tree's order (maximum internal fanout).
 func (t *Tree) Order() int { return t.order }
-
-// Layout returns the tree's node layout.
-func (t *Tree) Layout() Layout { return t.layout }
 
 // Len returns the number of key-value pairs stored.
 func (t *Tree) Len() int { return t.size }
@@ -165,8 +136,8 @@ func searchKeys(ks []keys.Key, k keys.Key) int {
 // childIndex returns which child of internal node n covers key k.
 func childIndex(n *Node, k keys.Key) int {
 	// Keys[i] separates children i and i+1 with children[i] < Keys[i].
-	// A gapped node's sentinel tail can push the probe past the last
-	// child when k == SentinelKey; clamping is a no-op for dense nodes.
+	// The sentinel tail can push the probe past the last child when
+	// k == SentinelKey, so the slot is clamped to the last child.
 	i := SearchGT(n.Keys, k)
 	if i >= len(n.Children) {
 		i = len(n.Children) - 1
@@ -229,85 +200,72 @@ func (t *Tree) Search(k keys.Key) (keys.Value, bool) {
 	return LeafFind(t.FindLeaf(k, nil), k)
 }
 
+// sepCap is the fixed separator capacity of internal nodes.
+func (t *Tree) sepCap() int { return t.order - 1 }
+
 // Insert stores v under k, replacing any existing value (the I(key, v)
 // semantics of §II-A). It reports whether a new entry was created.
 func (t *Tree) Insert(k keys.Key, v keys.Value) bool {
-	if t.layout == LayoutGapped {
-		return t.insertGapped(k, v)
-	}
 	var path Path
 	leaf := t.FindLeaf(k, &path)
-	i := searchKeys(leaf.Keys, k)
-	if i < len(leaf.Keys) && leaf.Keys[i] == k {
-		leaf.Vals[i] = v
-		return false
-	}
-	leaf.Keys = append(leaf.Keys, 0)
-	leaf.Vals = append(leaf.Vals, 0)
-	copy(leaf.Keys[i+1:], leaf.Keys[i:])
-	copy(leaf.Vals[i+1:], leaf.Vals[i:])
-	leaf.Keys[i] = k
-	leaf.Vals[i] = v
-	t.size++
-	if len(leaf.Keys) > t.maxLeafEntries() {
+	ed := leaf.InsertGapped(k, v)
+	if ed.Full {
 		t.splitLeaf(leaf, &path)
+		// The split may have grown the tree; re-descend to the
+		// now-half-full covering leaf and claim one of its fresh gaps.
+		leaf = t.FindLeaf(k, &path)
+		ed = leaf.InsertGapped(k, v)
 	}
-	return true
+	if ed.Added {
+		t.size++
+	}
+	return ed.Added
 }
 
-// splitLeaf splits an overfull leaf in half and inserts the separator
-// into the parent, cascading splits upward as needed.
+// splitLeaf splits a full leaf into two half-full leaves with evenly
+// spread gaps and pushes the separator into the parent, cascading
+// splits upward as needed.
 func (t *Tree) splitLeaf(leaf *Node, path *Path) {
-	mid := len(leaf.Keys) / 2
-	right := &Node{
-		Keys: append(make([]keys.Key, 0, t.order), leaf.Keys[mid:]...),
-		Vals: append(make([]keys.Value, 0, t.order), leaf.Vals[mid:]...),
-		Next: leaf.Next,
-	}
-	leaf.Keys = leaf.Keys[:mid]
-	leaf.Vals = leaf.Vals[:mid]
+	ks, vs := leaf.AppendEntries(nil, nil)
+	mid := (len(ks) + 1) / 2
+	right := NewGappedLeaf(len(leaf.Keys))
+	right.Next = leaf.Next
+	PackLeafGapped(right, ks[mid:], vs[mid:])
+	PackLeafGapped(leaf, ks[:mid], vs[:mid])
 	leaf.Next = right
-	t.insertIntoParent(path, path.Len()-1, right.Keys[0], right)
+	t.insertIntoParent(path, path.Len()-1, ks[mid], right)
 }
 
 // insertIntoParent inserts separator sep and new right child into the
 // parent at path level lvl, splitting ancestors as needed. lvl == -1
-// means the split node was the root.
+// means the split node was the root, which grows a new root.
 func (t *Tree) insertIntoParent(path *Path, lvl int, sep keys.Key, right *Node) {
 	if lvl < 0 {
-		// Grow a new root.
 		old := t.root
-		t.root = &Node{
-			Keys:     append(make([]keys.Key, 0, t.order), sep),
-			Children: append(make([]*Node, 0, t.order+1), old, right),
-		}
+		root := &Node{Children: append(make([]*Node, 0, t.order+1), old, right)}
+		SetInternalGapped(root, t.sepCap(), []keys.Key{sep}, root.Children)
+		t.root = root
 		return
 	}
 	parent := path.Nodes[lvl]
-	slot := path.Slots[lvl]
-	// Insert sep at slot, right at slot+1.
-	parent.Keys = append(parent.Keys, 0)
-	copy(parent.Keys[slot+1:], parent.Keys[slot:])
-	parent.Keys[slot] = sep
-	parent.Children = append(parent.Children, nil)
-	copy(parent.Children[slot+2:], parent.Children[slot+1:])
-	parent.Children[slot+1] = right
+	parent.internalInsertAt(path.Slots[lvl], sep, right)
 	if len(parent.Children) > t.order {
 		t.splitInternal(parent, path, lvl)
 	}
 }
 
-// splitInternal splits an overfull internal node, pushing the middle key
-// to the parent.
+// splitInternal splits an over-full internal node in half,
+// repacking both pieces at the fixed separator capacity and pushing the
+// middle separator up.
 func (t *Tree) splitInternal(n *Node, path *Path, lvl int) {
-	midKey := len(n.Keys) / 2
-	sep := n.Keys[midKey]
-	right := &Node{
-		Keys:     append(make([]keys.Key, 0, t.order), n.Keys[midKey+1:]...),
-		Children: append(make([]*Node, 0, t.order+1), n.Children[midKey+1:]...),
-	}
-	n.Keys = n.Keys[:midKey]
-	n.Children = n.Children[:midKey+1]
+	cnt := int(n.count)
+	mid := cnt / 2
+	sep := n.Keys[mid]
+	right := &Node{Children: append(make([]*Node, 0, t.order+1), n.Children[mid+1:]...)}
+	SetInternalGapped(right, t.sepCap(), n.Keys[mid+1:cnt], right.Children)
+	leftSeps := append(make([]keys.Key, 0, mid), n.Keys[:mid]...)
+	n.Children = n.Children[:mid+1]
+	SetInternalGapped(n, t.sepCap(), leftSeps, n.Children)
 	t.insertIntoParent(path, lvl-1, sep, right)
 }
 
@@ -316,75 +274,64 @@ func (t *Tree) splitInternal(n *Node, path *Path, lvl int) {
 // borrow from or merge with a sibling under the same parent, cascading
 // upward.
 func (t *Tree) Delete(k keys.Key) bool {
-	if t.layout == LayoutGapped {
-		return t.deleteGapped(k)
-	}
 	var path Path
 	leaf := t.FindLeaf(k, &path)
-	i := searchKeys(leaf.Keys, k)
-	if i >= len(leaf.Keys) || leaf.Keys[i] != k {
+	ed := leaf.DeleteGapped(k)
+	if !ed.Removed {
 		return false
 	}
-	leaf.Keys = append(leaf.Keys[:i], leaf.Keys[i+1:]...)
-	leaf.Vals = append(leaf.Vals[:i], leaf.Vals[i+1:]...)
 	t.size--
 	t.rebalanceLeaf(leaf, &path)
 	return true
 }
 
-// rebalanceLeaf restores the minimum-fill invariant after a leaf deletion.
+// rebalanceLeaf restores the minimum-fill invariant after a leaf
+// deletion: borrow a boundary entry through the cheap single-entry
+// gapped ops, or merge into a freshly packed sibling.
 func (t *Tree) rebalanceLeaf(leaf *Node, path *Path) {
-	if path.Len() == 0 {
-		return // leaf is root; any fill is legal
-	}
-	if len(leaf.Keys) >= t.minLeafEntries() {
+	if path.Len() == 0 || leaf.Len() >= t.minLeafEntries() {
 		return
 	}
 	parent := path.Nodes[path.Len()-1]
 	slot := path.Slots[path.Len()-1]
 
-	// Try borrowing from the left sibling.
 	if slot > 0 {
 		left := parent.Children[slot-1]
-		if len(left.Keys) > t.minLeafEntries() {
-			n := len(left.Keys)
-			leaf.Keys = append(leaf.Keys, 0)
-			leaf.Vals = append(leaf.Vals, 0)
-			copy(leaf.Keys[1:], leaf.Keys)
-			copy(leaf.Vals[1:], leaf.Vals)
-			leaf.Keys[0] = left.Keys[n-1]
-			leaf.Vals[0] = left.Vals[n-1]
-			left.Keys = left.Keys[:n-1]
-			left.Vals = left.Vals[:n-1]
-			parent.Keys[slot-1] = leaf.Keys[0]
+		if left.Len() > t.minLeafEntries() {
+			i := left.LastSlot()
+			bk, bv := left.Keys[i], left.Vals[i]
+			left.DeleteGapped(bk)
+			leaf.InsertGapped(bk, bv)
+			parent.Keys[slot-1] = bk
 			return
 		}
 	}
-	// Try borrowing from the right sibling.
 	if slot < len(parent.Children)-1 {
 		right := parent.Children[slot+1]
-		if len(right.Keys) > t.minLeafEntries() {
-			leaf.Keys = append(leaf.Keys, right.Keys[0])
-			leaf.Vals = append(leaf.Vals, right.Vals[0])
-			right.Keys = append(right.Keys[:0], right.Keys[1:]...)
-			right.Vals = append(right.Vals[:0], right.Vals[1:]...)
+		if right.Len() > t.minLeafEntries() {
+			i := right.FirstSlot()
+			bk, bv := right.Keys[i], right.Vals[i]
+			right.DeleteGapped(bk)
+			leaf.InsertGapped(bk, bv)
+			// A gapped node's slot 0 always duplicates its minimum.
 			parent.Keys[slot] = right.Keys[0]
 			return
 		}
 	}
-	// Merge with a sibling.
 	if slot > 0 {
 		left := parent.Children[slot-1]
-		left.Keys = append(left.Keys, leaf.Keys...)
-		left.Vals = append(left.Vals, leaf.Vals...)
+		ks, vs := left.AppendEntries(nil, nil)
+		ks, vs = leaf.AppendEntries(ks, vs)
+		PackLeafGapped(left, ks, vs)
 		left.Next = leaf.Next
-		t.removeChild(parent, slot, path)
+		t.removeChild(parent, slot, path, path.Len()-1)
 	} else if slot+1 < len(parent.Children) {
 		right := parent.Children[slot+1]
-		leaf.Keys = append(leaf.Keys, right.Keys...)
-		leaf.Vals = append(leaf.Vals, right.Vals...)
+		ks, vs := leaf.AppendEntries(nil, nil)
+		ks, vs = right.AppendEntries(ks, vs)
+		PackLeafGapped(leaf, ks, vs)
 		leaf.Next = right.Next
-		t.removeChild(parent, slot+1, path)
+		t.removeChild(parent, slot+1, path, path.Len()-1)
 	} else {
 		// No sibling at all: a relaxed single-child parent
 		// (relaxed.go).
@@ -392,20 +339,17 @@ func (t *Tree) rebalanceLeaf(leaf *Node, path *Path) {
 	}
 }
 
-// removeChild deletes parent.Children[slot] and the separator to its
-// left, then rebalances the parent. path holds the descent ending at the
-// parent's level (the parent is path.Nodes[path.Len()-1]).
-func (t *Tree) removeChild(parent *Node, slot int, path *Path) {
-	parent.Keys = append(parent.Keys[:slot-1], parent.Keys[slot:]...)
-	parent.Children = append(parent.Children[:slot], parent.Children[slot+1:]...)
-	t.rebalanceInternal(parent, path, path.Len()-1)
+// removeChild removes parent.Children[slot] plus its left
+// separator and rebalances the parent at path level lvl.
+func (t *Tree) removeChild(parent *Node, slot int, path *Path, lvl int) {
+	parent.internalRemoveAt(slot)
+	t.rebalanceInternal(parent, path, lvl)
 }
 
 // rebalanceInternal restores the minimum-fanout invariant for an
 // internal node at path level lvl.
 func (t *Tree) rebalanceInternal(n *Node, path *Path, lvl int) {
 	if lvl == 0 {
-		// n is the root.
 		if len(n.Children) == 1 {
 			t.root = n.Children[0]
 		}
@@ -421,14 +365,21 @@ func (t *Tree) rebalanceInternal(n *Node, path *Path, lvl int) {
 		left := parent.Children[slot-1]
 		if len(left.Children) > t.minChildren() {
 			// Rotate rightwards through the parent separator.
-			n.Keys = append(n.Keys, 0)
-			copy(n.Keys[1:], n.Keys)
+			// An underfull node has cnt+1 <= minChildren-1 <= sepCap
+			// separators after the rotation, so the fixed width fits.
+			cnt := int(n.count)
+			copy(n.Keys[1:cnt+1], n.Keys[:cnt])
 			n.Keys[0] = parent.Keys[slot-1]
+			n.setOcc(cnt)
+			n.count++
 			n.Children = append(n.Children, nil)
 			copy(n.Children[1:], n.Children)
+			lcnt := int(left.count)
 			n.Children[0] = left.Children[len(left.Children)-1]
-			parent.Keys[slot-1] = left.Keys[len(left.Keys)-1]
-			left.Keys = left.Keys[:len(left.Keys)-1]
+			parent.Keys[slot-1] = left.Keys[lcnt-1]
+			left.Keys[lcnt-1] = SentinelKey
+			left.clearOcc(lcnt - 1)
+			left.count--
 			left.Children = left.Children[:len(left.Children)-1]
 			return
 		}
@@ -437,36 +388,42 @@ func (t *Tree) rebalanceInternal(n *Node, path *Path, lvl int) {
 		right := parent.Children[slot+1]
 		if len(right.Children) > t.minChildren() {
 			// Rotate leftwards through the parent separator.
-			n.Keys = append(n.Keys, parent.Keys[slot])
+			cnt := int(n.count)
+			n.Keys[cnt] = parent.Keys[slot]
+			n.setOcc(cnt)
+			n.count++
 			n.Children = append(n.Children, right.Children[0])
 			parent.Keys[slot] = right.Keys[0]
-			right.Keys = append(right.Keys[:0], right.Keys[1:]...)
+			rcnt := int(right.count)
+			copy(right.Keys[:rcnt-1], right.Keys[1:rcnt])
+			right.Keys[rcnt-1] = SentinelKey
+			right.clearOcc(rcnt - 1)
+			right.count--
 			right.Children = append(right.Children[:0], right.Children[1:]...)
 			return
 		}
 	}
 	if slot > 0 {
 		left := parent.Children[slot-1]
-		left.Keys = append(left.Keys, parent.Keys[slot-1])
-		left.Keys = append(left.Keys, n.Keys...)
+		seps := append(make([]keys.Key, 0, t.sepCap()), left.Keys[:left.count]...)
+		seps = append(seps, parent.Keys[slot-1])
+		seps = append(seps, n.Keys[:n.count]...)
 		left.Children = append(left.Children, n.Children...)
-		t.removeChildAt(parent, slot, path, lvl-1)
+		SetInternalGapped(left, t.sepCap(), seps, left.Children)
+		parent.internalRemoveAt(slot)
+		t.rebalanceInternal(parent, path, lvl-1)
 	} else if slot+1 < len(parent.Children) {
 		right := parent.Children[slot+1]
-		n.Keys = append(n.Keys, parent.Keys[slot])
-		n.Keys = append(n.Keys, right.Keys...)
+		seps := append(make([]keys.Key, 0, t.sepCap()), n.Keys[:n.count]...)
+		seps = append(seps, parent.Keys[slot])
+		seps = append(seps, right.Keys[:right.count]...)
 		n.Children = append(n.Children, right.Children...)
-		t.removeChildAt(parent, slot+1, path, lvl-1)
+		SetInternalGapped(n, t.sepCap(), seps, n.Children)
+		parent.internalRemoveAt(slot + 1)
+		t.rebalanceInternal(parent, path, lvl-1)
 	}
 	// else: no sibling under a relaxed single-child parent — the node
 	// stays underfull, which RelaxedFill permits (relaxed.go).
-}
-
-// removeChildAt is removeChild for a known path level.
-func (t *Tree) removeChildAt(parent *Node, slot int, path *Path, lvl int) {
-	parent.Keys = append(parent.Keys[:slot-1], parent.Keys[slot:]...)
-	parent.Children = append(parent.Children[:slot], parent.Children[slot+1:]...)
-	t.rebalanceInternal(parent, path, lvl)
 }
 
 // Scan visits every key-value pair in ascending key order until fn

@@ -10,22 +10,15 @@ import (
 // BulkLoad builds a tree of the given order from key-value pairs in a
 // single bottom-up pass, the standard way to construct a large B+ tree
 // (the harness uses it to prefill paper-scale trees orders of magnitude
-// faster than repeated insertion), using the default gapped layout.
-// ks must be strictly ascending and len(vs) == len(ks); violations are
-// reported as errors.
+// faster than repeated insertion). ks must be strictly ascending and
+// len(vs) == len(ks); violations are reported as errors.
 //
 // Leaves are filled to a target of ~87% of capacity (like stx-btree's
 // bulk loader) so immediately-following inserts do not cascade splits,
-// while keeping the tree within strict fill invariants; gapped leaves
-// additionally spread their free slots evenly so those inserts land on
-// a gap in O(1).
+// while keeping the tree within strict fill invariants; each leaf
+// spreads its free slots evenly so those inserts land on a gap in O(1).
 func BulkLoad(order int, ks []keys.Key, vs []keys.Value) (*Tree, error) {
-	return BulkLoadLayout(order, LayoutGapped, ks, vs)
-}
-
-// BulkLoadLayout is BulkLoad with an explicit node layout.
-func BulkLoadLayout(order int, layout Layout, ks []keys.Key, vs []keys.Value) (*Tree, error) {
-	t, err := NewLayout(order, layout)
+	t, err := New(order)
 	if err != nil {
 		return nil, err
 	}
@@ -56,16 +49,8 @@ func BulkLoadLayout(order int, layout Layout, ks []keys.Key, vs []keys.Value) (*
 	pos := 0
 	var prev *Node
 	for _, sz := range leaves {
-		var leaf *Node
-		if layout == LayoutGapped {
-			leaf = NewGappedLeaf(maxLeaf)
-			PackLeafGapped(leaf, ks[pos:pos+sz], vs[pos:pos+sz])
-		} else {
-			leaf = &Node{
-				Keys: append(make([]keys.Key, 0, maxLeaf+1), ks[pos:pos+sz]...),
-				Vals: append(make([]keys.Value, 0, maxLeaf+1), vs[pos:pos+sz]...),
-			}
-		}
+		leaf := NewGappedLeaf(maxLeaf)
+		PackLeafGapped(leaf, ks[pos:pos+sz], vs[pos:pos+sz])
 		if prev != nil {
 			prev.Next = leaf
 		}
@@ -89,14 +74,7 @@ func BulkLoadLayout(order int, layout Layout, ks []keys.Key, vs []keys.Value) (*
 		pos = 0
 		for _, sz := range groups {
 			n := &Node{Children: append(make([]*Node, 0, maxCh+1), level[pos:pos+sz]...)}
-			if layout == LayoutGapped {
-				PackInternalGapped(n, order)
-			} else {
-				n.Keys = make([]keys.Key, 0, maxCh)
-				for i := 1; i < len(n.Children); i++ {
-					n.Keys = append(n.Keys, subtreeMin(n.Children[i]))
-				}
-			}
+			PackInternalGapped(n, t.order)
 			next = append(next, n)
 			pos += sz
 		}
@@ -107,7 +85,7 @@ func BulkLoadLayout(order int, layout Layout, ks []keys.Key, vs []keys.Value) (*
 	return t, nil
 }
 
-// PackInternalGapped rewrites gapped internal node n's key array from
+// PackInternalGapped rewrites internal node n's key array from
 // its current (dense) child list: separator i becomes the minimum key
 // under child i+1, stored as a dense prefix with a sentinel tail at the
 // fixed order-1 width. The array grows past that width transiently when

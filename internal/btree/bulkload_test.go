@@ -204,3 +204,25 @@ func BenchmarkBulkLoad1M(b *testing.B) {
 		}
 	}
 }
+
+// TestBulkLoadDefaultOrder bulk loads with order 0, which selects
+// DefaultOrder: the internal nodes must get the default order's fixed
+// separator width too, not one sized by the raw order argument.
+func TestBulkLoadDefaultOrder(t *testing.T) {
+	ks := make([]keys.Key, 5000)
+	vs := make([]keys.Value, len(ks))
+	for i := range ks {
+		ks[i] = keys.Key(i)
+		vs[i] = keys.Value(i)
+	}
+	tr, err := BulkLoad(0, ks, vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Order() != DefaultOrder || tr.Height() < 2 {
+		t.Fatalf("order %d height %d", tr.Order(), tr.Height())
+	}
+	if err := tr.Validate(StrictFill); err != nil {
+		t.Fatal(err)
+	}
+}

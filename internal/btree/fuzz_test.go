@@ -18,14 +18,7 @@ func FuzzTreeOps(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, ops []byte, orderRaw uint8) {
 		order := 3 + int(orderRaw)%30
-		// Both node layouts run the same op stream in lockstep: the
-		// gapped (default) and dense trees must agree with the oracle
-		// and with each other on every observable.
 		tr := MustNew(order)
-		dense, err := NewLayout(order, LayoutDense)
-		if err != nil {
-			t.Fatal(err)
-		}
 		o := oracle.New()
 		for i := 0; i+1 < len(ops); i += 2 {
 			op, kb := ops[i], ops[i+1]
@@ -34,40 +27,31 @@ func FuzzTreeOps(f *testing.F) {
 			case 0, 1:
 				v := keys.Value(op) << 8
 				tr.Insert(k, v)
-				dense.Insert(k, v)
 				o.Apply(keys.Insert(k, v), nil)
 			case 2:
 				want := func() bool { _, ok := o.Get(k); o.Apply(keys.Delete(k), nil); return ok }()
 				if tr.Delete(k) != want {
-					t.Fatalf("gapped Delete(%d) disagreed with oracle", k)
-				}
-				if dense.Delete(k) != want {
-					t.Fatalf("dense Delete(%d) disagreed with oracle", k)
+					t.Fatalf("Delete(%d) disagreed with oracle", k)
 				}
 			default:
 				wv, wok := o.Get(k)
-				for _, arm := range []*Tree{tr, dense} {
-					gv, gok := arm.Search(k)
-					if gok != wok || (gok && gv != wv) {
-						t.Fatalf("%v Search(%d) = %d,%v; oracle %d,%v",
-							arm.Layout(), k, gv, gok, wv, wok)
-					}
+				gv, gok := tr.Search(k)
+				if gok != wok || (gok && gv != wv) {
+					t.Fatalf("Search(%d) = %d,%v; oracle %d,%v", k, gv, gok, wv, wok)
 				}
 			}
 		}
-		for _, arm := range []*Tree{tr, dense} {
-			if err := arm.Validate(StrictFill); err != nil {
-				t.Fatalf("%v: %v", arm.Layout(), err)
-			}
-			if arm.Len() != o.Len() {
-				t.Fatalf("%v Len %d, oracle %d", arm.Layout(), arm.Len(), o.Len())
-			}
-			gk, gv := arm.Dump()
-			wk, wv := o.Dump()
-			for i := range gk {
-				if gk[i] != wk[i] || gv[i] != wv[i] {
-					t.Fatalf("%v dump mismatch at %d", arm.Layout(), i)
-				}
+		if err := tr.Validate(StrictFill); err != nil {
+			t.Fatal(err)
+		}
+		if tr.Len() != o.Len() {
+			t.Fatalf("Len %d, oracle %d", tr.Len(), o.Len())
+		}
+		gk, gv := tr.Dump()
+		wk, wv := o.Dump()
+		for i := range gk {
+			if gk[i] != wk[i] || gv[i] != wv[i] {
+				t.Fatalf("dump mismatch at %d", i)
 			}
 		}
 	})

@@ -2,9 +2,9 @@ package btree
 
 // Gapped node layout (DESIGN.md §10, after BS-tree, arXiv:2505.01180).
 //
-// A gapped node stores its entries in a fixed-capacity flat key array
-// with deliberate empty slots ("gaps") between them, instead of the
-// densely packed variable-length slices of the classic layout:
+// Every node stores its entries in a fixed-capacity flat key array
+// with deliberate empty slots ("gaps") between them, instead of
+// densely packed variable-length slices:
 //
 //   - Every slot always holds a loadable key, so the intra-node search
 //     kernels (SearchGE/SearchGT) scan the full fixed-width array with
@@ -34,7 +34,7 @@ package btree
 // Internal nodes use the same fixed-capacity key array, with the
 // occupied separators as a dense prefix and a SentinelKey-filled tail;
 // their child-pointer slice stays dense so Stage-3 child rebuilds and
-// the descent loop are layout-independent. Separator churn is
+// the descent loop index it directly. Separator churn is
 // split-driven and therefore rare once leaf splits are, which is why
 // inner nodes do not need mid-array gaps to benefit.
 
@@ -44,26 +44,6 @@ import (
 	"repro/internal/keys"
 )
 
-// Layout selects the physical node representation of a Tree.
-type Layout uint8
-
-const (
-	// LayoutGapped is the default: fixed-capacity slot arrays with
-	// evenly spread gaps, presence bitmaps, and sentinel-filled tails.
-	LayoutGapped Layout = iota
-	// LayoutDense is the classic densely packed layout (the ablation
-	// baseline): variable-length key/value slices with no gaps.
-	LayoutDense
-)
-
-// String names the layout as used in benchmark output.
-func (l Layout) String() string {
-	if l == LayoutDense {
-		return "dense"
-	}
-	return "gapped"
-}
-
 // SentinelKey fills the key slots right of a gapped node's last entry
 // so searches can scan the full array unconditionally. It is the
 // maximum key value; a real entry may legitimately store it, so probes
@@ -71,26 +51,17 @@ func (l Layout) String() string {
 // only probe value that ever needs it).
 const SentinelKey = ^keys.Key(0)
 
-// Gapped reports whether the node uses the gapped slot layout. The
-// invariants exposed by the accessors differ per layout:
-//
-//	dense:  len(Keys) == Len() entries, all slots occupied.
-//	gapped: len(Keys) == Cap() fixed slots; Len() of them are occupied
-//	        (tracked by the presence bitmap); every free slot holds a
-//	        copy of the nearest occupied entry to its right, or
-//	        (SentinelKey, 0) when there is none, so Keys is always
-//	        fully sorted and Keys[FirstSlot()] is the node's minimum.
-func (n *Node) Gapped() bool { return n.occ != nil }
+// Slot invariants: len(Keys) == Cap() fixed slots; Len() of them are
+// occupied (tracked by the presence bitmap); every free slot holds a
+// copy of the nearest occupied entry to its right, or (SentinelKey, 0)
+// when there is none, so Keys is always fully sorted and
+// Keys[FirstSlot()] is the node's minimum.
 
-// Cap returns the node's slot capacity (== Len() for dense nodes).
+// Cap returns the node's slot capacity.
 func (n *Node) Cap() int { return len(n.Keys) }
 
-// Occupied reports whether slot i holds a real entry (always true for
-// a dense node's in-range slots).
+// Occupied reports whether slot i holds a real entry.
 func (n *Node) Occupied(i int) bool {
-	if n.occ == nil {
-		return i < len(n.Keys)
-	}
 	return n.occ[uint(i)>>6]&(1<<(uint(i)&63)) != 0
 }
 
@@ -98,29 +69,14 @@ func (n *Node) Occupied(i int) bool {
 // len(n.Keys) when the node is empty. Iterate entries with:
 //
 //	for i := n.FirstSlot(); i < len(n.Keys); i = n.NextSlot(i) { ... }
-func (n *Node) FirstSlot() int {
-	if n.occ == nil {
-		return 0
-	}
-	return n.nextOcc(0)
-}
+func (n *Node) FirstSlot() int { return n.nextOcc(0) }
 
 // NextSlot returns the next occupied slot after i, or len(n.Keys).
-func (n *Node) NextSlot(i int) int {
-	if n.occ == nil {
-		return i + 1
-	}
-	return n.nextOcc(i + 1)
-}
+func (n *Node) NextSlot(i int) int { return n.nextOcc(i + 1) }
 
 // LastSlot returns the slot of the node's largest entry, or -1 when
 // the node is empty.
-func (n *Node) LastSlot() int {
-	if n.occ == nil {
-		return len(n.Keys) - 1
-	}
-	return n.prevOcc(len(n.Keys) - 1)
-}
+func (n *Node) LastSlot() int { return n.prevOcc(len(n.Keys) - 1) }
 
 func (n *Node) setOcc(i int)   { n.occ[uint(i)>>6] |= 1 << (uint(i) & 63) }
 func (n *Node) clearOcc(i int) { n.occ[uint(i)>>6] &^= 1 << (uint(i) & 63) }
@@ -403,242 +359,4 @@ func (n *Node) internalRemoveAt(slot int) {
 	n.clearOcc(cnt - 1)
 	n.count--
 	n.Children = append(n.Children[:slot], n.Children[slot+1:]...)
-}
-
-// sepCap is the fixed separator capacity of gapped internal nodes.
-func (t *Tree) sepCap() int { return t.order - 1 }
-
-// insertGapped is Tree.Insert for the gapped layout.
-func (t *Tree) insertGapped(k keys.Key, v keys.Value) bool {
-	var path Path
-	leaf := t.FindLeaf(k, &path)
-	ed := leaf.InsertGapped(k, v)
-	if ed.Full {
-		t.splitGappedLeaf(leaf, &path)
-		// The split may have grown the tree; re-descend to the
-		// now-half-full covering leaf and claim one of its fresh gaps.
-		leaf = t.FindLeaf(k, &path)
-		ed = leaf.InsertGapped(k, v)
-	}
-	if ed.Added {
-		t.size++
-	}
-	return ed.Added
-}
-
-// splitGappedLeaf splits a full gapped leaf into two half-full leaves
-// with evenly spread gaps and pushes the separator into the parent.
-func (t *Tree) splitGappedLeaf(leaf *Node, path *Path) {
-	ks, vs := leaf.AppendEntries(nil, nil)
-	mid := (len(ks) + 1) / 2
-	right := NewGappedLeaf(len(leaf.Keys))
-	right.Next = leaf.Next
-	PackLeafGapped(right, ks[mid:], vs[mid:])
-	PackLeafGapped(leaf, ks[:mid], vs[:mid])
-	leaf.Next = right
-	t.insertIntoParentGapped(path, path.Len()-1, ks[mid], right)
-}
-
-// insertIntoParentGapped mirrors insertIntoParent for the gapped
-// layout: lvl == -1 grows a new root.
-func (t *Tree) insertIntoParentGapped(path *Path, lvl int, sep keys.Key, right *Node) {
-	if lvl < 0 {
-		old := t.root
-		root := &Node{Children: append(make([]*Node, 0, t.order+1), old, right)}
-		SetInternalGapped(root, t.sepCap(), []keys.Key{sep}, root.Children)
-		t.root = root
-		return
-	}
-	parent := path.Nodes[lvl]
-	parent.internalInsertAt(path.Slots[lvl], sep, right)
-	if len(parent.Children) > t.order {
-		t.splitInternalGapped(parent, path, lvl)
-	}
-}
-
-// splitInternalGapped splits an over-full gapped internal node in half,
-// repacking both pieces at the fixed separator capacity and pushing the
-// middle separator up.
-func (t *Tree) splitInternalGapped(n *Node, path *Path, lvl int) {
-	cnt := int(n.count)
-	mid := cnt / 2
-	sep := n.Keys[mid]
-	right := &Node{Children: append(make([]*Node, 0, t.order+1), n.Children[mid+1:]...)}
-	SetInternalGapped(right, t.sepCap(), n.Keys[mid+1:cnt], right.Children)
-	leftSeps := append(make([]keys.Key, 0, mid), n.Keys[:mid]...)
-	n.Children = n.Children[:mid+1]
-	SetInternalGapped(n, t.sepCap(), leftSeps, n.Children)
-	t.insertIntoParentGapped(path, lvl-1, sep, right)
-}
-
-// deleteGapped is Tree.Delete for the gapped layout.
-func (t *Tree) deleteGapped(k keys.Key) bool {
-	var path Path
-	leaf := t.FindLeaf(k, &path)
-	ed := leaf.DeleteGapped(k)
-	if !ed.Removed {
-		return false
-	}
-	t.size--
-	t.rebalanceLeafGapped(leaf, &path)
-	return true
-}
-
-// rebalanceLeafGapped restores the minimum-fill invariant after a
-// gapped leaf deletion: borrow a boundary entry through the cheap
-// gapped single-entry ops, or merge into a freshly packed sibling.
-func (t *Tree) rebalanceLeafGapped(leaf *Node, path *Path) {
-	if path.Len() == 0 || leaf.Len() >= t.minLeafEntries() {
-		return
-	}
-	parent := path.Nodes[path.Len()-1]
-	slot := path.Slots[path.Len()-1]
-
-	if slot > 0 {
-		left := parent.Children[slot-1]
-		if left.Len() > t.minLeafEntries() {
-			i := left.LastSlot()
-			bk, bv := left.Keys[i], left.Vals[i]
-			left.DeleteGapped(bk)
-			leaf.InsertGapped(bk, bv)
-			parent.Keys[slot-1] = bk
-			return
-		}
-	}
-	if slot < len(parent.Children)-1 {
-		right := parent.Children[slot+1]
-		if right.Len() > t.minLeafEntries() {
-			i := right.FirstSlot()
-			bk, bv := right.Keys[i], right.Vals[i]
-			right.DeleteGapped(bk)
-			leaf.InsertGapped(bk, bv)
-			// A gapped node's slot 0 always duplicates its minimum.
-			parent.Keys[slot] = right.Keys[0]
-			return
-		}
-	}
-	if slot > 0 {
-		left := parent.Children[slot-1]
-		ks, vs := left.AppendEntries(nil, nil)
-		ks, vs = leaf.AppendEntries(ks, vs)
-		PackLeafGapped(left, ks, vs)
-		left.Next = leaf.Next
-		t.removeChildGapped(parent, slot, path, path.Len()-1)
-	} else if slot+1 < len(parent.Children) {
-		right := parent.Children[slot+1]
-		ks, vs := leaf.AppendEntries(nil, nil)
-		ks, vs = right.AppendEntries(ks, vs)
-		PackLeafGapped(leaf, ks, vs)
-		leaf.Next = right.Next
-		t.removeChildGapped(parent, slot+1, path, path.Len()-1)
-	} else {
-		// No sibling at all: a relaxed single-child parent
-		// (relaxed.go).
-		t.dropLonelyLeaf(leaf, path)
-	}
-}
-
-// removeChildGapped removes parent.Children[slot] plus its left
-// separator and rebalances the parent at path level lvl.
-func (t *Tree) removeChildGapped(parent *Node, slot int, path *Path, lvl int) {
-	parent.internalRemoveAt(slot)
-	t.rebalanceInternalGapped(parent, path, lvl)
-}
-
-// rebalanceInternalGapped restores the minimum-fanout invariant for a
-// gapped internal node at path level lvl.
-func (t *Tree) rebalanceInternalGapped(n *Node, path *Path, lvl int) {
-	if lvl == 0 {
-		if len(n.Children) == 1 {
-			t.root = n.Children[0]
-		}
-		return
-	}
-	if len(n.Children) >= t.minChildren() {
-		return
-	}
-	parent := path.Nodes[lvl-1]
-	slot := path.Slots[lvl-1]
-
-	if slot > 0 {
-		left := parent.Children[slot-1]
-		if len(left.Children) > t.minChildren() {
-			// Rotate rightwards through the parent separator.
-			// An underfull node has cnt+1 <= minChildren-1 <= sepCap
-			// separators after the rotation, so the fixed width fits.
-			cnt := int(n.count)
-			copy(n.Keys[1:cnt+1], n.Keys[:cnt])
-			n.Keys[0] = parent.Keys[slot-1]
-			n.setOcc(cnt)
-			n.count++
-			n.Children = append(n.Children, nil)
-			copy(n.Children[1:], n.Children)
-			lcnt := int(left.count)
-			n.Children[0] = left.Children[len(left.Children)-1]
-			parent.Keys[slot-1] = left.Keys[lcnt-1]
-			left.Keys[lcnt-1] = SentinelKey
-			left.clearOcc(lcnt - 1)
-			left.count--
-			left.Children = left.Children[:len(left.Children)-1]
-			return
-		}
-	}
-	if slot < len(parent.Children)-1 {
-		right := parent.Children[slot+1]
-		if len(right.Children) > t.minChildren() {
-			// Rotate leftwards through the parent separator.
-			cnt := int(n.count)
-			n.Keys[cnt] = parent.Keys[slot]
-			n.setOcc(cnt)
-			n.count++
-			n.Children = append(n.Children, right.Children[0])
-			parent.Keys[slot] = right.Keys[0]
-			rcnt := int(right.count)
-			copy(right.Keys[:rcnt-1], right.Keys[1:rcnt])
-			right.Keys[rcnt-1] = SentinelKey
-			right.clearOcc(rcnt - 1)
-			right.count--
-			right.Children = append(right.Children[:0], right.Children[1:]...)
-			return
-		}
-	}
-	if slot > 0 {
-		left := parent.Children[slot-1]
-		seps := append(make([]keys.Key, 0, t.sepCap()), left.Keys[:left.count]...)
-		seps = append(seps, parent.Keys[slot-1])
-		seps = append(seps, n.Keys[:n.count]...)
-		left.Children = append(left.Children, n.Children...)
-		SetInternalGapped(left, t.sepCap(), seps, left.Children)
-		parent.internalRemoveAt(slot)
-		t.rebalanceInternalGapped(parent, path, lvl-1)
-	} else if slot+1 < len(parent.Children) {
-		right := parent.Children[slot+1]
-		seps := append(make([]keys.Key, 0, t.sepCap()), n.Keys[:n.count]...)
-		seps = append(seps, parent.Keys[slot])
-		seps = append(seps, right.Keys[:right.count]...)
-		n.Children = append(n.Children, right.Children...)
-		SetInternalGapped(n, t.sepCap(), seps, n.Children)
-		parent.internalRemoveAt(slot + 1)
-		t.rebalanceInternalGapped(parent, path, lvl-1)
-	}
-	// else: no sibling under a relaxed single-child parent — the node
-	// stays underfull, which RelaxedFill permits (relaxed.go).
-}
-
-// SetLayout converts the tree in place to the given layout, rebuilding
-// every node; a no-op when the layout already matches. Contents are
-// unchanged; the rebuilt tree has bulk-load fill (and, for the gapped
-// layout, evenly spread gaps).
-func (t *Tree) SetLayout(l Layout) error {
-	if t.layout == l {
-		return nil
-	}
-	ks, vs := t.Dump()
-	fresh, err := BulkLoadLayout(t.order, l, ks, vs)
-	if err != nil {
-		return err
-	}
-	t.root = fresh.root
-	t.layout = l
-	return nil
 }

@@ -17,13 +17,7 @@ import (
 func TestGappedPropertyRandomOps(t *testing.T) {
 	for _, order := range []int{MinOrder, 8, DefaultOrder} {
 		r := rand.New(rand.NewSource(int64(order)))
-		tr, err := NewLayout(order, LayoutGapped)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tr.Layout() != LayoutGapped {
-			t.Fatalf("order %d: layout %v", order, tr.Layout())
-		}
+		tr := MustNew(order)
 		oracle := map[keys.Key]keys.Value{}
 		span := keys.Key(40 * order)
 		ops := 6000
@@ -77,50 +71,9 @@ func TestGappedPropertyRandomOps(t *testing.T) {
 	}
 }
 
-// TestSetLayoutRoundTrip converts a populated tree gapped → dense →
-// gapped and demands identical contents and a valid structure at every
-// step, plus no-op conversions staying cheap (same root).
-func TestSetLayoutRoundTrip(t *testing.T) {
-	tr := MustNew(8)
-	r := rand.New(rand.NewSource(9))
-	for i := 0; i < 3000; i++ {
-		tr.Insert(keys.Key(r.Intn(10000)), keys.Value(i))
-	}
-	wantK, wantV := tr.Dump()
-
-	root := tr.Root()
-	if err := tr.SetLayout(LayoutGapped); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Root() != root {
-		t.Fatal("no-op SetLayout rebuilt the tree")
-	}
-
-	for _, l := range []Layout{LayoutDense, LayoutGapped, LayoutDense} {
-		if err := tr.SetLayout(l); err != nil {
-			t.Fatal(err)
-		}
-		if tr.Layout() != l {
-			t.Fatalf("layout %v after SetLayout(%v)", tr.Layout(), l)
-		}
-		if err := tr.Validate(StrictFill); err != nil {
-			t.Fatalf("after SetLayout(%v): %v", l, err)
-		}
-		gk, gv := tr.Dump()
-		if len(gk) != len(wantK) {
-			t.Fatalf("after SetLayout(%v): %d entries, want %d", l, len(gk), len(wantK))
-		}
-		for i := range gk {
-			if gk[i] != wantK[i] || gv[i] != wantV[i] {
-				t.Fatalf("after SetLayout(%v): mismatch at %d", l, i)
-			}
-		}
-	}
-}
-
 // TestGappedBulkLoadLeavesGaps checks the bulk loader's occupancy
-// target: a gapped bulk-loaded tree must leave free slots in its leaves
-// (that is the point of the layout) while a dense one packs them full.
+// target: a bulk-loaded tree must leave free slots in its leaves (that
+// is the point of the gapped layout).
 func TestGappedBulkLoadLeavesGaps(t *testing.T) {
 	n := 10000
 	ks := make([]keys.Key, n)
@@ -129,7 +82,7 @@ func TestGappedBulkLoadLeavesGaps(t *testing.T) {
 		ks[i] = keys.Key(2 * i)
 		vs[i] = keys.Value(i)
 	}
-	tr, err := BulkLoadLayout(DefaultOrder, LayoutGapped, ks, vs)
+	tr, err := BulkLoad(DefaultOrder, ks, vs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +99,7 @@ func TestGappedBulkLoadLeavesGaps(t *testing.T) {
 	if totalFree == 0 {
 		t.Fatal("gapped bulk load produced no gaps")
 	}
-	// And inserts into the gapped tree claim those gaps without
+	// And inserts into the tree claim those gaps without
 	// splitting: one odd key per ~leaf-sized span of even keys, so no
 	// single leaf absorbs more inserts than it has gaps.
 	before := countLeaves(tr)

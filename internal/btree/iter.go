@@ -81,9 +81,9 @@ func (t *Tree) Predecessor(k keys.Key) (keys.Key, keys.Value, bool) {
 	}
 	i := searchKeys(n.Keys, k)
 	if i > 0 {
-		// Slot i-1 holds a key < k, so in a gapped leaf it cannot be a
-		// gap (a gap's anchor to the right would carry the same key, yet
-		// every slot from i on is >= k): it is always a real entry.
+		// Slot i-1 holds a key < k, so it cannot be a gap (a gap's
+		// anchor to the right would carry the same key, yet every slot
+		// from i on is >= k): it is always a real entry.
 		return n.Keys[i-1], n.Vals[i-1], true
 	}
 	if candidate == nil {
@@ -124,16 +124,12 @@ func (it *Iter) Next() bool {
 	return it.Valid()
 }
 
-// skipEmpty normalizes the position to the next occupied slot (gapped
-// leaves may put a free slot at the current position), moving past
-// exhausted or empty leaves.
+// skipEmpty normalizes the position to the next occupied slot (a free
+// slot may sit at the current position), moving past exhausted or
+// empty leaves.
 func (it *Iter) skipEmpty() {
 	for it.leaf != nil {
-		if it.leaf.occ == nil {
-			if it.pos < len(it.leaf.Keys) {
-				return
-			}
-		} else if p := it.leaf.nextOcc(it.pos); p < len(it.leaf.Keys) {
+		if p := it.leaf.nextOcc(it.pos); p < len(it.leaf.Keys) {
 			it.pos = p
 			return
 		}

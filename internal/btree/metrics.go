@@ -69,10 +69,6 @@ func (t *Tree) VisitLeaves(fn func(entries, capacity int)) {
 		n = n.Children[0]
 	}
 	for ; n != nil; n = n.Next {
-		c := t.maxLeafEntries()
-		if n.occ != nil {
-			c = len(n.Keys)
-		}
-		fn(n.Len(), c)
+		fn(n.Len(), len(n.Keys))
 	}
 }

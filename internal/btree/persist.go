@@ -15,20 +15,22 @@ import (
 //
 //	magic   [4]byte  "QBT3"
 //	order   uint32
-//	layout  uint8    0 = gapped, 1 = dense
+//	layout  uint8    0 (1 marks a snapshot of the retired dense layout)
 //	count   uint64
 //	pairs   count × { key uint64, value uint64 }  (ascending keys)
 //	crc     uint32   CRC32C over order..pairs (everything after magic)
 //
 // Only the key-value contents are stored — gaps are compacted on save —
 // and Load rebuilds node structure with the bulk loader, which produces
-// an equivalent (validated) tree; the layout byte records which node
-// layout to rebuild with. Load also accepts the pre-gap v1 format
-// ("QBT2" magic, no layout byte), rebuilding with the default gapped
-// layout, so snapshots written before the layout change keep loading.
-// The trailing checksum means a truncated or bit-flipped snapshot is
-// reported as an error instead of silently loading a wrong tree
-// (load_corruption_test.go corrupts every byte offset and demands so).
+// an equivalent (validated) tree. Save always writes layout byte 0;
+// Load accepts 0 and 1 alike, so snapshots written while the dense
+// layout still existed keep loading (as gapped trees), and rejects any
+// other value as corrupt. Load also accepts the pre-gap v1 format
+// ("QBT2" magic, no layout byte). The trailing checksum means a
+// truncated or bit-flipped snapshot is reported as an error instead of
+// silently loading a wrong tree (load_corruption_test.go corrupts every
+// byte offset and demands so; snapshot_compat_test.go loads snapshots
+// of every older kind).
 
 var (
 	snapshotMagic   = [4]byte{'Q', 'B', 'T', '3'}
@@ -60,7 +62,7 @@ func (t *Tree) Save(w io.Writer) error {
 	cw := &crcWriter{w: bw, sum: crc32.New(castagnoli)}
 	var hdr [13]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(t.order))
-	hdr[4] = byte(t.layout)
+	hdr[4] = 0 // layout byte: always 0 (gapped)
 	binary.LittleEndian.PutUint64(hdr[5:13], uint64(t.size))
 	if _, err := cw.Write(hdr[:]); err != nil {
 		return fmt.Errorf("btree: save header: %w", err)
@@ -89,23 +91,9 @@ func (t *Tree) Save(w io.Writer) error {
 
 // Load reconstructs a tree from a snapshot written by Save. order <= 0
 // keeps the snapshot's recorded order; otherwise the tree is rebuilt
-// at the given order (snapshots are order-portable, and
-// layout-portable: the recorded layout is a rebuild hint, not part of
-// the contents). Load verifies the checksum trailer and fails on any
-// truncation or corruption.
+// at the given order (snapshots are order-portable). Load verifies the
+// checksum trailer and fails on any truncation or corruption.
 func Load(r io.Reader, order int) (*Tree, error) {
-	return load(r, order, -1)
-}
-
-// LoadLayout is Load with the node layout forced to the given value,
-// overriding whatever layout the snapshot recorded (v1 snapshots
-// record none). Used when restoring into an engine whose layout is
-// fixed by configuration.
-func LoadLayout(r io.Reader, order int, layout Layout) (*Tree, error) {
-	return load(r, order, int(layout))
-}
-
-func load(r io.Reader, order, forceLayout int) (*Tree, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var m [4]byte
 	if _, err := io.ReadFull(br, m[:]); err != nil {
@@ -127,21 +115,17 @@ func load(r io.Reader, order, forceLayout int) (*Tree, error) {
 	}
 	sum.Write(hdr)
 	savedOrder := int(binary.LittleEndian.Uint32(hdr[0:4]))
-	layout := LayoutGapped
 	countOff := 4
 	if !v1 {
-		if hdr[4] > byte(LayoutDense) {
+		// 0 = gapped, 1 = the retired dense layout; both rebuild gapped.
+		if hdr[4] > 1 {
 			return nil, fmt.Errorf("btree: snapshot layout %d invalid", hdr[4])
 		}
-		layout = Layout(hdr[4])
 		countOff = 5
 	}
 	count := binary.LittleEndian.Uint64(hdr[countOff : countOff+8])
 	if order <= 0 {
 		order = savedOrder
-	}
-	if forceLayout >= 0 {
-		layout = Layout(forceLayout)
 	}
 	if order < MinOrder {
 		return nil, fmt.Errorf("btree: snapshot order %d invalid", order)
@@ -175,5 +159,5 @@ func load(r io.Reader, order, forceLayout int) (*Tree, error) {
 	if got := binary.LittleEndian.Uint32(tail[:]); got != sum.Sum32() {
 		return nil, fmt.Errorf("btree: snapshot checksum mismatch (stored %08x, computed %08x)", got, sum.Sum32())
 	}
-	return BulkLoadLayout(order, layout, ks, vs)
+	return BulkLoad(order, ks, vs)
 }

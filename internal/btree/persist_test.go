@@ -3,8 +3,10 @@ package btree
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/keys"
@@ -120,49 +122,6 @@ func TestLoadRejectsCorruptSnapshots(t *testing.T) {
 	}
 }
 
-// TestSaveLoadDenseLayout checks the layout byte round-trips: a dense
-// tree reloads dense, a gapped tree gapped, and LoadLayout overrides
-// whatever the snapshot recorded.
-func TestSaveLoadDenseLayout(t *testing.T) {
-	for _, l := range []Layout{LayoutGapped, LayoutDense} {
-		tr, err := NewLayout(8, l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 500; i++ {
-			tr.Insert(keys.Key(i*3), keys.Value(i))
-		}
-		var buf bytes.Buffer
-		if err := tr.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		raw := buf.Bytes()
-
-		got, err := Load(bytes.NewReader(raw), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Layout() != l {
-			t.Fatalf("saved %v, loaded %v", l, got.Layout())
-		}
-		for _, force := range []Layout{LayoutGapped, LayoutDense} {
-			forced, err := LoadLayout(bytes.NewReader(raw), 0, force)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if forced.Layout() != force {
-				t.Fatalf("LoadLayout(%v) built %v", force, forced.Layout())
-			}
-			if err := forced.Validate(StrictFill); err != nil {
-				t.Fatal(err)
-			}
-			if forced.Len() != tr.Len() {
-				t.Fatalf("LoadLayout(%v): %d entries, want %d", force, forced.Len(), tr.Len())
-			}
-		}
-	}
-}
-
 // v1Snapshot hand-writes a pre-gap ("QBT2") snapshot: 12-byte header
 // with no layout byte, same CRC trailer. Kept in the test only — the
 // writer for this format no longer exists in the tree.
@@ -186,9 +145,8 @@ func v1Snapshot(order uint32, ks []keys.Key, vs []keys.Value) []byte {
 }
 
 // TestLoadLegacyV1Snapshot locks backward compatibility: a snapshot in
-// the pre-gap v1 format loads into a (default) gapped tree with the
-// same contents, LoadLayout can force it dense, and the v1 bytes are
-// still protected by their checksum.
+// the pre-gap v1 format loads into a tree with the same contents, and
+// the v1 bytes are still protected by their checksum.
 func TestLoadLegacyV1Snapshot(t *testing.T) {
 	n := 300
 	ks := make([]keys.Key, n)
@@ -203,9 +161,6 @@ func TestLoadLegacyV1Snapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Layout() != LayoutGapped {
-		t.Fatalf("v1 snapshot loaded as %v, want gapped default", got.Layout())
-	}
 	if got.Order() != 8 || got.Len() != n {
 		t.Fatalf("order %d len %d", got.Order(), got.Len())
 	}
@@ -219,14 +174,6 @@ func TestLoadLegacyV1Snapshot(t *testing.T) {
 		}
 	}
 
-	dense, err := LoadLayout(bytes.NewReader(snap), 0, LayoutDense)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dense.Layout() != LayoutDense || dense.Len() != n {
-		t.Fatalf("forced dense: layout %v len %d", dense.Layout(), dense.Len())
-	}
-
 	// Every single-byte corruption of the v1 snapshot must be rejected
 	// too (the legacy reader shares the checksum trailer).
 	for off := 0; off < len(snap); off++ {
@@ -235,5 +182,45 @@ func TestLoadLegacyV1Snapshot(t *testing.T) {
 		if _, err := Load(bytes.NewReader(mut), 0); err == nil {
 			t.Fatalf("v1 snapshot with byte %d flipped accepted", off)
 		}
+	}
+}
+
+var errDiskFull = errors.New("disk full")
+
+// failWriter fails every write, counting the attempts.
+type failWriter struct{ writes int }
+
+func (w *failWriter) Write([]byte) (int, error) {
+	w.writes++
+	return 0, errDiskFull
+}
+
+// TestSaveReportsWriteErrors checks Save hands a failing writer's error
+// back: at the final flush for a snapshot that fits the write buffer,
+// and from the pair loop — which stops at the first failure — for one
+// that does not.
+func TestSaveReportsWriteErrors(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		n    int
+		want string
+	}{
+		{"at flush", 10, "disk full"},
+		{"while writing pairs", 10000, "btree: save pair"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tr := MustNew(8)
+			for i := 0; i < c.n; i++ {
+				tr.Insert(keys.Key(i), keys.Value(i))
+			}
+			w := &failWriter{}
+			err := tr.Save(w)
+			if !errors.Is(err, errDiskFull) || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Save error %v, want %q wrapping %v", err, c.want, errDiskFull)
+			}
+			if w.writes != 1 {
+				t.Fatalf("Save kept writing after the failure: %d writes", w.writes)
+			}
+		})
 	}
 }

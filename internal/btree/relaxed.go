@@ -26,18 +26,14 @@ func (t *Tree) dropLonelyLeaf(leaf *Node, path *Path) {
 	for len(n.Children) == 0 {
 		if lvl == 0 {
 			// Every leaf hung off this spine: the tree is empty.
-			t.root = NewLeafLayout(t.order, t.layout)
+			t.root = NewGappedLeaf(t.maxLeafEntries())
 			return
 		}
 		lvl--
 		n = path.Nodes[lvl]
 		t.dropChild(n, path.Slots[lvl])
 	}
-	if t.layout == LayoutGapped {
-		t.rebalanceInternalGapped(n, path, lvl)
-	} else {
-		t.rebalanceInternal(n, path, lvl)
-	}
+	t.rebalanceInternal(n, path, lvl)
 	// A strict tree collapses the root at most one level; relaxed
 	// single-child spines can chain, so keep collapsing.
 	for !t.root.Leaf() && len(t.root.Children) == 1 {
@@ -48,30 +44,18 @@ func (t *Tree) dropLonelyLeaf(leaf *Node, path *Path) {
 
 // dropChild removes n.Children[slot] together with one adjacent
 // separator, tolerating slot 0 and separator-less relaxed nodes
-// (unlike internalRemoveAt / removeChild, which the strict merge paths
-// only ever call with slot >= 1).
+// (unlike internalRemoveAt, which the strict merge paths only ever
+// call with slot >= 1).
 func (t *Tree) dropChild(n *Node, slot int) {
-	if t.layout == LayoutGapped {
-		cnt := int(n.count)
-		if cnt > 0 {
-			ki := slot - 1
-			if ki < 0 {
-				ki = 0
-			}
-			copy(n.Keys[ki:cnt-1], n.Keys[ki+1:cnt])
-			n.Keys[cnt-1] = SentinelKey
-			n.clearOcc(cnt - 1)
-			n.count--
-		}
-		n.Children = append(n.Children[:slot], n.Children[slot+1:]...)
-		return
-	}
-	if len(n.Keys) > 0 {
+	if cnt := int(n.count); cnt > 0 {
 		ki := slot - 1
 		if ki < 0 {
 			ki = 0
 		}
-		n.Keys = append(n.Keys[:ki], n.Keys[ki+1:]...)
+		copy(n.Keys[ki:cnt-1], n.Keys[ki+1:cnt])
+		n.Keys[cnt-1] = SentinelKey
+		n.clearOcc(cnt - 1)
+		n.count--
 	}
 	n.Children = append(n.Children[:slot], n.Children[slot+1:]...)
 }

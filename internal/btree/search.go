@@ -1,10 +1,6 @@
 package btree
 
-import (
-	"sort"
-
-	"repro/internal/keys"
-)
+import "repro/internal/keys"
 
 // This file holds the shared intra-node search kernels (DESIGN.md §8).
 // Every hot-path probe in the repository — the serial tree's descent,
@@ -15,28 +11,22 @@ import (
 // SearchGE/SearchGT use a branch-free binary search: the probe load is
 // unconditional and the narrowing step reduces to a conditional
 // register select (CMOV-class codegen), with a fixed iteration count
-// per node width. Against the closure-based sort.Search form this
-// removes the per-probe function-call indirection and the data-
-// dependent control flow that random probe keys inflict on a predicted
-// binary search; how much that buys varies by microarchitecture (see
-// BenchmarkSearchKernels), which is exactly what the NoBranchlessSearch
-// ablation measures. It is the software stand-in for the paper
-// artifact's AVX-512 intra-node SIMD search (DESIGN.md §4.1); BS-tree
-// (arXiv:2505.01180) measures the same branchless layout effect on CPU
-// B+ trees.
-//
-// The *Closure variants preserve the pre-kernel sort.Search form as the
-// ablation baseline (palm.Config.NoBranchlessSearch) so the win stays
-// benchmarkable.
+// per node width. Against a closure-based sort.Search this removes the
+// per-probe function-call indirection and the data-dependent control
+// flow that random probe keys inflict on a predicted binary search
+// (BenchmarkSearchKernels keeps the sort.Search form as its reference
+// arm). It is the software stand-in for the paper artifact's AVX-512
+// intra-node SIMD search (DESIGN.md §4.1); BS-tree (arXiv:2505.01180)
+// measures the same branchless layout effect on CPU B+ trees.
 
 // gappedWidth is the fixed key-array width of a gapped node at the
-// default order (DefaultOrder - 1). Gapped nodes at that order — every
-// node of every default-order gapped tree — hit the unrolled
-// fixed-width kernels below, the BS-tree payoff of the sentinel-padded
-// layout: the iteration count is a compile-time constant, the array
-// conversion erases every per-load bounds check, and each narrowing
-// step is an unconditional load plus a register select. Other widths
-// (non-default orders, dense nodes) fall back to the generic loop.
+// default order (DefaultOrder - 1). Every node of a default-order tree
+// hits the unrolled fixed-width kernels below, the BS-tree payoff of
+// the sentinel-padded layout: the iteration count is a compile-time
+// constant, the array conversion erases every per-load bounds check,
+// and each narrowing step is an unconditional load plus a register
+// select. Other widths (non-default orders, and internal nodes grown
+// transiently past capacity) fall back to the generic loop.
 const gappedWidth = DefaultOrder - 1
 
 // SearchGE returns the index of the first key in ks >= k, or len(ks)
@@ -150,30 +140,7 @@ func searchGT63(ks *[gappedWidth]keys.Key, k keys.Key) int {
 func LeafFind(leaf *Node, k keys.Key) (keys.Value, bool) {
 	i := SearchGE(leaf.Keys, k)
 	if i < len(leaf.Keys) && leaf.Keys[i] == k {
-		if leaf.occ != nil && !leaf.leafHasAt(i) {
-			return 0, false
-		}
-		return leaf.Vals[i], true
-	}
-	return 0, false
-}
-
-// SearchGEClosure is the closure-based sort.Search form of SearchGE,
-// kept as the ablation baseline.
-func SearchGEClosure(ks []keys.Key, k keys.Key) int {
-	return sort.Search(len(ks), func(i int) bool { return ks[i] >= k })
-}
-
-// SearchGTClosure is the closure-based sort.Search form of SearchGT.
-func SearchGTClosure(ks []keys.Key, k keys.Key) int {
-	return sort.Search(len(ks), func(i int) bool { return k < ks[i] })
-}
-
-// LeafFindClosure is LeafFind over SearchGEClosure (ablation baseline).
-func LeafFindClosure(leaf *Node, k keys.Key) (keys.Value, bool) {
-	i := SearchGEClosure(leaf.Keys, k)
-	if i < len(leaf.Keys) && leaf.Keys[i] == k {
-		if leaf.occ != nil && !leaf.leafHasAt(i) {
+		if !leaf.leafHasAt(i) {
 			return 0, false
 		}
 		return leaf.Vals[i], true

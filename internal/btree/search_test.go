@@ -38,12 +38,6 @@ func TestSearchKernelsExhaustive(t *testing.T) {
 				if got, want := SearchGT(ks, probe), refGT(ks, probe); got != want {
 					t.Fatalf("SearchGT(%v, %d) = %d, want %d", ks, probe, got, want)
 				}
-				if got, want := SearchGEClosure(ks, probe), refGE(ks, probe); got != want {
-					t.Fatalf("SearchGEClosure(%v, %d) = %d, want %d", ks, probe, got, want)
-				}
-				if got, want := SearchGTClosure(ks, probe), refGT(ks, probe); got != want {
-					t.Fatalf("SearchGTClosure(%v, %d) = %d, want %d", ks, probe, got, want)
-				}
 			}
 		}
 	}
@@ -104,17 +98,18 @@ func BenchmarkSearchKernels(b *testing.B) {
 	})
 	b.Run("closure", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sink += SearchGEClosure(ks, probes[i&1023])
+			sink += refGE(ks, probes[i&1023])
 		}
 	})
 	_ = sink
 }
 
 // TestLeafFind checks the leaf-probe kernel against the map truth on a
-// random leaf, for both kernel forms.
+// random gapped leaf.
 func TestLeafFind(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	leaf := &Node{}
+	var lk []keys.Key
+	var lv []keys.Value
 	truth := map[keys.Key]keys.Value{}
 	for i := 0; i < 40; i++ {
 		k := keys.Key(r.Intn(100))
@@ -125,17 +120,99 @@ func TestLeafFind(t *testing.T) {
 	}
 	for k := keys.Key(0); k < 100; k++ {
 		if v, ok := truth[k]; ok {
-			leaf.Keys = append(leaf.Keys, k)
-			leaf.Vals = append(leaf.Vals, v)
+			lk = append(lk, k)
+			lv = append(lv, v)
 		}
 	}
+	leaf := NewGappedLeaf(2 * len(lk))
+	PackLeafGapped(leaf, lk, lv)
 	for k := keys.Key(0); k < 110; k++ {
 		wantV, wantOK := truth[k]
 		if v, ok := LeafFind(leaf, k); ok != wantOK || (ok && v != wantV) {
 			t.Fatalf("LeafFind(%d) = %d,%v want %d,%v", k, v, ok, wantV, wantOK)
 		}
-		if v, ok := LeafFindClosure(leaf, k); ok != wantOK || (ok && v != wantV) {
-			t.Fatalf("LeafFindClosure(%d) = %d,%v want %d,%v", k, v, ok, wantV, wantOK)
-		}
 	}
+}
+
+// fullRootTree grows a DefaultOrder tree by ascending odd keys until
+// its root holds exactly DefaultOrder children, so the root's 63-slot
+// separator array has no sentinel tail and a probe at or past its last
+// separator takes the final narrowing step of searchGT63. It returns
+// the tree, the inserted keys and that last separator.
+func fullRootTree(t *testing.T) (*Tree, []keys.Key, keys.Key) {
+	t.Helper()
+	tr := MustNew(DefaultOrder)
+	var ks []keys.Key
+	for k := keys.Key(1); len(tr.Root().Children) < DefaultOrder; k += 2 {
+		tr.Insert(k, keys.Value(k))
+		ks = append(ks, k)
+	}
+	root := tr.Root()
+	if root.Len() != len(root.Keys) || len(root.Keys) != DefaultOrder-1 {
+		t.Fatalf("root holds %d separators in %d slots", root.Len(), len(root.Keys))
+	}
+	return tr, ks, root.Keys[len(root.Keys)-1]
+}
+
+// TestFullRootProbes runs the serial tree's operations through a root
+// whose separator array is full: every key at or past the last
+// separator must route to the last child.
+func TestFullRootProbes(t *testing.T) {
+	t.Run("FindLeaf", func(t *testing.T) {
+		tr, ks, last := fullRootTree(t)
+		var path Path
+		for _, k := range append(ks, ks[len(ks)-1]+1, SentinelKey) {
+			tr.FindLeaf(k, &path)
+			if want := k >= last; (path.Slots[0] == DefaultOrder-1) != want {
+				t.Fatalf("FindLeaf(%d) took root child %d (last separator %d)", k, path.Slots[0], last)
+			}
+		}
+	})
+	t.Run("Search", func(t *testing.T) {
+		tr, ks, _ := fullRootTree(t)
+		for _, k := range ks {
+			if v, ok := tr.Search(k); !ok || v != keys.Value(k) {
+				t.Fatalf("Search(%d) = (%d,%v)", k, v, ok)
+			}
+			if _, ok := tr.Search(k + 1); ok {
+				t.Fatalf("Search(%d) found an absent key", k+1)
+			}
+		}
+	})
+	t.Run("Insert", func(t *testing.T) {
+		tr, ks, last := fullRootTree(t)
+		for k := last - 1; k <= ks[len(ks)-1]+1; k += 2 {
+			tr.Insert(k, keys.Value(k))
+		}
+		if err := tr.Validate(StrictFill); err != nil {
+			t.Fatal(err)
+		}
+		for k := last - 1; k <= ks[len(ks)-1]+1; k++ {
+			if v, ok := tr.Search(k); !ok || v != keys.Value(k) {
+				t.Fatalf("Search(%d) = (%d,%v) after inserts past the last separator", k, v, ok)
+			}
+		}
+	})
+	t.Run("Delete", func(t *testing.T) {
+		tr, ks, last := fullRootTree(t)
+		for _, k := range ks {
+			if k >= last && !tr.Delete(k) {
+				t.Fatalf("Delete(%d) missed a present key", k)
+			}
+		}
+		if err := tr.Validate(StrictFill); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("Predecessor", func(t *testing.T) {
+		tr, ks, last := fullRootTree(t)
+		for i := 1; i < len(ks); i++ {
+			if ks[i] < last {
+				continue
+			}
+			if k, _, ok := tr.Predecessor(ks[i]); !ok || k != ks[i-1] {
+				t.Fatalf("Predecessor(%d) = (%d,%v), want %d", ks[i], k, ok, ks[i-1])
+			}
+		}
+	})
 }

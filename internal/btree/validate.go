@@ -33,12 +33,11 @@ const (
 //  5. The leaf chain visits exactly the leaves, left to right.
 //  6. Node sizes respect order and the fill policy.
 //  7. Tree.Len() equals the total number of leaf entries.
-//  8. Gapped nodes (checked per node, so PALM's staged rebuilds may mix
-//     layouts) additionally satisfy the slot invariants: fixed array
+//  8. Every node satisfies the gapped slot invariants: fixed array
 //     width, count == bitmap popcount, occupied keys strictly ascend,
 //     and every free slot duplicates the nearest occupied entry to its
-//     right (or holds SentinelKey/0 past the last entry). Gapped
-//     internal nodes keep their separators as a dense prefix.
+//     right (or holds SentinelKey/0 past the last entry). Internal
+//     nodes keep their separators as a dense prefix.
 func (t *Tree) Validate(policy FillPolicy) error {
 	type frame struct {
 		n     *Node
@@ -55,19 +54,11 @@ func (t *Tree) Validate(policy FillPolicy) error {
 	var walk func(f frame) error
 	walk = func(f frame) error {
 		n := f.n
-		if n.Gapped() {
-			if err := t.validateGappedSlots(n, f.depth); err != nil {
-				return err
-			}
-		} else {
-			for i := 1; i < len(n.Keys); i++ {
-				if n.Keys[i-1] >= n.Keys[i] {
-					return fmt.Errorf("btree: keys not strictly ascending in node at depth %d: %v", f.depth, n.Keys)
-				}
-			}
+		if err := t.validateGappedSlots(n, f.depth); err != nil {
+			return err
 		}
-		// Bounds apply to real entries only: a gapped node's sentinel
-		// tail legitimately exceeds any upper bound.
+		// Bounds apply to real entries only: the sentinel tail
+		// legitimately exceeds any upper bound.
 		for i := n.FirstSlot(); i < len(n.Keys); i = n.NextSlot(i) {
 			k := n.Keys[i]
 			if f.hasLo && k < f.lo {
@@ -84,13 +75,11 @@ func (t *Tree) Validate(policy FillPolicy) error {
 			if len(n.Vals) != len(n.Keys) {
 				return fmt.Errorf("btree: leaf with %d key slots but %d val slots", len(n.Keys), len(n.Vals))
 			}
-			if n.Gapped() {
-				if len(n.Keys) != t.maxLeafEntries() {
-					return fmt.Errorf("btree: gapped leaf has %d slots, want %d", len(n.Keys), t.maxLeafEntries())
-				}
-				if err := n.validateGapFill(f.depth); err != nil {
-					return err
-				}
+			if len(n.Keys) != t.maxLeafEntries() {
+				return fmt.Errorf("btree: gapped leaf has %d slots, want %d", len(n.Keys), t.maxLeafEntries())
+			}
+			if err := n.validateGapFill(f.depth); err != nil {
+				return err
 			}
 			if leafDepth == -1 {
 				leafDepth = f.depth
@@ -122,20 +111,18 @@ func (t *Tree) Validate(policy FillPolicy) error {
 		if len(n.Children) != n.Len()+1 {
 			return fmt.Errorf("btree: internal node with %d keys but %d children", n.Len(), len(n.Children))
 		}
-		if n.Gapped() {
-			if n.Len() <= t.sepCap() && len(n.Keys) != t.sepCap() {
-				return fmt.Errorf("btree: gapped internal node has %d slots, want %d", len(n.Keys), t.sepCap())
+		if n.Len() <= t.sepCap() && len(n.Keys) != t.sepCap() {
+			return fmt.Errorf("btree: gapped internal node has %d slots, want %d", len(n.Keys), t.sepCap())
+		}
+		// Separators are a dense prefix with a free sentinel tail.
+		for i := 0; i < n.Len(); i++ {
+			if !n.Occupied(i) {
+				return fmt.Errorf("btree: gapped internal separator slot %d free at depth %d", i, f.depth)
 			}
-			// Separators are a dense prefix with a free sentinel tail.
-			for i := 0; i < n.Len(); i++ {
-				if !n.Occupied(i) {
-					return fmt.Errorf("btree: gapped internal separator slot %d free at depth %d", i, f.depth)
-				}
-			}
-			for i := n.Len(); i < len(n.Keys); i++ {
-				if n.Occupied(i) || n.Keys[i] != SentinelKey {
-					return fmt.Errorf("btree: gapped internal tail slot %d not sentinel at depth %d", i, f.depth)
-				}
+		}
+		for i := n.Len(); i < len(n.Keys); i++ {
+			if n.Occupied(i) || n.Keys[i] != SentinelKey {
+				return fmt.Errorf("btree: gapped internal tail slot %d not sentinel at depth %d", i, f.depth)
 			}
 		}
 		if len(n.Children) > t.order {
@@ -205,8 +192,7 @@ func (t *Tree) Validate(policy FillPolicy) error {
 	return nil
 }
 
-// validateGappedSlots checks the layout invariants common to every
-// gapped node: bitmap sizing, count == popcount, the full slot array
+// validateGappedSlots checks the slot invariants common to every node: bitmap sizing, count == popcount, the full slot array
 // non-decreasing, and occupied keys strictly ascending.
 func (t *Tree) validateGappedSlots(n *Node, depth int) error {
 	c := len(n.Keys)

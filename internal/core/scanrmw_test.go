@@ -120,64 +120,18 @@ func itoa(n int) string {
 }
 
 // TestEngineScanRMWDifferential is the main differential arm for the
-// extended query set: every engine mode, gapped and dense layouts,
-// against the oracle on batches mixing all five operations.
+// extended query set: every engine mode against the oracle on batches
+// mixing all five operations.
 func TestEngineScanRMWDifferential(t *testing.T) {
 	for _, mode := range []Mode{Original, Intra, IntraInter} {
-		for _, dense := range []bool{false, true} {
-			name := mode.String()
-			if dense {
-				name += "/dense"
-			} else {
-				name += "/gapped"
-			}
-			t.Run(name, func(t *testing.T) {
-				r := rand.New(rand.NewSource(7*int64(mode) + 100*int64(b2i(dense))))
-				batches := make([][]keys.Query, 12)
-				for b := range batches {
-					batches[b] = mixedBatch(r, 200, 64)
-				}
-				cfg := EngineConfig{Mode: mode}
-				cfg.Palm.Workers = 3
-				cfg.Palm.NoGappedLayout = dense
-				scanRMWDifferential(t, cfg, batches)
-			})
-		}
-	}
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// TestEngineScanRMWKernelAblations repeats the differential with each
-// sorted-batch tree kernel disabled — the scan walk and the RMW leaf
-// application must be identical under every applier.
-func TestEngineScanRMWKernelAblations(t *testing.T) {
-	combos := []struct {
-		name             string
-		noPR, noBL, noMA bool
-	}{
-		{"no-pathreuse", true, false, false},
-		{"no-branchless", false, true, false},
-		{"no-mergeapply", false, false, true},
-		{"all-off", true, true, true},
-	}
-	for _, c := range combos {
-		t.Run(c.name, func(t *testing.T) {
-			r := rand.New(rand.NewSource(42))
-			batches := make([][]keys.Query, 8)
+		t.Run(mode.String()+"/gapped", func(t *testing.T) {
+			r := rand.New(rand.NewSource(7 * int64(mode)))
+			batches := make([][]keys.Query, 12)
 			for b := range batches {
-				batches[b] = mixedBatch(r, 150, 48)
+				batches[b] = mixedBatch(r, 200, 64)
 			}
-			cfg := EngineConfig{Mode: IntraInter}
-			cfg.Palm.Workers = 2
-			cfg.Palm.NoPathReuse = c.noPR
-			cfg.Palm.NoBranchlessSearch = c.noBL
-			cfg.Palm.NoMergeApply = c.noMA
+			cfg := EngineConfig{Mode: mode}
+			cfg.Palm.Workers = 3
 			scanRMWDifferential(t, cfg, batches)
 		})
 	}
@@ -422,8 +376,8 @@ func TestEngineCacheDrainedBeforeScan(t *testing.T) {
 
 // FuzzRangeRMWEquivalence is the extended-query differential fuzzer:
 // arbitrary bytes decode into a batch mixing all five operations, which
-// must produce oracle-identical results and final stores under every
-// engine mode and both node layouts.
+// must produce oracle-identical results and final stores under the org
+// and inter engine modes.
 func FuzzRangeRMWEquivalence(f *testing.F) {
 	f.Add([]byte{3, 0, 16, 1, 5, 7, 3, 0, 16})          // scan, insert, identical scan
 	f.Add([]byte{4, 2, 9, 4, 2, 9, 0, 2, 0})            // RMW chain then search
@@ -436,35 +390,32 @@ func FuzzRangeRMWEquivalence(f *testing.F) {
 			return
 		}
 		for _, mode := range []Mode{Original, IntraInter} {
-			for _, dense := range []bool{false, true} {
-				o := oracle.New()
-				want := keys.NewResultSet(len(qs))
-				o.ApplyAll(qs, want)
+			o := oracle.New()
+			want := keys.NewResultSet(len(qs))
+			o.ApplyAll(qs, want)
 
-				cfg := EngineConfig{Mode: mode}
-				cfg.Palm.Workers = 2
-				cfg.Palm.NoGappedLayout = dense
-				eng, err := NewEngine(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := keys.NewResultSet(len(qs))
-				eng.ProcessBatch(qs, got)
-				compareBatch(t, mode.String(), qs, want, got)
-
-				eng.Flush()
-				gk, gv := eng.Processor().Tree().Dump()
-				wk, wv := o.Dump()
-				if len(gk) != len(wk) {
-					t.Fatalf("mode=%v dense=%v: final sizes %d vs %d", mode, dense, len(gk), len(wk))
-				}
-				for i := range gk {
-					if gk[i] != wk[i] || gv[i] != wv[i] {
-						t.Fatalf("mode=%v dense=%v: final mismatch at %d", mode, dense, i)
-					}
-				}
-				eng.Close()
+			cfg := EngineConfig{Mode: mode}
+			cfg.Palm.Workers = 2
+			eng, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
+			got := keys.NewResultSet(len(qs))
+			eng.ProcessBatch(qs, got)
+			compareBatch(t, mode.String(), qs, want, got)
+
+			eng.Flush()
+			gk, gv := eng.Processor().Tree().Dump()
+			wk, wv := o.Dump()
+			if len(gk) != len(wk) {
+				t.Fatalf("mode=%v: final sizes %d vs %d", mode, len(gk), len(wk))
+			}
+			for i := range gk {
+				if gk[i] != wk[i] || gv[i] != wv[i] {
+					t.Fatalf("mode=%v: final mismatch at %d", mode, i)
+				}
+			}
+			eng.Close()
 		}
 	})
 }

@@ -76,8 +76,6 @@ func Experiments() []Experiment {
 		Experiment{"pipe", "pipelined vs serial stream execution, self-similar U-0.25", PipelineExp},
 		Experiment{"shard", "range-partitioned sharding sweep: throughput and imbalance per shard count", ShardExp},
 		Experiment{"abl2", "tree utilization under churn: relaxed batched deletes vs strict serial", Ablation2},
-		Experiment{"kernels", "sorted-batch tree kernel ablation: path-reuse / branchless search / merge apply", KernelsExp},
-		Experiment{"layout", "gapped vs dense node layout: search cost and restructuring by ablation", LayoutExp},
 		Experiment{"scan", "range scans vs repeated point gets, RMW vs get-then-insert pairs", ScanExp},
 		Experiment{"metrics", "per-stage time breakdown from the metrics registry (org and inter)", MetricsExp},
 		Experiment{"serve", "network front end under concurrent connections: steady, overload (shedding), graceful drain", ServeExp},
@@ -441,107 +439,6 @@ func Ablation2(rn *Runner, w io.Writer) error {
 		pm := proc.Tree().CollectMetrics()
 		sm := serial.CollectMetrics()
 		row(w, cycle, pm.LeafFill, sm.LeafFill, pm.LeafNodes, sm.LeafNodes)
-	}
-	return nil
-}
-
-// KernelsExp measures the sorted-batch tree kernels (DESIGN.md §8) by
-// ablation: all kernels on, each disabled individually, and all off (the
-// pre-kernel engine), on self-similar at U-0 (search-only Stage 1+2) and
-// U-0.25 (restructuring active), in org and inter modes. Rows report
-// throughput, speedup over the all-off arm, and the fence-hit rate (the
-// fraction of Stage-1 leaf locations resolved without any descent).
-// Results are byte-identical across arms; only the clock moves.
-func KernelsExp(rn *Runner, w io.Writer) error {
-	spec, err := workload.SpecByName("self-similar", rn.Opts.Scale)
-	if err != nil {
-		return err
-	}
-	combos := []struct {
-		name             string
-		noPR, noBL, noMA bool
-	}{
-		{"all-off", true, true, true},
-		{"no-pathreuse", true, false, false},
-		{"no-branchless", false, true, false},
-		{"no-mergeapply", false, false, true},
-		{"all-on", false, false, false},
-	}
-	row(w, "mode", "update_ratio", "kernels", "qps", "speedup_vs_off", "fence_hit_rate")
-	for _, mode := range []core.Mode{core.Original, core.IntraInter} {
-		for _, u := range []float64{0, 0.25} {
-			var base float64
-			for _, c := range combos {
-				arm := *rn
-				arm.Opts.NoPathReuse = c.noPR
-				arm.Opts.NoBranchlessSearch = c.noBL
-				arm.Opts.NoMergeApply = c.noMA
-				res, err := arm.RunOne(spec, mode, u, 0, 0)
-				if err != nil {
-					return err
-				}
-				if c.name == "all-off" {
-					base = res.Throughput
-				}
-				fenceRate := 0.0
-				if res.Queries > 0 {
-					fenceRate = float64(res.Totals.FenceHits) / float64(res.Queries)
-				}
-				row(w, mode.String(), u, c.name, res.Throughput, res.Throughput/base, fenceRate)
-			}
-		}
-	}
-	return nil
-}
-
-// LayoutExp measures the gapped (BS-tree style) node layout by
-// ablation against the classic dense layout (DESIGN.md §10): org and
-// inter modes, at U-0 (search-only, so the branchless fixed-width probe
-// dominates) and U-0.5 (insert-heavy, so gap claiming vs memmove and
-// split counts dominate). Rows report throughput, mean per-query time,
-// leaf splits and shifted slots per batch, and the end-to-end speedup
-// of each arm over dense. Results are byte-identical across arms; only
-// the clock and the restructuring counters move.
-func LayoutExp(rn *Runner, w io.Writer) error {
-	spec, err := workload.SpecByName("self-similar", rn.Opts.Scale)
-	if err != nil {
-		return err
-	}
-	row(w, "mode", "update_ratio", "layout", "qps", "ns_per_query",
-		"splits_per_batch", "shifted_slots_per_batch", "speedup_vs_dense")
-	for _, mode := range []core.Mode{core.Original, core.IntraInter} {
-		for _, u := range []float64{0, 0.5} {
-			var base float64
-			for _, arm := range []struct {
-				name  string
-				dense bool
-			}{
-				{"dense", true},
-				{"gapped", false},
-			} {
-				run := *rn
-				run.Opts.NoGappedLayout = arm.dense
-				res, err := run.RunOne(spec, mode, u, 0, 0)
-				if err != nil {
-					return err
-				}
-				if arm.dense {
-					base = res.Throughput
-				}
-				nsq := 0.0
-				if res.Throughput > 0 {
-					nsq = 1e9 / res.Throughput
-				}
-				batches := res.Batches
-				if batches == 0 {
-					batches = 1
-				}
-				row(w, mode.String(), u, arm.name, res.Throughput, nsq,
-					float64(res.Totals.Splits)/float64(batches),
-					float64(res.Totals.ShiftedSlots)/float64(batches),
-					res.Throughput/base)
-			}
-		}
 	}
 	return nil
 }

@@ -38,15 +38,6 @@ type Options struct {
 	// Batches caps the number of batches per run (0 = all queries).
 	Batches int
 
-	// NoPathReuse, NoBranchlessSearch, NoMergeApply and NoGappedLayout
-	// disable the sorted-batch tree kernels and the gapped node layout
-	// (DESIGN.md §8 and §10, palm.Config ablations); the zero value
-	// keeps all four on.
-	NoPathReuse        bool
-	NoBranchlessSearch bool
-	NoMergeApply       bool
-	NoGappedLayout     bool
-
 	// Metrics, when non-nil, instruments every engine the harness builds
 	// into the given registry (nil keeps runs uninstrumented, identical
 	// to before).
@@ -83,13 +74,9 @@ type Options struct {
 // palmConfig builds the tree-processor config for one measurement arm.
 func (o Options) palmConfig(workers int, loadBalance bool) palm.Config {
 	return palm.Config{
-		Order:              o.Order,
-		Workers:            workers,
-		LoadBalance:        loadBalance,
-		NoPathReuse:        o.NoPathReuse,
-		NoBranchlessSearch: o.NoBranchlessSearch,
-		NoMergeApply:       o.NoMergeApply,
-		NoGappedLayout:     o.NoGappedLayout,
+		Order:       o.Order,
+		Workers:     workers,
+		LoadBalance: loadBalance,
 	}
 }
 

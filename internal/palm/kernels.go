@@ -8,47 +8,16 @@ package palm
 //     path stays valid and most queries resolve with a fence check
 //     instead of a root-to-leaf walk (finder, below).
 //   - All node probes take the shared branchless kernels in
-//     internal/btree instead of closure-based sort.Search.
-//   - A leaf group is a sorted run of queries against a sorted leaf,
-//     so Stage 2 can apply the whole group in one merge pass instead
-//     of a binary search plus O(n) memmove per query (evalGroupMerge,
-//     in palm.go).
-//
-// Each kernel has an ablation flag in Config (NoPathReuse,
-// NoBranchlessSearch, NoMergeApply) that restores the pre-kernel code
-// path, keeping the win benchmarkable and differentially testable.
+//     internal/btree (SearchGE/SearchGT/LeafFind).
+//   - A leaf group is a sorted run of queries against a sorted leaf.
+//     Sparse groups claim gaps one query at a time; mutation-dense or
+//     overflowing groups are applied in one merge pass and repacked
+//     (mergeApply), instead of a binary search plus shift per query.
 
 import (
 	"repro/internal/btree"
 	"repro/internal/keys"
 )
-
-// probeGE returns the index of the first key in ks >= k, honoring the
-// branchless-search ablation.
-func (p *Processor) probeGE(ks []keys.Key, k keys.Key) int {
-	if p.cfg.NoBranchlessSearch {
-		return btree.SearchGEClosure(ks, k)
-	}
-	return btree.SearchGE(ks, k)
-}
-
-// probeChild returns the child slot of an internal node covering k,
-// honoring the branchless-search ablation.
-func (p *Processor) probeChild(ks []keys.Key, k keys.Key) int {
-	if p.cfg.NoBranchlessSearch {
-		return btree.SearchGTClosure(ks, k)
-	}
-	return btree.SearchGT(ks, k)
-}
-
-// probeLeaf looks k up within a leaf, honoring the branchless-search
-// ablation.
-func (p *Processor) probeLeaf(leaf *btree.Node, k keys.Key) (keys.Value, bool) {
-	if p.cfg.NoBranchlessSearch {
-		return btree.LeafFindClosure(leaf, k)
-	}
-	return btree.LeafFind(leaf, k)
-}
 
 // finder locates the leaf covering each key of an ascending probe
 // sequence, reusing the previous root-to-leaf path (path-reuse descent,
@@ -70,7 +39,7 @@ func (p *Processor) probeLeaf(leaf *btree.Node, k keys.Key) (keys.Value, bool) {
 // A finder is per-worker scratch: arrays keep their capacity across
 // batches, so steady-state descents allocate nothing.
 type finder struct {
-	proc *Processor
+	tree *btree.Tree
 	path btree.Path  // root-to-leaf internal path of the current leaf
 	leaf *btree.Node // current leaf; nil before the first descent
 	// Cumulative fences of the subtree entered at each path level.
@@ -83,8 +52,8 @@ type finder struct {
 
 // reset invalidates the finder for a fresh batch (the tree may have
 // been restructured since the last one). Backing arrays are kept.
-func (f *finder) reset(p *Processor) {
-	f.proc = p
+func (f *finder) reset(tree *btree.Tree) {
+	f.tree = tree
 	f.leaf = nil
 	f.path.Reset()
 	f.low = f.low[:0]
@@ -108,9 +77,8 @@ func (f *finder) covers(lvl int, k keys.Key) bool {
 // the leaf's full root-to-leaf internal path (as btree.Tree.FindLeaf
 // would record it).
 func (f *finder) find(k keys.Key) *btree.Node {
-	p := f.proc
-	if p.cfg.NoPathReuse || f.leaf == nil {
-		return f.descendFrom(p.tree.Root(), 0, k)
+	if f.leaf == nil {
+		return f.descendFrom(f.tree.Root(), 0, k)
 	}
 	d := f.path.Len()
 	// Fence ranges are nested (level l+1's range is contained in level
@@ -127,181 +95,24 @@ func (f *finder) find(k keys.Key) *btree.Node {
 		return f.leaf
 	}
 	if lvl < 0 {
-		return f.descendFrom(p.tree.Root(), 0, k)
+		return f.descendFrom(f.tree.Root(), 0, k)
 	}
 	// The child entered at level lvl covers k; redo only the suffix.
 	return f.descendFrom(f.path.Nodes[lvl].Children[f.path.Slots[lvl]], lvl+1, k)
 }
 
-// evalGroupSerial applies a leaf group's queries one at a time, each
-// with an intra-leaf binary search and (for inserts/deletes) an O(n)
-// memmove — the pre-kernel Stage-2 code path, kept as the merge-apply
-// ablation baseline.
-func (p *Processor) evalGroupSerial(g *leafGroup, qs []keys.Query, rs *keys.ResultSet, w *workerScratch, answerDuringFind bool) {
+// evalGroup applies one leaf group's queries to its leaf (DESIGN.md
+// §10) and emits a modification request if the leaf overflowed or
+// emptied. Searches probe with btree.LeafFind; inserts and deletes go
+// through the O(1)-ish gapped single-entry ops (claim the gap at the
+// insertion point, else shift to the nearest gap). Mutation-dense
+// groups are the merge kernel's regime — one linear pass beats
+// per-query probing once a sizable fraction of the leaf turns over —
+// so those hand off to mergeApply up front; sparse groups reach it
+// only to resolve an overflow.
+func (p *Processor) evalGroup(g *leafGroup, qs []keys.Query, rs *keys.ResultSet, w *workerScratch, answerDuringFind bool) {
 	leaf := g.leaf
-	for i := g.lo; i < g.hi; i++ {
-		q := qs[i]
-		switch q.Op {
-		case keys.OpSearch:
-			if !answerDuringFind || q.LeafAnswer {
-				v, ok := p.probeLeaf(leaf, q.Key)
-				rs.Set(q.Idx, v, ok)
-			}
-		case keys.OpInsert:
-			j := p.probeGE(leaf.Keys, q.Key)
-			if j < len(leaf.Keys) && leaf.Keys[j] == q.Key {
-				leaf.Vals[j] = q.Value
-			} else {
-				w.shiftedSlots += int64(len(leaf.Keys) - j)
-				leaf.Keys = append(leaf.Keys, 0)
-				leaf.Vals = append(leaf.Vals, 0)
-				copy(leaf.Keys[j+1:], leaf.Keys[j:])
-				copy(leaf.Vals[j+1:], leaf.Vals[j:])
-				leaf.Keys[j] = q.Key
-				leaf.Vals[j] = q.Value
-				w.sizeDelta++
-			}
-		case keys.OpDelete:
-			j := p.probeGE(leaf.Keys, q.Key)
-			if j < len(leaf.Keys) && leaf.Keys[j] == q.Key {
-				w.shiftedSlots += int64(len(leaf.Keys) - j - 1)
-				leaf.Keys = append(leaf.Keys[:j], leaf.Keys[j+1:]...)
-				leaf.Vals = append(leaf.Vals[:j], leaf.Vals[j+1:]...)
-				w.sizeDelta--
-			}
-		case keys.OpRMW:
-			j := p.probeGE(leaf.Keys, q.Key)
-			if j < len(leaf.Keys) && leaf.Keys[j] == q.Key {
-				old := leaf.Vals[j]
-				rs.Set(q.Idx, old, true)
-				if q.RMW == keys.RMWAdd {
-					leaf.Vals[j] = old + q.Value
-				}
-			} else {
-				// Absent: both kinds insert q.Value (old+delta with
-				// old == 0, or the set-if-absent operand).
-				rs.Set(q.Idx, 0, false)
-				w.shiftedSlots += int64(len(leaf.Keys) - j)
-				leaf.Keys = append(leaf.Keys, 0)
-				leaf.Vals = append(leaf.Vals, 0)
-				copy(leaf.Keys[j+1:], leaf.Keys[j:])
-				copy(leaf.Vals[j+1:], leaf.Vals[j:])
-				leaf.Keys[j] = q.Key
-				leaf.Vals[j] = q.Value
-				w.sizeDelta++
-			}
-		}
-		w.leafOps++
-	}
-}
-
-// evalGroupMerge applies a whole leaf group in a single merge pass: the
-// group's queries and the leaf's entries are both sorted by key, so one
-// forward sweep rebuilds the leaf's key/value arrays in per-worker
-// scratch and copies them back — no per-query binary search and no
-// per-insert/delete memmove. Serial in-batch semantics are preserved by
-// consulting the rebuilt tail for same-key query runs: a search after
-// an insert of the same key sees the new value, after a delete sees an
-// absent key, exactly as the one-at-a-time path would.
-func (p *Processor) evalGroupMerge(g *leafGroup, qs []keys.Query, rs *keys.ResultSet, w *workerScratch, answerDuringFind bool) {
-	leaf := g.leaf
-	lk, lv := leaf.Keys, leaf.Vals
-	mk, mv := w.mergeKeys[:0], w.mergeVals[:0]
-	li := 0
-	for i := g.lo; i < g.hi; i++ {
-		q := qs[i]
-		k := q.Key
-		for li < len(lk) && lk[li] < k {
-			mk = append(mk, lk[li])
-			mv = append(mv, lv[li])
-			li++
-		}
-		// If the previous query in this group had the same key, its
-		// outcome is the tail of the rebuilt run — in-batch visibility.
-		tailIsK := len(mk) > 0 && mk[len(mk)-1] == k
-		switch q.Op {
-		case keys.OpSearch:
-			if !answerDuringFind || q.LeafAnswer {
-				switch {
-				case tailIsK:
-					rs.Set(q.Idx, mv[len(mv)-1], true)
-				case li < len(lk) && lk[li] == k:
-					rs.Set(q.Idx, lv[li], true)
-				default:
-					rs.Set(q.Idx, 0, false)
-				}
-			}
-		case keys.OpInsert:
-			switch {
-			case tailIsK: // overwrite the value this batch just wrote
-				mv[len(mv)-1] = q.Value
-			case li < len(lk) && lk[li] == k: // replace existing entry
-				mk = append(mk, k)
-				mv = append(mv, q.Value)
-				li++
-			default: // genuinely new key
-				mk = append(mk, k)
-				mv = append(mv, q.Value)
-				w.sizeDelta++
-			}
-		case keys.OpDelete:
-			switch {
-			case tailIsK: // remove the entry this batch just wrote
-				mk = mk[:len(mk)-1]
-				mv = mv[:len(mv)-1]
-				w.sizeDelta--
-			case li < len(lk) && lk[li] == k: // skip the existing entry
-				li++
-				w.sizeDelta--
-			}
-		case keys.OpRMW:
-			switch {
-			case tailIsK: // read the value this batch just wrote
-				old := mv[len(mv)-1]
-				rs.Set(q.Idx, old, true)
-				if q.RMW == keys.RMWAdd {
-					mv[len(mv)-1] = old + q.Value
-				}
-			case li < len(lk) && lk[li] == k: // transform existing entry
-				old := lv[li]
-				rs.Set(q.Idx, old, true)
-				nv := old
-				if q.RMW == keys.RMWAdd {
-					nv = old + q.Value
-				}
-				mk = append(mk, k)
-				mv = append(mv, nv)
-				li++
-			default: // absent: both kinds materialize q.Value
-				rs.Set(q.Idx, 0, false)
-				mk = append(mk, k)
-				mv = append(mv, q.Value)
-				w.sizeDelta++
-			}
-		}
-		w.leafOps++
-	}
-	mk = append(mk, lk[li:]...)
-	mv = append(mv, lv[li:]...)
-	leaf.Keys = append(lk[:0], mk...)
-	leaf.Vals = append(lv[:0], mv...)
-	// The whole leaf was rewritten to absorb the group's mutations.
-	w.shiftedSlots += int64(len(mk))
-	w.mergeKeys, w.mergeVals = mk, mv
-}
-
-// evalGroupGapped applies one leaf group to a gapped leaf (DESIGN.md
-// §10). Searches honor the branchless-search ablation via probeLeaf;
-// inserts and deletes go through the O(1)-ish gapped single-entry ops
-// (claim the gap at the insertion point, else shift to the nearest
-// gap). Mutation-dense groups are the dense merge kernel's regime —
-// one linear pass beats per-query probing once a sizable fraction of
-// the leaf turns over — so those hand off to the merge-and-repack path
-// up front (unless NoMergeApply, which pins this layout to per-query
-// application; the merge then runs only to resolve an overflow).
-func (p *Processor) evalGroupGapped(g *leafGroup, qs []keys.Query, rs *keys.ResultSet, w *workerScratch, answerDuringFind bool) {
-	leaf := g.leaf
-	if !p.cfg.NoMergeApply && g.hi-g.lo >= 8 {
+	if g.hi-g.lo >= 8 {
 		muts := 0
 		for i := g.lo; i < g.hi; i++ {
 			if qs[i].Op != keys.OpSearch {
@@ -309,7 +120,7 @@ func (p *Processor) evalGroupGapped(g *leafGroup, qs []keys.Query, rs *keys.Resu
 			}
 		}
 		if muts >= 8 && muts*4 >= leaf.Len() {
-			p.evalGroupGappedOverflow(g, qs, rs, w, g.lo, answerDuringFind)
+			p.mergeApply(g, qs, rs, w, g.lo, answerDuringFind)
 			return
 		}
 	}
@@ -318,13 +129,13 @@ func (p *Processor) evalGroupGapped(g *leafGroup, qs []keys.Query, rs *keys.Resu
 		switch q.Op {
 		case keys.OpSearch:
 			if !answerDuringFind || q.LeafAnswer {
-				v, ok := p.probeLeaf(leaf, q.Key)
+				v, ok := btree.LeafFind(leaf, q.Key)
 				rs.Set(q.Idx, v, ok)
 			}
 		case keys.OpInsert:
 			ed := leaf.InsertGapped(q.Key, q.Value)
 			if ed.Full {
-				p.evalGroupGappedOverflow(g, qs, rs, w, i, answerDuringFind)
+				p.mergeApply(g, qs, rs, w, i, answerDuringFind)
 				return
 			}
 			if ed.Added {
@@ -341,7 +152,7 @@ func (p *Processor) evalGroupGapped(g *leafGroup, qs []keys.Query, rs *keys.Resu
 			}
 			w.shiftedSlots += int64(ed.Shifted)
 		case keys.OpRMW:
-			old, found := p.probeLeaf(leaf, q.Key)
+			old, found := btree.LeafFind(leaf, q.Key)
 			rs.Set(q.Idx, old, found)
 			if found && q.RMW == keys.RMWSetIfAbsent {
 				break // present: set-if-absent is a no-op
@@ -355,7 +166,7 @@ func (p *Processor) evalGroupGapped(g *leafGroup, qs []keys.Query, rs *keys.Resu
 				// Re-running query i in the overflow merge repeats the
 				// probe against unchanged state, so the re-recorded
 				// result is identical.
-				p.evalGroupGappedOverflow(g, qs, rs, w, i, answerDuringFind)
+				p.mergeApply(g, qs, rs, w, i, answerDuringFind)
 				return
 			}
 			if ed.Added {
@@ -377,15 +188,19 @@ func (p *Processor) evalGroupGapped(g *leafGroup, qs []keys.Query, rs *keys.Resu
 	}
 }
 
-// evalGroupGappedOverflow finishes a gapped leaf group from query
-// index start (whose insert found the leaf full): the leaf's live
-// entries are compacted into worker scratch, the remaining queries are
-// merged over them with the same in-batch visibility rules as
-// evalGroupMerge, and the result is repacked — into the leaf itself
-// with fresh evenly spread gaps when it fits, or into multiple
-// ~7/8-full pieces (the PALM "big split", original node leftmost so
-// external Next pointers stay valid) when it does not.
-func (p *Processor) evalGroupGappedOverflow(g *leafGroup, qs []keys.Query, rs *keys.ResultSet, w *workerScratch, start int, answerDuringFind bool) {
+// mergeApply finishes a leaf group from query index start (the whole
+// group when it is mutation-dense, else the insert that found the leaf
+// full): the leaf's live entries are compacted into worker scratch and
+// the remaining queries merged over them in one forward sweep — both
+// are sorted by key, so there is no per-query probe and no per-insert
+// shift. Serial in-batch semantics hold because same-key query runs
+// consult the rebuilt tail: a search after an insert of the same key
+// sees the new value, after a delete an absent key. The result is
+// repacked — into the leaf itself with fresh evenly spread gaps when
+// it fits, or into multiple ~7/8-full pieces (the PALM "big split",
+// original node leftmost so external Next pointers stay valid) when it
+// does not.
+func (p *Processor) mergeApply(g *leafGroup, qs []keys.Query, rs *keys.ResultSet, w *workerScratch, start int, answerDuringFind bool) {
 	leaf := g.leaf
 	lk, lv := leaf.AppendEntries(w.leafKeys[:0], w.leafVals[:0])
 	w.leafKeys, w.leafVals = lk, lv
@@ -399,6 +214,8 @@ func (p *Processor) evalGroupGappedOverflow(g *leafGroup, qs []keys.Query, rs *k
 			mv = append(mv, lv[li])
 			li++
 		}
+		// If the previous query in this group had the same key, its
+		// outcome is the tail of the rebuilt run — in-batch visibility.
 		tailIsK := len(mk) > 0 && mk[len(mk)-1] == k
 		switch q.Op {
 		case keys.OpSearch:
@@ -523,7 +340,6 @@ func (p *Processor) evalGroupGappedOverflow(g *leafGroup, qs []keys.Query, rs *k
 // from n (the node at that depth) to the leaf covering k, recording
 // path and fences.
 func (f *finder) descendFrom(n *btree.Node, depth int, k keys.Key) *btree.Node {
-	p := f.proc
 	f.path.Nodes = f.path.Nodes[:depth]
 	f.path.Slots = f.path.Slots[:depth]
 	f.low = f.low[:depth]
@@ -531,16 +347,16 @@ func (f *finder) descendFrom(n *btree.Node, depth int, k keys.Key) *btree.Node {
 	f.hasLow = f.hasLow[:depth]
 	f.hasHigh = f.hasHigh[:depth]
 	for !n.Leaf() {
-		s := p.probeChild(n.Keys, k)
-		// A gapped node's sentinel tail can push the probe past the last
-		// child when k == SentinelKey (no-op for dense nodes).
+		s := btree.SearchGT(n.Keys, k)
+		// The sentinel tail can push the probe past the last child when
+		// k == SentinelKey.
 		if s >= len(n.Children) {
 			s = len(n.Children) - 1
 		}
 		// The new level's fences: local separators where present,
 		// inherited from the level above at the node's edges (a child's
 		// keys are already bounded by every ancestor separator). The
-		// separator tests use n.Len(), not len(n.Keys): a gapped node's
+		// separator tests use n.Len(), not len(n.Keys): the node's
 		// sentinel tail is not a separator, and treating it as one would
 		// overwrite the tighter inherited ancestor fence with the
 		// sentinel — widening the fence and letting path reuse return a

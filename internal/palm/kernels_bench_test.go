@@ -13,21 +13,20 @@ import (
 // not hidden behind BSP parallelism:
 //
 //	descend    Stage 1 only (findLeaves) — path-reuse + branchless search
-//	leafapply  Stage 2 only (evalGroup)  — merge apply vs per-query
-//	endtoend   ProcessBatch, all kernels on vs all off
+//	leafapply  Stage 2 only (evalGroup)  — gap claims and merge apply
+//	endtoend   ProcessBatch on a 1:1:2 insert/delete/search mix
 //
 // The leafapply batch overwrites existing keys, so leaf shapes are
-// identical on every iteration and both arms measure steady state.
+// identical on every iteration and it measures steady state. A
+// candidate kernel (say, a different finder) is judged by adding an
+// arm beside the one it would replace.
 func BenchmarkKernels(b *testing.B) {
 	const treeKeys = 1 << 16
 	const batchLen = 1 << 14
 
-	build := func(b *testing.B, cfg Config) *Processor {
+	build := func(b *testing.B) *Processor {
 		b.Helper()
-		cfg.Order = btree.DefaultOrder
-		cfg.Workers = 1
-		cfg.LoadBalance = true
-		p, err := New(cfg, nil)
+		p, err := New(Config{Order: btree.DefaultOrder, Workers: 1, LoadBalance: true}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -40,190 +39,70 @@ func BenchmarkKernels(b *testing.B) {
 	}
 
 	b.Run("descend", func(b *testing.B) {
-		for _, arm := range []struct {
-			name string
-			cfg  Config
-		}{
-			{"kernels=on", Config{}},
-			{"no-pathreuse", Config{NoPathReuse: true}},
-			{"no-branchless", Config{NoBranchlessSearch: true}},
-			{"kernels=off", Config{NoPathReuse: true, NoBranchlessSearch: true}},
-		} {
-			b.Run(arm.name, func(b *testing.B) {
-				p := build(b, arm.cfg)
-				defer p.Close()
-				r := rand.New(rand.NewSource(9))
-				batch := make([]keys.Query, batchLen)
-				for i := range batch {
-					batch[i] = keys.Search(keys.Key(r.Intn(2 * treeKeys)))
-				}
-				keys.Number(batch)
-				keys.SortByKey(batch)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					p.findLeaves(batch)
-				}
-				b.SetBytes(batchLen)
-			})
+		p := build(b)
+		defer p.Close()
+		r := rand.New(rand.NewSource(9))
+		batch := make([]keys.Query, batchLen)
+		for i := range batch {
+			batch[i] = keys.Search(keys.Key(r.Intn(2 * treeKeys)))
 		}
+		keys.Number(batch)
+		keys.SortByKey(batch)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.findLeaves(batch)
+		}
+		b.SetBytes(batchLen)
 	})
 
 	b.Run("leafapply", func(b *testing.B) {
-		for _, arm := range []struct {
-			name string
-			cfg  Config
-		}{
-			{"merge", Config{}},
-			{"serial", Config{NoMergeApply: true}},
-		} {
-			b.Run(arm.name, func(b *testing.B) {
-				p := build(b, arm.cfg)
-				defer p.Close()
-				r := rand.New(rand.NewSource(9))
-				batch := make([]keys.Query, batchLen)
-				for i := range batch {
-					// Overwrite an existing key: leaf sizes never change.
-					batch[i] = keys.Insert(keys.Key(2*r.Intn(treeKeys)), keys.Value(i))
-				}
-				keys.Number(batch)
-				keys.SortByKey(batch)
-				p.findLeaves(batch)
-				rs := keys.NewResultSet(batchLen)
-				w := &p.perW[0]
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for gi := range p.groups {
-						p.evalGroup(&p.groups[gi], batch, rs, w, false)
-					}
-				}
-				b.SetBytes(batchLen)
-			})
+		p := build(b)
+		defer p.Close()
+		r := rand.New(rand.NewSource(9))
+		batch := make([]keys.Query, batchLen)
+		for i := range batch {
+			// Overwrite an existing key: leaf sizes never change.
+			batch[i] = keys.Insert(keys.Key(2*r.Intn(treeKeys)), keys.Value(i))
 		}
+		keys.Number(batch)
+		keys.SortByKey(batch)
+		p.findLeaves(batch)
+		rs := keys.NewResultSet(batchLen)
+		w := &p.perW[0]
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for gi := range p.groups {
+				p.evalGroup(&p.groups[gi], batch, rs, w, false)
+			}
+		}
+		b.SetBytes(batchLen)
 	})
 
 	b.Run("endtoend", func(b *testing.B) {
-		for _, arm := range []struct {
-			name string
-			cfg  Config
-		}{
-			{"kernels=on", Config{}},
-			{"kernels=off", Config{NoPathReuse: true, NoBranchlessSearch: true, NoMergeApply: true}},
-		} {
-			b.Run(arm.name, func(b *testing.B) {
-				p := build(b, arm.cfg)
-				defer p.Close()
-				r := rand.New(rand.NewSource(9))
-				batch := make([]keys.Query, batchLen)
-				rs := keys.NewResultSet(batchLen)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					for j := range batch {
-						k := keys.Key(r.Intn(4 * treeKeys))
-						switch r.Intn(4) {
-						case 0:
-							batch[j] = keys.Insert(k, keys.Value(j))
-						case 1:
-							batch[j] = keys.Delete(k)
-						default:
-							batch[j] = keys.Search(k)
-						}
-					}
-					keys.Number(batch)
-					rs.Reset(batchLen)
-					b.StartTimer()
-					p.ProcessBatch(batch, rs)
+		p := build(b)
+		defer p.Close()
+		r := rand.New(rand.NewSource(9))
+		batch := make([]keys.Query, batchLen)
+		rs := keys.NewResultSet(batchLen)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			for j := range batch {
+				k := keys.Key(r.Intn(4 * treeKeys))
+				switch r.Intn(4) {
+				case 0:
+					batch[j] = keys.Insert(k, keys.Value(j))
+				case 1:
+					batch[j] = keys.Delete(k)
+				default:
+					batch[j] = keys.Search(k)
 				}
-				b.SetBytes(batchLen)
-			})
+			}
+			keys.Number(batch)
+			rs.Reset(batchLen)
+			b.StartTimer()
+			p.ProcessBatch(batch, rs)
 		}
-	})
-}
-
-// BenchmarkLayout compares the gapped and dense node layouts
-// single-threaded (DESIGN.md §10): a search-only regime (where the
-// gapped fixed-width branchless probe should win) and two mutation
-// regimes — sparse scattered inserts (gap claiming vs memmove) and a
-// churn mix with splits active.
-func BenchmarkLayout(b *testing.B) {
-	const treeKeys = 1 << 16
-	const batchLen = 1 << 14
-
-	arms := []struct {
-		name string
-		cfg  Config
-	}{
-		{"gapped", Config{}},
-		{"dense", Config{NoGappedLayout: true}},
-	}
-	build := func(b *testing.B, cfg Config) *Processor {
-		b.Helper()
-		cfg.Order = btree.DefaultOrder
-		cfg.Workers = 1
-		cfg.LoadBalance = true
-		p, err := New(cfg, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		seed := make([]keys.Query, treeKeys)
-		for i := range seed {
-			seed[i] = keys.Insert(keys.Key(i*4), keys.Value(i))
-		}
-		p.ProcessBatch(keys.Number(seed), keys.NewResultSet(len(seed)))
-		return p
-	}
-
-	b.Run("search", func(b *testing.B) {
-		for _, arm := range arms {
-			b.Run(arm.name, func(b *testing.B) {
-				p := build(b, arm.cfg)
-				defer p.Close()
-				r := rand.New(rand.NewSource(3))
-				batch := make([]keys.Query, batchLen)
-				for i := range batch {
-					batch[i] = keys.Search(keys.Key(r.Intn(4 * treeKeys)))
-				}
-				keys.Number(batch)
-				rs := keys.NewResultSet(batchLen)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					rs.Reset(batchLen)
-					p.ProcessBatch(batch, rs)
-				}
-				b.SetBytes(batchLen)
-			})
-		}
-	})
-
-	b.Run("churn", func(b *testing.B) {
-		for _, arm := range arms {
-			b.Run(arm.name, func(b *testing.B) {
-				p := build(b, arm.cfg)
-				defer p.Close()
-				r := rand.New(rand.NewSource(3))
-				batch := make([]keys.Query, batchLen)
-				rs := keys.NewResultSet(batchLen)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					for j := range batch {
-						k := keys.Key(r.Intn(8 * treeKeys))
-						switch r.Intn(4) {
-						case 0, 1:
-							batch[j] = keys.Insert(k, keys.Value(j))
-						case 2:
-							batch[j] = keys.Delete(k)
-						default:
-							batch[j] = keys.Search(k)
-						}
-					}
-					keys.Number(batch)
-					rs.Reset(batchLen)
-					b.StartTimer()
-					p.ProcessBatch(batch, rs)
-				}
-				b.SetBytes(batchLen)
-			})
-		}
+		b.SetBytes(batchLen)
 	})
 }

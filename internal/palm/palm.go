@@ -47,38 +47,6 @@ type Config struct {
 	// pre-sorting step instead of the default parallel radix sort
 	// (ablation; radix is several times faster on integer keys).
 	CompareSort bool
-
-	// Sorted-batch tree kernel ablations (DESIGN.md §8). The zero value
-	// enables all three kernels; each flag disables one, restoring the
-	// pre-kernel code path for benchmarking and differential testing.
-
-	// NoPathReuse disables the path-reuse descent of Stage 1 and the
-	// find-and-answer fast path: every query (or distinct key) then
-	// re-descends from the root as the original design did.
-	NoPathReuse bool
-	// NoBranchlessSearch replaces the branchless intra-node search
-	// kernels with the closure-based sort.Search probes.
-	NoBranchlessSearch bool
-	// NoMergeApply disables the merge-based leaf application of Stage
-	// 2: each leaf group's queries are then applied one at a time with
-	// a binary search plus memmove per insert/delete. On the gapped
-	// layout the flag is moot: per-query gap claiming already is the
-	// cheap one-at-a-time path, so one gapped applier serves both
-	// states (DESIGN.md §10).
-	NoMergeApply bool
-	// NoGappedLayout restores the dense node layout (variable-length
-	// packed key/value slices) instead of the default gapped BS-tree
-	// layout (fixed-width sentinel-padded slot arrays with a presence
-	// bitmap; DESIGN.md §10).
-	NoGappedLayout bool
-}
-
-// layout returns the tree layout the configuration selects.
-func (c Config) layout() btree.Layout {
-	if c.NoGappedLayout {
-		return btree.LayoutDense
-	}
-	return btree.LayoutGapped
 }
 
 // Processor evaluates query batches against a B+ tree using the PALM
@@ -116,7 +84,7 @@ type workerScratch struct {
 	finder    finder        // Stage-1 path-reuse descent state
 	mergeKeys []keys.Key    // merge-based leaf application scratch
 	mergeVals []keys.Value
-	leafKeys  []keys.Key // gapped-leaf compaction scratch (overflow path)
+	leafKeys  []keys.Key // leaf compaction scratch (merge path)
 	leafVals  []keys.Value
 	sizeDelta int64
 	leafOps   int64 // operations applied at the leaf level (Fig. 13)
@@ -178,7 +146,7 @@ type modRequest struct {
 // which case the Processor creates (and owns) one with cfg.Workers
 // workers.
 func New(cfg Config, pool *bsp.Pool) (*Processor, error) {
-	tree, err := btree.NewLayout(cfg.Order, cfg.layout())
+	tree, err := btree.New(cfg.Order)
 	if err != nil {
 		return nil, err
 	}
@@ -186,15 +154,9 @@ func New(cfg Config, pool *bsp.Pool) (*Processor, error) {
 }
 
 // NewWithTree creates a Processor over an existing tree (e.g. one
-// pre-loaded serially or restored from a snapshot). The tree is
-// converted in place when its layout differs from what the
-// configuration selects (a no-op otherwise), so the NoGappedLayout
-// ablation stays authoritative regardless of how the tree was built.
-// See New for pool semantics.
+// pre-loaded serially or restored from a snapshot). See New for pool
+// semantics.
 func NewWithTree(cfg Config, tree *btree.Tree, pool *bsp.Pool) *Processor {
-	// SetLayout rebuilds from the tree's own dump at its own order;
-	// neither can fail for a tree that was constructible at all.
-	_ = tree.SetLayout(cfg.layout())
 	own := false
 	if pool == nil {
 		pool = bsp.NewPool(cfg.Workers)
@@ -306,7 +268,7 @@ func (p *Processor) findLeaves(qs []keys.Query) {
 	for i := range p.perW {
 		p.perW[i].groups = p.perW[i].groups[:0]
 		p.perW[i].paths.reset()
-		p.perW[i].finder.reset(p)
+		p.perW[i].finder.reset(p.tree)
 	}
 	p.pool.Run(func(tid int) {
 		lo, hi := p.pool.Range(tid, n)
@@ -350,7 +312,7 @@ func (p *Processor) findLeaves(qs []keys.Query) {
 func (p *Processor) FindAndAnswerSearches(qs []keys.Query, rs *keys.ResultSet) {
 	n := len(qs)
 	for i := range p.perW {
-		p.perW[i].finder.reset(p)
+		p.perW[i].finder.reset(p.tree)
 	}
 	p.pool.Run(func(tid int) {
 		lo, hi := p.pool.Range(tid, n)
@@ -360,7 +322,7 @@ func (p *Processor) FindAndAnswerSearches(qs []keys.Query, rs *keys.ResultSet) {
 			if i == lo || qs[i].Key != qs[i-1].Key || leaf == nil {
 				leaf = w.finder.find(qs[i].Key)
 			}
-			v, ok := p.probeLeaf(leaf, qs[i].Key)
+			v, ok := btree.LeafFind(leaf, qs[i].Key)
 			rs.Set(qs[i].Idx, v, ok)
 			w.leafOps++
 		}
@@ -447,41 +409,6 @@ func prefixEnd(counts []int, i, total int) int {
 	return total
 }
 
-// evalGroup applies one leaf group's queries to its leaf and emits a
-// modification request if the leaf overflowed or emptied. The applier
-// is chosen per leaf (not per tree) so staged rebuilds that mix node
-// layouts stay correct.
-func (p *Processor) evalGroup(g *leafGroup, qs []keys.Query, rs *keys.ResultSet, w *workerScratch, answerDuringFind bool) {
-	leaf := g.leaf
-	if leaf.Gapped() {
-		p.evalGroupGapped(g, qs, rs, w, answerDuringFind)
-		return
-	}
-	maxEntries := p.tree.Order() - 1
-	if p.cfg.NoMergeApply {
-		p.evalGroupSerial(g, qs, rs, w, answerDuringFind)
-	} else {
-		p.evalGroupMerge(g, qs, rs, w, answerDuringFind)
-	}
-
-	switch {
-	case len(leaf.Keys) > maxEntries:
-		repl := splitLeafMulti(leaf, maxEntries)
-		w.splits += int64(len(repl) - 1)
-		w.reqs = append(w.reqs, modRequest{
-			parent: parentOf(&g.path), path: &g.path,
-			level: g.path.Len() - 1, slot: slotOf(&g.path),
-			repl: repl,
-		})
-	case len(leaf.Keys) == 0:
-		w.reqs = append(w.reqs, modRequest{
-			parent: parentOf(&g.path), path: &g.path,
-			level: g.path.Len() - 1, slot: slotOf(&g.path),
-			repl: nil,
-		})
-	}
-}
-
 // parentOf returns the deepest node of the path (the leaf's parent), or
 // nil when the leaf is the root.
 func parentOf(path *btree.Path) *btree.Node {
@@ -497,41 +424,4 @@ func slotOf(path *btree.Path) int {
 		return 0
 	}
 	return path.Slots[path.Len()-1]
-}
-
-// splitLeafMulti splits an overfull leaf into as many balanced siblings
-// as needed (PALM's "big split"), preserving the leaf chain locally:
-// the original node keeps the leftmost piece so external Next pointers
-// into it remain valid.
-func splitLeafMulti(leaf *btree.Node, maxEntries int) []*btree.Node {
-	n := len(leaf.Keys)
-	pieces := (n + maxEntries - 1) / maxEntries
-	out := make([]*btree.Node, 0, pieces)
-	out = append(out, leaf)
-	// Balanced piece sizes: base+1 for the first rem pieces, base after.
-	base, rem := n/pieces, n%pieces
-	pieceSize := func(i int) int {
-		if i < rem {
-			return base + 1
-		}
-		return base
-	}
-	next := leaf.Next
-	start := pieceSize(0)
-	prev := leaf
-	for i := 1; i < pieces; i++ {
-		sz := pieceSize(i)
-		sib := &btree.Node{
-			Keys: append(make([]keys.Key, 0, maxEntries+1), leaf.Keys[start:start+sz]...),
-			Vals: append(make([]keys.Value, 0, maxEntries+1), leaf.Vals[start:start+sz]...),
-		}
-		prev.Next = sib
-		prev = sib
-		out = append(out, sib)
-		start += sz
-	}
-	prev.Next = next
-	leaf.Keys = leaf.Keys[:pieceSize(0)]
-	leaf.Vals = leaf.Vals[:pieceSize(0)]
-	return out
 }

@@ -388,17 +388,31 @@ func TestDifferentialProperty(t *testing.T) {
 	}
 }
 
+// TestSplitLeafMulti overflows a capacity-7 leaf with 25 inserts in
+// one group: mergeApply must big-split it into balanced pieces that
+// reuse the original node first, keep the leaf chain to the old
+// successor, and hold every key in order.
 func TestSplitLeafMulti(t *testing.T) {
-	leaf := &btree.Node{}
-	for i := 0; i < 25; i++ {
-		leaf.Keys = append(leaf.Keys, keys.Key(i))
-		leaf.Vals = append(leaf.Vals, keys.Value(i))
-	}
-	tail := &btree.Node{Keys: []keys.Key{100}, Vals: []keys.Value{100}}
+	p, _ := New(Config{Order: 8, Workers: 1}, nil)
+	defer p.Close()
+	leaf := p.Tree().Root()
+	tail := btree.NewGappedLeaf(7)
+	btree.PackLeafGapped(tail, []keys.Key{100}, []keys.Value{100})
 	leaf.Next = tail
-	pieces := splitLeafMulti(leaf, 7)
-	if len(pieces) != 4 { // ceil(25/7)
-		t.Fatalf("pieces = %d, want 4", len(pieces))
+	qs := make([]keys.Query, 25)
+	for i := range qs {
+		qs[i] = keys.Insert(keys.Key(i), keys.Value(i))
+	}
+	keys.Number(qs)
+	w := &p.perW[0]
+	w.reqs = w.reqs[:0]
+	p.evalGroup(&leafGroup{leaf: leaf, lo: 0, hi: len(qs)}, qs, keys.NewResultSet(len(qs)), w, false)
+	if len(w.reqs) != 1 {
+		t.Fatalf("requests = %d, want 1", len(w.reqs))
+	}
+	pieces := w.reqs[0].repl
+	if len(pieces) != 5 { // ceil(25 / (7*7/8))
+		t.Fatalf("pieces = %d, want 5", len(pieces))
 	}
 	if pieces[0] != leaf {
 		t.Fatal("first piece must reuse the original node")
@@ -406,10 +420,10 @@ func TestSplitLeafMulti(t *testing.T) {
 	// Chain and contents.
 	var got []keys.Key
 	for n := pieces[0]; n != tail; n = n.Next {
-		if len(n.Keys) > 7 || len(n.Keys) == 0 {
-			t.Fatalf("piece size %d out of range", len(n.Keys))
+		if n.Len() > 7 || n.Len() == 0 {
+			t.Fatalf("piece size %d out of range", n.Len())
 		}
-		got = append(got, n.Keys...)
+		got, _ = n.AppendEntries(got, nil)
 	}
 	if len(got) != 25 {
 		t.Fatalf("total keys %d, want 25", len(got))

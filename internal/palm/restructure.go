@@ -1,9 +1,6 @@
 package palm
 
-import (
-	"repro/internal/btree"
-	"repro/internal/keys"
-)
+import "repro/internal/btree"
 
 // parentRun is a contiguous range [lo, hi) of same-parent modification
 // requests within one restructuring level.
@@ -144,85 +141,20 @@ func (p *Processor) applyToParent(reqs []modRequest, w *workerScratch) {
 		parent.Children = make([]*btree.Node, len(buf))
 	}
 	copy(parent.Children, buf)
-	p.packSeps(parent)
+	btree.PackInternalGapped(parent, p.tree.Order())
 
 	if len(parent.Children) > p.tree.Order() {
-		if parent.Gapped() {
-			up.repl = splitInternalMultiGapped(parent, p.tree.Order())
-		} else {
-			up.repl = splitInternalMulti(parent, p.tree.Order())
-		}
+		up.repl = splitInternalMulti(parent, p.tree.Order())
 		w.splits += int64(len(up.repl) - 1)
 		w.reqs = append(w.reqs, up)
 	}
 }
 
-// packSeps recomputes a node's separator array for its current child
-// list, honoring the node's layout (per node, not per tree, so staged
-// rebuilds that mix layouts stay correct).
-func (p *Processor) packSeps(n *btree.Node) {
-	if n.Gapped() {
-		btree.PackInternalGapped(n, p.tree.Order())
-	} else {
-		n.Keys = rebuildSeps(n.Keys[:0], n.Children)
-	}
-}
-
-// rebuildSeps recomputes the separator keys for a child list: separator
-// i is the minimum key of child i+1's subtree, which is strictly greater
-// than every key under child i because children are in key order.
-func rebuildSeps(dst []keys.Key, ch []*btree.Node) []keys.Key {
-	for i := 1; i < len(ch); i++ {
-		dst = append(dst, minKey(ch[i]))
-	}
-	return dst
-}
-
-// minKey returns the smallest key stored in n's subtree.
-func minKey(n *btree.Node) keys.Key {
-	for !n.Leaf() {
-		n = n.Children[0]
-	}
-	return n.Keys[0]
-}
-
 // splitInternalMulti splits an overfull internal node into balanced
 // pieces of at most maxChildren children each, reusing the node as the
-// leftmost piece.
+// leftmost piece; every piece is repacked at the fixed sentinel-padded
+// width.
 func splitInternalMulti(n *btree.Node, maxChildren int) []*btree.Node {
-	ct := len(n.Children)
-	pieces := (ct + maxChildren - 1) / maxChildren
-	base, rem := ct/pieces, ct%pieces
-	out := make([]*btree.Node, 0, pieces)
-	out = append(out, n)
-	start := base
-	if rem > 0 {
-		start++
-	}
-	for i := 1; i < pieces; i++ {
-		sz := base
-		if i < rem {
-			sz++
-		}
-		sib := &btree.Node{
-			Children: append(make([]*btree.Node, 0, maxChildren+1), n.Children[start:start+sz]...),
-		}
-		sib.Keys = rebuildSeps(make([]keys.Key, 0, maxChildren), sib.Children)
-		out = append(out, sib)
-		start += sz
-	}
-	first := base
-	if rem > 0 {
-		first++
-	}
-	n.Children = n.Children[:first]
-	n.Keys = n.Keys[:first-1]
-	return out
-}
-
-// splitInternalMultiGapped is splitInternalMulti for gapped internal
-// nodes: every piece is repacked at the fixed sentinel-padded width.
-func splitInternalMultiGapped(n *btree.Node, maxChildren int) []*btree.Node {
 	ct := len(n.Children)
 	pieces := (ct + maxChildren - 1) / maxChildren
 	base, rem := ct/pieces, ct%pieces
@@ -256,10 +188,10 @@ func (p *Processor) finalizeRoot(r *modRequest) {
 	case r.repl == nil:
 		// The root emptied. If it was a leaf it legally stays empty; if
 		// it was internal (all subtrees deleted), reset to a fresh
-		// empty leaf of the tree's layout.
+		// empty leaf.
 		root := p.tree.Root()
 		if !root.Leaf() {
-			p.tree.SetRoot(btree.NewLeafLayout(p.tree.Order(), p.tree.Layout()))
+			p.tree.SetRoot(btree.NewGappedLeaf(p.tree.Order() - 1))
 		}
 	case len(r.repl) == 1:
 		p.tree.SetRoot(r.repl[0])
@@ -270,7 +202,6 @@ func (p *Processor) finalizeRoot(r *modRequest) {
 		// applyToParent), so only the tree grows here.
 		level := r.repl
 		order := p.tree.Order()
-		gapped := p.tree.Layout() == btree.LayoutGapped
 		for len(level) > 1 {
 			parents := make([]*btree.Node, 0, (len(level)+order-1)/order)
 			for lo := 0; lo < len(level); lo += order {
@@ -281,11 +212,7 @@ func (p *Processor) finalizeRoot(r *modRequest) {
 				parent := &btree.Node{
 					Children: append(make([]*btree.Node, 0, order+1), level[lo:hi]...),
 				}
-				if gapped {
-					btree.PackInternalGapped(parent, order)
-				} else {
-					parent.Keys = rebuildSeps(make([]keys.Key, 0, order), parent.Children)
-				}
+				btree.PackInternalGapped(parent, order)
 				parents = append(parents, parent)
 			}
 			level = parents

@@ -7,40 +7,51 @@ import (
 	"repro/internal/keys"
 )
 
+// leaf returns a gapped leaf of capacity 7 holding ks (value = key).
+func leaf(ks ...keys.Key) *btree.Node {
+	n := btree.NewGappedLeaf(7)
+	vs := make([]keys.Value, len(ks))
+	for i, k := range ks {
+		vs[i] = keys.Value(k)
+	}
+	btree.PackLeafGapped(n, ks, vs)
+	return n
+}
+
+// internal returns an internal node over children with its separators
+// rebuilt at order 8.
+func internal(children ...*btree.Node) *btree.Node {
+	n := &btree.Node{Children: children}
+	btree.PackInternalGapped(n, 8)
+	return n
+}
+
+// seps returns an internal node's live separators.
+func seps(n *btree.Node) []keys.Key { return n.Keys[:n.Len()] }
+
 func TestRebuildSeps(t *testing.T) {
-	l1 := &btree.Node{Keys: []keys.Key{1, 2}, Vals: []keys.Value{1, 2}}
-	l2 := &btree.Node{Keys: []keys.Key{5, 6}, Vals: []keys.Value{5, 6}}
-	l3 := &btree.Node{Keys: []keys.Key{9}, Vals: []keys.Value{9}}
-	seps := rebuildSeps(nil, []*btree.Node{l1, l2, l3})
-	if len(seps) != 2 || seps[0] != 5 || seps[1] != 9 {
-		t.Fatalf("seps = %v, want [5 9]", seps)
+	n := internal(leaf(1, 2), leaf(5, 6), leaf(9))
+	if got := seps(n); len(got) != 2 || got[0] != 5 || got[1] != 9 {
+		t.Fatalf("seps = %v, want [5 9]", got)
 	}
 }
 
 func TestRebuildSepsDeepSubtree(t *testing.T) {
-	leaf := &btree.Node{Keys: []keys.Key{42}, Vals: []keys.Value{42}}
-	inner := &btree.Node{Keys: []keys.Key{50}, Children: []*btree.Node{leaf, {Keys: []keys.Key{60}, Vals: []keys.Value{60}}}}
-	first := &btree.Node{Keys: []keys.Key{1}, Vals: []keys.Value{1}}
-	seps := rebuildSeps(nil, []*btree.Node{first, inner})
-	if len(seps) != 1 || seps[0] != 42 {
-		t.Fatalf("seps = %v, want [42] (min of deep subtree)", seps)
+	n := internal(leaf(1), internal(leaf(42), leaf(60)))
+	if got := seps(n); len(got) != 1 || got[0] != 42 {
+		t.Fatalf("seps = %v, want [42] (min of deep subtree)", got)
 	}
 }
 
+// TestMinKey checks the subtree minimum a separator is rebuilt from
+// after the leaf's own minimum was deleted: the freed slot 0 then
+// duplicates the successor, which must become the separator.
 func TestMinKey(t *testing.T) {
-	leaf := &btree.Node{Keys: []keys.Key{7, 9}, Vals: []keys.Value{7, 9}}
-	if got := minKey(leaf); got != 7 {
-		t.Fatalf("minKey(leaf) = %d", got)
-	}
-	root := &btree.Node{
-		Keys: []keys.Key{100},
-		Children: []*btree.Node{
-			{Keys: []keys.Key{50}, Children: []*btree.Node{leaf, {Keys: []keys.Key{60}, Vals: []keys.Value{60}}}},
-			{Keys: []keys.Key{200}, Vals: []keys.Value{200}},
-		},
-	}
-	if got := minKey(root); got != 7 {
-		t.Fatalf("minKey(root) = %d", got)
+	right := leaf(7, 9)
+	right.DeleteGapped(7)
+	n := internal(leaf(1), internal(right, leaf(60)))
+	if got := seps(n); len(got) != 1 || got[0] != 9 {
+		t.Fatalf("seps = %v, want [9] after deleting the subtree minimum", got)
 	}
 }
 
@@ -49,10 +60,10 @@ func TestSplitInternalMulti(t *testing.T) {
 	// balanced pieces reusing the original node as piece 0.
 	children := make([]*btree.Node, 10)
 	for i := range children {
-		children[i] = &btree.Node{Keys: []keys.Key{keys.Key(i * 10)}, Vals: []keys.Value{0}}
+		children[i] = leaf(keys.Key(i * 10))
 	}
 	n := &btree.Node{Children: append([]*btree.Node(nil), children...)}
-	n.Keys = rebuildSeps(nil, n.Children)
+	btree.PackInternalGapped(n, 4)
 
 	pieces := splitInternalMulti(n, 4)
 	if len(pieces) != 3 {
@@ -67,8 +78,13 @@ func TestSplitInternalMulti(t *testing.T) {
 		if len(p.Children) > 4 || len(p.Children) == 0 {
 			t.Fatalf("piece has %d children", len(p.Children))
 		}
-		if len(p.Keys) != len(p.Children)-1 {
-			t.Fatalf("piece has %d keys for %d children", len(p.Keys), len(p.Children))
+		if p.Len() != len(p.Children)-1 || len(p.Keys) != 3 {
+			t.Fatalf("piece has %d separators in %d slots for %d children", p.Len(), len(p.Keys), len(p.Children))
+		}
+		for i, k := range seps(p) {
+			if want := p.Children[i+1].Keys[0]; k != want {
+				t.Fatalf("separator %d = %d, want %d", i, k, want)
+			}
 		}
 		total += len(p.Children)
 		all = append(all, p.Children...)
@@ -86,9 +102,9 @@ func TestSplitInternalMulti(t *testing.T) {
 func TestFinalizeRootSingleReplacement(t *testing.T) {
 	p, _ := New(Config{Order: 4, Workers: 1}, nil)
 	defer p.Close()
-	leaf := &btree.Node{Keys: []keys.Key{1}, Vals: []keys.Value{1}}
-	p.finalizeRoot(&modRequest{repl: []*btree.Node{leaf}})
-	if p.Tree().Root() != leaf {
+	l := leaf(1)
+	p.finalizeRoot(&modRequest{repl: []*btree.Node{l}})
+	if p.Tree().Root() != l {
 		t.Fatal("single replacement must become the root")
 	}
 }
@@ -99,7 +115,8 @@ func TestFinalizeRootMultiLevelGrowth(t *testing.T) {
 	// 10 leaf pieces at order 3 require two new internal levels.
 	pieces := make([]*btree.Node, 10)
 	for i := range pieces {
-		pieces[i] = &btree.Node{Keys: []keys.Key{keys.Key(i * 5)}, Vals: []keys.Value{keys.Value(i)}}
+		pieces[i] = btree.NewGappedLeaf(2)
+		btree.PackLeafGapped(pieces[i], []keys.Key{keys.Key(i * 5)}, []keys.Value{keys.Value(i)})
 		if i > 0 {
 			pieces[i-1].Next = pieces[i]
 		}
@@ -164,10 +181,7 @@ func TestRelinkLeavesRepairsChain(t *testing.T) {
 func TestRestructurePanicsOnMismatchedSlot(t *testing.T) {
 	p, _ := New(Config{Order: 4, Workers: 1}, nil)
 	defer p.Close()
-	parent := &btree.Node{
-		Keys:     []keys.Key{10},
-		Children: []*btree.Node{{Keys: []keys.Key{1}, Vals: []keys.Value{1}}, {Keys: []keys.Key{10}, Vals: []keys.Value{10}}},
-	}
+	parent := internal(leaf(1), leaf(10))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("mismatched slot must panic (internal invariant)")

@@ -15,9 +15,8 @@ import (
 // every scan it owns with the path-reuse finder (ascending lower bounds
 // keep the descents cheap, exactly like the sorted-run point FIND;
 // timed as StageFind), then walks the leaf chains collecting rows
-// (StageEvaluate). Gapped-layout leaves are iterated via the occupancy
-// accessors, so gap and sentinel slots never appear in scan output;
-// dense leaves iterate every slot.
+// (StageEvaluate). Leaves are iterated via the occupancy accessors, so
+// gap and sentinel slots never appear in scan output.
 //
 // All scans observe the same tree state: the engine calls EvalScans
 // once per batch, before the batch's point queries are applied, with
@@ -43,7 +42,7 @@ func (p *Processor) EvalScans(scans []keys.Query, rs *keys.ResultSet) {
 	p.scanLeaves = slices.Grow(p.scanLeaves[:0], n)[:n]
 	leaves := p.scanLeaves
 	for i := range p.perW {
-		p.perW[i].finder.reset(p)
+		p.perW[i].finder.reset(p.tree)
 	}
 	sw := st.Timer(stats.StageFind)
 	p.pool.Run(func(tid int) {

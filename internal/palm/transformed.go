@@ -56,7 +56,7 @@ func (p *Processor) findAndAnswer(qs []keys.Query, rs *keys.ResultSet) bool {
 	for i := range p.perW {
 		p.perW[i].groups = p.perW[i].groups[:0]
 		p.perW[i].paths.reset()
-		p.perW[i].finder.reset(p)
+		p.perW[i].finder.reset(p.tree)
 	}
 	p.pool.Run(func(tid int) {
 		lo, hi := p.pool.Range(tid, n)
@@ -67,7 +67,7 @@ func (p *Processor) findAndAnswer(qs []keys.Query, rs *keys.ResultSet) bool {
 				leaf = w.finder.find(qs[i].Key)
 			}
 			if qs[i].Op == keys.OpSearch && !qs[i].LeafAnswer {
-				v, ok := p.probeLeaf(leaf, qs[i].Key)
+				v, ok := btree.LeafFind(leaf, qs[i].Key)
 				rs.Set(qs[i].Idx, v, ok)
 				w.leafOps++
 				continue

@@ -103,31 +103,6 @@ func FuzzShardEquivalence(f *testing.F) {
 				arms = append(arms, arm{name: armName(n, pipelined), eng: e})
 			}
 		}
-		// Kernels-off arm: disabling every sorted-batch tree kernel AND
-		// the gapped node layout (palm.Config ablations) must not change
-		// a byte of results or stores relative to the kernels-on arms
-		// above. A dense-only arm keeps the layout ablation covered in
-		// isolation too.
-		offCfg := testEngineConfig(core.IntraInter, false)
-		offCfg.Palm.NoPathReuse = true
-		offCfg.Palm.NoBranchlessSearch = true
-		offCfg.Palm.NoMergeApply = true
-		offCfg.Palm.NoGappedLayout = true
-		eOff, err := New(Config{Shards: 2, Engine: offCfg, KeyMax: fuzzSpan - 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer eOff.Close()
-		arms = append(arms, arm{name: "shards=2+kernels-off", eng: eOff})
-
-		denseCfg := testEngineConfig(core.IntraInter, false)
-		denseCfg.Palm.NoGappedLayout = true
-		eDense, err := New(Config{Shards: 3, Engine: denseCfg, KeyMax: fuzzSpan - 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer eDense.Close()
-		arms = append(arms, arm{name: "shards=3+dense", eng: eDense})
 
 		plain, err := core.NewEngine(testEngineConfig(core.IntraInter, false))
 		if err != nil {

@@ -95,16 +95,6 @@ type Engine struct {
 	gate      *sync.RWMutex
 }
 
-// engineLayout derives the node layout a shard's trees should be bulk
-// loaded with, so per-shard trees match the layout the engines would
-// pick themselves and NewEngineWithTree does not rebuild them.
-func engineLayout(cfg core.EngineConfig) btree.Layout {
-	if cfg.Palm.NoGappedLayout {
-		return btree.LayoutDense
-	}
-	return btree.LayoutGapped
-}
-
 // New builds a sharded engine of cfg.Shards partitions.
 func New(cfg Config) (*Engine, error) {
 	n := cfg.Shards
@@ -171,7 +161,7 @@ func NewFromTree(cfg Config, tree *btree.Tree) (*Engine, error) {
 		if i < n-1 {
 			hi = lowerBound(ks, bounds[i], lo)
 		}
-		sub, err := btree.BulkLoadLayout(order, engineLayout(cfg.Engine), ks[lo:hi], vs[lo:hi])
+		sub, err := btree.BulkLoad(order, ks[lo:hi], vs[lo:hi])
 		if err != nil {
 			e.Close()
 			return nil, fmt.Errorf("shard %d: %w", i, err)
@@ -485,7 +475,7 @@ func (e *Engine) Save(w io.Writer) error {
 		return e.shards[0].Processor().Tree().Save(w)
 	}
 	ks, vs := e.Dump()
-	tree, err := btree.BulkLoadLayout(e.Order(), engineLayout(e.cfg.Engine), ks, vs)
+	tree, err := btree.BulkLoad(e.Order(), ks, vs)
 	if err != nil {
 		return err
 	}

@@ -85,11 +85,11 @@ type Batch struct {
 	// (DESIGN.md §10) exists to shrink.
 	Splits int
 	// GapClaims counts inserts absorbed by the gap at their insertion
-	// point in O(1) (gapped layout only).
+	// point in O(1).
 	GapClaims int
 	// ShiftedSlots counts key/value slots physically moved or rewritten
-	// to keep nodes sorted: memmove lengths on the dense layout,
-	// shift-to-nearest-gap and delete-run rewrites on the gapped one.
+	// to keep nodes sorted: shift-to-nearest-gap moves, delete-run
+	// rewrites, and the slots a merge-applied leaf is repacked with.
 	ShiftedSlots int
 	// ScanQueries counts range scans submitted in the batch.
 	ScanQueries int

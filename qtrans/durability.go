@@ -92,7 +92,7 @@ func openDurable(opts Options) (*DB, error) {
 				return nil, fmt.Errorf("qtrans: corrupt tiered snapshot in %s: %w", opts.Durability.Dir, err)
 			}
 		}
-		tree, err = btree.LoadLayout(bytes.NewReader(treeBytes), opts.Order, opts.layout())
+		tree, err = btree.Load(bytes.NewReader(treeBytes), opts.Order)
 		if err != nil {
 			return nil, fmt.Errorf("qtrans: corrupt snapshot in %s: %w", opts.Durability.Dir, err)
 		}

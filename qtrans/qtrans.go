@@ -148,26 +148,6 @@ type Options struct {
 	// fill. Nil (the zero value) keeps every hot path identical to the
 	// uninstrumented build — same results, zero extra allocations.
 	Metrics *Metrics
-
-	// Sorted-batch tree kernel ablations (DESIGN.md §8). The zero value
-	// keeps all three kernels on; each flag disables one, restoring the
-	// pre-kernel code path — results are identical either way.
-
-	// NoPathReuse disables the path-reuse descent of the leaf-search
-	// stage (every query re-descends from the root).
-	NoPathReuse bool
-	// NoBranchlessSearch replaces the branchless intra-node search
-	// kernels with closure-based binary search.
-	NoBranchlessSearch bool
-	// NoMergeApply disables the merge-based leaf application (queries
-	// are applied to leaves one at a time).
-	NoMergeApply bool
-	// NoGappedLayout stores tree nodes in the classic dense layout
-	// instead of the default gapped (BS-tree style) layout, in which
-	// nodes keep a fixed-width key array with sentinel-filled gaps so
-	// intra-node search is branchless and inserts claim gaps instead of
-	// shifting (DESIGN.md §10). Results are identical either way.
-	NoGappedLayout bool
 }
 
 // Autoshard configures traffic-aware automatic resharding (see
@@ -266,14 +246,6 @@ func (a Autoshard) shardConfig() shard.AutoshardConfig {
 	}
 }
 
-// layout translates the ablation flag to the tree-level layout choice.
-func (opts Options) layout() btree.Layout {
-	if opts.NoGappedLayout {
-		return btree.LayoutDense
-	}
-	return btree.LayoutGapped
-}
-
 // engineConfig translates Options to the per-engine configuration
 // (for a sharded DB this is each shard's config; Workers is then a
 // per-shard thread count).
@@ -285,13 +257,9 @@ func (opts Options) engineConfig() core.EngineConfig {
 	return core.EngineConfig{
 		Mode: opts.Optimization.mode(),
 		Palm: palm.Config{
-			Order:              opts.Order,
-			Workers:            opts.Workers,
-			LoadBalance:        true,
-			NoPathReuse:        opts.NoPathReuse,
-			NoBranchlessSearch: opts.NoBranchlessSearch,
-			NoMergeApply:       opts.NoMergeApply,
-			NoGappedLayout:     opts.NoGappedLayout,
+			Order:       opts.Order,
+			Workers:     opts.Workers,
+			LoadBalance: true,
 		},
 		CacheCapacity: capacity,
 		Pipeline:      opts.Pipeline,
@@ -320,7 +288,6 @@ type DB struct {
 	eng       engine
 	shards    *shard.Engine // one shard when Options.Shards <= 1
 	pipelined bool
-	layout    btree.Layout // node layout from Options (for snapshots)
 	// tier is the cold-store wrapper (nil when Options.Tiered is off;
 	// when non-nil it wraps shards and is also eng).
 	tier *tier.Engine
@@ -400,7 +367,7 @@ func build(opts Options, tree *btree.Tree) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	db := &DB{eng: se, shards: se, pipelined: opts.Pipeline, layout: opts.layout(), met: opts.Metrics}
+	db := &DB{eng: se, shards: se, pipelined: opts.Pipeline, met: opts.Metrics}
 	se.SetGate(&db.gate)
 	// The background controller steps through the same gate the
 	// batches hold, so it must start after the gate is installed.
@@ -660,7 +627,7 @@ func (db *DB) saveLocked(w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		tree, err := btree.BulkLoadLayout(db.shards.Order(), db.layout, ks, vs)
+		tree, err := btree.BulkLoad(db.shards.Order(), ks, vs)
 		if err != nil {
 			return err
 		}
@@ -681,7 +648,7 @@ func Load(r io.Reader, opts Options) (*DB, error) {
 	if opts.Autoshard.Enabled && opts.Shards <= 1 {
 		return nil, ErrAutoshardUnsharded
 	}
-	tree, err := btree.LoadLayout(r, opts.Order, opts.layout())
+	tree, err := btree.Load(r, opts.Order)
 	if err != nil {
 		return nil, err
 	}

@@ -154,53 +154,6 @@ func TestRunMatchesMapSemantics(t *testing.T) {
 	}
 }
 
-func TestKernelOptionsOffMatchesMapSemantics(t *testing.T) {
-	// The Options kernel ablations must reach the engine and change
-	// nothing observable: same map semantics with every kernel disabled.
-	db, err := Open(Options{Workers: 3, Order: 8,
-		NoPathReuse: true, NoBranchlessSearch: true, NoMergeApply: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	r := rand.New(rand.NewSource(23))
-	model := map[Key]Value{}
-	for round := 0; round < 3; round++ {
-		b := NewBatch()
-		type expect struct {
-			pos   int
-			v     Value
-			found bool
-		}
-		var expects []expect
-		for i := 0; i < 1500; i++ {
-			k := Key(r.Intn(250))
-			switch r.Intn(3) {
-			case 0:
-				v, found := model[k]
-				expects = append(expects, expect{b.Search(k), v, found})
-			case 1:
-				v := Value(r.Intn(10000))
-				b.Insert(k, v)
-				model[k] = v
-			default:
-				b.Delete(k)
-				delete(model, k)
-			}
-		}
-		res := db.Run(b)
-		for _, e := range expects {
-			got, ok := res.Search(e.pos)
-			if !ok || got.Found != e.found || (e.found && got.Value != e.v) {
-				t.Fatalf("round %d pos %d: got %+v (%v), want %v/%v", round, e.pos, got, ok, e.v, e.found)
-			}
-		}
-	}
-	if db.Len() != len(model) {
-		t.Fatalf("Len = %d, model %d", db.Len(), len(model))
-	}
-}
-
 func TestSaveLoadRoundTrip(t *testing.T) {
 	db, err := Open(Options{Workers: 2, Order: 8})
 	if err != nil {
@@ -244,8 +197,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 // TestLoadLegacyV1Snapshot checks a pre-gap ("QBT2") snapshot still
-// opens: the DB rebuilds it under the configured layout (gapped by
-// default, dense under the ablation) with identical contents.
+// opens through the facade with identical contents.
 func TestLoadLegacyV1Snapshot(t *testing.T) {
 	n := 200
 	body := make([]byte, 12, 12+16*n)
@@ -264,20 +216,18 @@ func TestLoadLegacyV1Snapshot(t *testing.T) {
 	binary.LittleEndian.PutUint32(tail[:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
 	snap.Write(tail[:])
 
-	for _, dense := range []bool{false, true} {
-		db, err := Load(bytes.NewReader(snap.Bytes()), Options{Workers: 2, NoGappedLayout: dense})
-		if err != nil {
-			t.Fatalf("dense=%v: %v", dense, err)
+	db, err := Load(bytes.NewReader(snap.Bytes()), Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if db.Len() != n {
+		t.Fatalf("Len = %d, want %d", db.Len(), n)
+	}
+	for i := 0; i < n; i++ {
+		if v, ok := db.Get(Key(i*4 + 2)); !ok || v != Value(i*9) {
+			t.Fatalf("Get(%d) = %d,%v", i*4+2, v, ok)
 		}
-		if db.Len() != n {
-			t.Fatalf("dense=%v: Len = %d, want %d", dense, db.Len(), n)
-		}
-		for i := 0; i < n; i++ {
-			if v, ok := db.Get(Key(i*4 + 2)); !ok || v != Value(i*9) {
-				t.Fatalf("dense=%v: Get(%d) = %d,%v", dense, i*4+2, v, ok)
-			}
-		}
-		db.Close()
 	}
 }
 
