@@ -35,7 +35,15 @@
 #                top-K cache pass at several capacities and worker
 #                counts plus a pipelined arm vs the oracle, with
 #                identical cache counters for every worker count,
-#                DESIGN.md §4 item 7), the
+#                DESIGN.md §4 item 7), the cost-gate fuzzer (batch
+#                sequences whose duplicate share crosses the Adaptive
+#                gate's crossover both ways, so QSAT flips per batch and
+#                the cache goes off, drains and comes back on; serial at
+#                1/2/3 workers with identical gate decisions and
+#                counters, pipelined, and 2 shards, all vs the oracle,
+#                DESIGN.md §4 item 9; its batches are 256+ queries, so
+#                minimising each new input is capped at 20 runs or the
+#                10 s go to minimising the first one), the
 #                crash-recovery fuzzer (the
 #                durability property of DESIGN.md §7: power cut at an
 #                arbitrary byte, then recover to an acked whole-batch
@@ -49,8 +57,8 @@
 #                a tiered pre-crash arm)
 #   bench-smoke  one-iteration compile-and-run of the batch sort
 #                size table, the pipeline, durability, kernel,
-#                batch-size, QTrans transform, mixed scan/RMW batch and
-#                cache pass benchmarks
+#                batch-size, QTrans transform, mixed scan/RMW batch,
+#                cache pass and cost-gate crossover benchmarks
 #                (catches bit-rot in the benchmarks without paying for a
 #                measurement)
 
@@ -79,6 +87,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzAutoshard -fuzztime=10s ./internal/shard
 	$(GO) test -run=^$$ -fuzz=FuzzRangeRMWEquivalence -fuzztime=10s ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzCachePassEquivalence -fuzztime=10s ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzGateEquivalence -fuzztime=10s -fuzzminimizetime=20x ./internal/shard
 	$(GO) test -run=^$$ -fuzz=FuzzCrashRecovery -fuzztime=10s ./qtrans
 	$(GO) test -run=^$$ -fuzz=FuzzTieredEquivalence -fuzztime=10s ./qtrans
 	$(GO) test -run=^$$ -fuzz=FuzzTreeOps -fuzztime=10s ./internal/btree
@@ -93,6 +102,7 @@ bench-smoke:
 	$(GO) test -run=XXX -bench=BenchmarkTransform1M -benchtime=1x ./internal/core
 	$(GO) test -run=XXX -bench=BenchmarkMixedScanBatch -benchtime=1x ./internal/core
 	$(GO) test -run=XXX -bench=BenchmarkCachePass -benchtime=1x ./internal/core
+	$(GO) test -run=XXX -bench=BenchmarkGateCrossover -benchtime=1x ./internal/core
 
 # Full benchmark sweep with allocation reporting (not part of ci).
 bench:

@@ -69,9 +69,6 @@ func (t *Tree) Validate(policy FillPolicy) error {
 			}
 		}
 		if n.Leaf() {
-			if n.Children != nil {
-				return fmt.Errorf("btree: leaf with children at depth %d", f.depth)
-			}
 			if len(n.Vals) != len(n.Keys) {
 				return fmt.Errorf("btree: leaf with %d key slots but %d val slots", len(n.Keys), len(n.Vals))
 			}
@@ -85,9 +82,6 @@ func (t *Tree) Validate(policy FillPolicy) error {
 				leafDepth = f.depth
 			} else if leafDepth != f.depth {
 				return fmt.Errorf("btree: leaves at depths %d and %d", leafDepth, f.depth)
-			}
-			if n.Len() > t.maxLeafEntries() {
-				return fmt.Errorf("btree: leaf overfull: %d > %d", n.Len(), t.maxLeafEntries())
 			}
 			if n != t.root {
 				switch policy {
@@ -128,16 +122,11 @@ func (t *Tree) Validate(policy FillPolicy) error {
 		if len(n.Children) > t.order {
 			return fmt.Errorf("btree: internal node overfull: %d > %d children", len(n.Children), t.order)
 		}
+		// A relaxed non-root internal node needs no check of its own:
+		// len(Children) == Len()+1 above already gives it a child.
 		if n != t.root {
-			switch policy {
-			case StrictFill:
-				if len(n.Children) < t.minChildren() {
-					return fmt.Errorf("btree: internal node underfull: %d < %d children", len(n.Children), t.minChildren())
-				}
-			case RelaxedFill:
-				if len(n.Children) < 1 {
-					return fmt.Errorf("btree: internal node with no children")
-				}
+			if policy == StrictFill && len(n.Children) < t.minChildren() {
+				return fmt.Errorf("btree: internal node underfull: %d < %d children", len(n.Children), t.minChildren())
 			}
 		} else if len(n.Children) < 2 {
 			return fmt.Errorf("btree: internal root with %d children", len(n.Children))

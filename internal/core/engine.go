@@ -28,6 +28,11 @@ const (
 	// IntraInter additionally enables the inter-batch top-K cache of
 	// §V-B ("inter").
 	IntraInter
+	// Adaptive runs IntraInter's passes only where they pay: a batch
+	// whose duplicate share is below the gate's crossover skips QSAT
+	// and takes org's path, and the cache is a mode that turns off
+	// while recent batches stay below it (gate.go).
+	Adaptive
 )
 
 // String names the mode as in the paper's figures.
@@ -39,6 +44,8 @@ func (m Mode) String() string {
 		return "intra"
 	case IntraInter:
 		return "inter"
+	case Adaptive:
+		return "adaptive"
 	default:
 		return "mode?"
 	}
@@ -51,7 +58,7 @@ type EngineConfig struct {
 	// Palm configures the underlying batch processor.
 	Palm palm.Config
 	// CacheCapacity is the top-K cache size (K); used only in
-	// IntraInter mode. <= 0 disables the cache even in IntraInter.
+	// IntraInter and Adaptive modes. <= 0 disables the cache there.
 	CacheCapacity int
 	// CompareSort selects comparison sorting for the batch sort instead
 	// of the default radix sort (ablation; see Transformer.CompareSort).
@@ -76,6 +83,12 @@ type Engine struct {
 	pool *bsp.Pool
 	proc *palm.Processor
 	topK *cache.TopK
+	// cacheOn is the cache mode of the last applied batch (stage B's
+	// copy of the gate's decision). While it is off the cache is empty.
+	cacheOn bool
+
+	// adapt is the Adaptive mode's gate, owned by transform (stage A).
+	adapt adaptiveGate
 
 	// serial is the batch plan ProcessBatch runs: the engine's own
 	// Transformer and scan overlay, recording into st.
@@ -146,11 +159,13 @@ func newEngine(cfg EngineConfig, tree *btree.Tree) (*Engine, error) {
 	}
 	e.serial = e.newPlan(pool, e.st)
 	e.met = newEngineMetrics(cfg.Metrics)
-	if cfg.Mode == IntraInter && cfg.CacheCapacity > 0 {
+	if (cfg.Mode == IntraInter || cfg.Mode == Adaptive) && cfg.CacheCapacity > 0 {
 		e.topK = cache.New(cfg.CacheCapacity, cache.LRU)
+		e.cacheOn = true
 		e.probes = make([]probeScratch, pool.N())
 		e.probe.init(e)
 	}
+	e.adapt = newAdaptiveGate()
 	return e, nil
 }
 
@@ -220,9 +235,10 @@ func (e *Engine) processBatch(qs []keys.Query, rs *keys.ResultSet) {
 // batchPlan carries one batch from transform to apply: the
 // Transformer that reduced it (its Router broadcasts the survivors'
 // answers), the scans' define overlay, the stats block transform
-// records into, and the queries that still need the tree. The engine
-// owns one for ProcessBatch; each pipeline slot owns another, since
-// stage A transforms the next batch while stage B applies this one.
+// records into, the queries that still need the tree, and the plan's
+// two decisions. The engine owns one for ProcessBatch; each pipeline
+// slot owns another, since stage A transforms the next batch while
+// stage B applies this one.
 type batchPlan struct {
 	tf        *Transformer
 	ov        scanOverlay
@@ -231,6 +247,13 @@ type batchPlan struct {
 	// extended marks a batch carrying scans or RMWs: those read the
 	// tree directly, so apply drains the cache and skips the cache pass.
 	extended bool
+	// reduced marks a batch QSAT ran over: remaining is the reduced
+	// batch and its representatives' answers are broadcast. Otherwise
+	// remaining is the whole sorted batch, for org's path.
+	reduced bool
+	// cacheOn is the cache mode the batch runs under; apply switches
+	// the engine's mode to it first.
+	cacheOn bool
 }
 
 func (e *Engine) newPlan(pool *bsp.Pool, st *stats.Batch) batchPlan {
@@ -243,9 +266,10 @@ func (e *Engine) newPlan(pool *bsp.Pool, st *stats.Batch) batchPlan {
 // batch (stage A in pipelined execution). Scans are split out first;
 // the point queries are then sorted once, in place — Original mode
 // stops there and sends all of them to the tree, the QTrans modes run
-// the one-pass QSAT over them, writing inferred answers into rs — and
-// the scans' define overlay is read off those sorted points
-// (overlay.go; timed as StageQSAT2, since it is inference).
+// the one-pass QSAT over them, writing inferred answers into rs, and
+// Adaptive mode first asks its gate whether to — and the scans' define
+// overlay is read off those sorted points (overlay.go; timed as
+// StageQSAT2, since it is inference).
 func (e *Engine) transform(p *batchPlan, qs []keys.Query, rs *keys.ResultSet) {
 	scan, rmw := hasScanOrRMW(qs)
 	p.extended = scan || rmw
@@ -255,13 +279,26 @@ func (e *Engine) transform(p *batchPlan, qs []keys.Query, rs *keys.ResultSet) {
 		qs = p.ov.build(qs)
 		sw.Stop()
 	}
+	sortStage := stats.StageQSAT1 // the QTrans sort keeps its stage name
 	if e.cfg.Mode == Original {
-		sw := p.st.Timer(stats.StageSort)
-		p.tf.sort(qs)
+		sortStage = stats.StageSort
+	}
+	sw := p.st.Timer(sortStage)
+	p.tf.sort(qs)
+	sw.Stop()
+	p.reduced, p.cacheOn = e.cfg.Mode != Original, e.topK != nil
+	if e.cfg.Mode == Adaptive {
+		sw = p.st.Timer(stats.StageQSAT2)
+		p.reduced, p.cacheOn = e.adapt.decide(duplicateShare(qs), len(qs))
 		sw.Stop()
-		p.remaining = qs
-	} else {
-		p.remaining = p.tf.Transform(qs, rs, p.st)
+		p.cacheOn = p.cacheOn && e.topK != nil
+		if !p.reduced {
+			p.st.QSATSkipped = 1
+		}
+	}
+	p.remaining = qs
+	if p.reduced {
+		p.remaining = p.tf.reduce(qs, rs, p.st)
 	}
 	if scan {
 		sw := p.st.Timer(stats.StageQSAT2)
@@ -274,20 +311,33 @@ func (e *Engine) transform(p *batchPlan, qs []keys.Query, rs *keys.ResultSet) {
 // execution), run under the gate strictly in batch order. Its counters
 // and timings go to e.st. In order:
 //
-//   - a scan/RMW batch drains the top-K cache first: scans and RMWs read
-//     the tree directly, so clean residents would go stale the moment
-//     the batch mutates the tree underneath them (the cache's contract
-//     is point-only, so such batches pay full tree price);
+//   - the engine's cache mode follows the plan's; switching it off
+//     drains the cache, so an unreduced batch (planned only with the
+//     mode off) never meets a non-empty cache;
+//   - a scan/RMW batch drains the top-K cache: scans and RMWs read the
+//     tree directly, so clean residents would go stale the moment the
+//     batch mutates the tree underneath them (the cache's contract is
+//     point-only, so such batches pay full tree price);
 //   - the surviving queries are logged as ONE commit record before any
 //     effect reaches tree or cache (whole-batch crash atomicity; scans
 //     are pure reads and never logged);
 //   - every scan reads the pre-batch tree in one EvalScans pass;
-//   - a point batch runs the cache pass;
-//   - the queries left run as one PALM pass (Original mode), or as one
-//     pass over the reduced batch whose representatives' answers are
-//     then broadcast (the QTrans modes);
+//   - a point batch with the cache on runs the cache pass;
+//   - the queries left run as one PALM pass over the sorted batch
+//     (unreduced), or as one pass over the reduced batch whose
+//     representatives' answers are then broadcast;
 //   - the scans' rows are patched with the defines that precede them.
 func (e *Engine) apply(p *batchPlan, rs *keys.ResultSet) {
+	if p.cacheOn != e.cacheOn {
+		if !p.cacheOn {
+			e.drainCache()
+		}
+		e.cacheOn = p.cacheOn
+		e.st.CacheModeSwitches++
+	}
+	if p.cacheOn {
+		e.st.CacheOn = 1
+	}
 	if p.extended {
 		e.drainCache()
 	}
@@ -301,17 +351,17 @@ func (e *Engine) apply(p *batchPlan, rs *keys.ResultSet) {
 		e.proc.EvalScans(p.ov.fetch, rs)
 		e.mergeProcStats(e.st)
 	}
-	if e.topK != nil && !p.extended {
+	if p.cacheOn && !p.extended {
 		sw := e.st.Timer(stats.StageCache)
 		remaining = e.cachePass(remaining, rs, &p.tf.Router, e.st)
 		sw.Stop()
 	}
 	e.st.RemainingQueries = len(remaining) + len(p.ov.fetch)
-	if e.cfg.Mode == Original {
-		e.proc.ProcessBatchSorted(remaining, rs)
-	} else {
+	if p.reduced {
 		e.proc.ProcessTransformed(remaining, rs)
 		p.tf.Broadcast(rs)
+	} else {
+		e.proc.ProcessBatchSorted(remaining, rs)
 	}
 	e.mergeProcStats(e.st)
 	if scans {
@@ -321,11 +371,12 @@ func (e *Engine) apply(p *batchPlan, rs *keys.ResultSet) {
 	}
 }
 
-// drainCache empties the top-K cache, applying its dirty state to the
-// tree.
+// drainCache empties the top-K cache while its mode is on, applying
+// its dirty state to the tree.
 func (e *Engine) drainCache() {
-	if e.topK != nil {
+	if e.cacheOn {
 		e.writeBack(e.topK.Drain())
+		e.st.CacheDrains++
 	}
 }
 
@@ -526,9 +577,10 @@ func (e *Engine) mergeFlushes(out []keys.Query) []keys.Query {
 // data"). Each key's current tree state is admitted as a clean entry —
 // a value for present keys, a clean tombstone for absent ones — so no
 // flush is owed for them. Dirty entries evicted to make room are
-// written back to the tree immediately. No-op outside IntraInter mode.
+// written back to the tree immediately. No-op without a cache, and
+// while the Adaptive mode's cache is off.
 func (e *Engine) Train(hot []keys.Key) {
-	if e.topK == nil {
+	if !e.cacheOn {
 		return
 	}
 	var flushes []keys.Query
@@ -562,9 +614,9 @@ func (e *Engine) Train(hot []keys.Key) {
 // guarantees the values match the receiver's tree (they were just bulk
 // inserted), so the entries are clean and owe no flush. Dirty entries
 // evicted to make room are written back immediately, as in Train.
-// No-op outside IntraInter mode.
+// No-op without a cache, and while the Adaptive mode's cache is off.
 func (e *Engine) WarmPairs(ks []keys.Key, vs []keys.Value) {
-	if e.topK == nil {
+	if !e.cacheOn {
 		return
 	}
 	// Admitting more pairs than the cache holds would just cycle the
@@ -586,7 +638,7 @@ func (e *Engine) WarmPairs(ks []keys.Key, vs []keys.Value) {
 
 // Flush writes every dirty cache entry back to the tree so the tree
 // alone reflects all processed queries. Call at end of run (or before
-// inspecting the tree directly) in IntraInter mode.
+// inspecting the tree directly) in IntraInter and Adaptive modes.
 func (e *Engine) Flush() {
 	if e.topK == nil {
 		return
@@ -600,9 +652,10 @@ func (e *Engine) Flush() {
 // calls it on donor and receiver before moving a key slice between
 // engines: a resident entry for a moved key would otherwise serve
 // stale state if the key ever routed back. Flushes carry Idx -1 and
-// are not logged, same reasoning as Flush.
+// are not logged, same reasoning as Flush. No-op while the cache is off
+// (it is empty then).
 func (e *Engine) DrainCacheRange(lo, hi keys.Key) {
-	if e.topK == nil {
+	if !e.cacheOn {
 		return
 	}
 	e.writeBack(e.topK.DrainRange(lo, hi))

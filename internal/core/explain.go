@@ -27,6 +27,15 @@ type Report struct {
 	Surviving int
 	// DistinctKeys counts distinct keys in the batch.
 	DistinctKeys int
+	// DuplicateShare is the Adaptive gate's measure of the batch,
+	// d = 1 − distinct keys / point queries (scans excluded).
+	DuplicateShare float64
+	// SkipsQSAT reports d below the gate's crossover: an Adaptive
+	// engine whose cache mode is off sends the batch to the tree
+	// unreduced, and a run of such batches (of at least gateMinPoints
+	// point queries each) turns the cache mode off (gate.go). With
+	// SkipsQSAT false the batch runs QSAT.
+	SkipsQSAT bool
 }
 
 // Eliminated returns the total number of queries removed.
@@ -102,6 +111,10 @@ func Explain(qs []keys.Query) Report {
 	}
 
 	r.DistinctKeys = len(perKey)
+	if points := len(qs) - scans; points > 0 {
+		r.DuplicateShare = 1 - float64(r.DistinctKeys)/float64(points)
+	}
+	r.SkipsQSAT = r.DuplicateShare < gateCrossover
 	r.Surviving += scans
 	for _, st := range perKey {
 		if st.leadingSearches > 0 {

@@ -90,3 +90,46 @@ func routerChains(e *Emitter) int {
 	}
 	return n
 }
+
+// TestExplainGateVerdict checks Explain reports the duplicate share the
+// Adaptive gate measures and its verdict, and that the engine's gate
+// takes the same decision on the same batch once its cache mode is off.
+func TestExplainGateVerdict(t *testing.T) {
+	distinct := make([]keys.Query, 512)
+	hot := make([]keys.Query, 512)
+	for i := range distinct {
+		distinct[i] = keys.Search(keys.Key(i))
+		hot[i] = keys.Search(keys.Key(i % 4))
+	}
+	keys.Number(distinct)
+	keys.Number(hot)
+	withScan := keys.Number(append(append([]keys.Query(nil), hot[:8]...), keys.Scan(0, 9, 0)))
+	for _, c := range []struct {
+		name  string
+		qs    []keys.Query
+		share float64
+		skips bool
+	}{
+		{"distinct", distinct, 0, true},
+		{"hot", hot, 1 - 4.0/512, false},
+		{"scan excluded", withScan, 0.5, true},
+	} {
+		r := Explain(c.qs)
+		if r.DuplicateShare != c.share || r.SkipsQSAT != c.skips {
+			t.Errorf("%s: share %v skips %v, want %v %v", c.name, r.DuplicateShare, r.SkipsQSAT, c.share, c.skips)
+		}
+	}
+
+	eng, err := NewEngine(EngineConfig{Mode: Adaptive, CacheCapacity: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	for _, qs := range [][]keys.Query{distinct, distinct, hot, distinct} {
+		want := Explain(qs).SkipsQSAT
+		eng.ProcessBatch(append([]keys.Query(nil), qs...), keys.NewResultSet(len(qs)))
+		if st := eng.Stats(); st.CacheOn == 0 && (st.QSATSkipped == 1) != want {
+			t.Errorf("engine skipped=%d with the cache off, Explain says %v", st.QSATSkipped, want)
+		}
+	}
+}

@@ -34,6 +34,9 @@ type engineMetrics struct {
 	scanQueries *metrics.Counter
 	scanRows    *metrics.Counter
 	scanKills   *metrics.Counter
+	qsatSkipped *metrics.Counter
+	modeSwitch  *metrics.Counter
+	cacheDrains *metrics.Counter
 
 	// leafOcc records per-leaf fill (entries * 1000 / capacity) when
 	// RecordLayout is called; it is not touched on the batch path.
@@ -62,6 +65,9 @@ func newEngineMetrics(reg *metrics.Registry) *engineMetrics {
 		scanQueries: reg.Counter("scan_queries_total"),
 		scanRows:    reg.Counter("scan_rows_total"),
 		scanKills:   reg.Counter("scan_kills_total"),
+		qsatSkipped: reg.Counter("qsat_skipped_batches_total"),
+		modeSwitch:  reg.Counter("cache_mode_switches_total"),
+		cacheDrains: reg.Counter("cache_drains_total"),
 		leafOcc:     reg.Histogram("leaf_occupancy_permille"),
 	}
 	for _, s := range stats.Stages() {
@@ -90,6 +96,9 @@ func (m *engineMetrics) recordBatch(st *stats.Batch, wall time.Duration) {
 	m.scanQueries.Add(int64(st.ScanQueries))
 	m.scanRows.Add(int64(st.ScanRows))
 	m.scanKills.Add(int64(st.ScanKills))
+	m.qsatSkipped.Add(int64(st.QSATSkipped))
+	m.modeSwitch.Add(int64(st.CacheModeSwitches))
+	m.cacheDrains.Add(int64(st.CacheDrains))
 	for _, s := range stats.Stages() {
 		if d := st.Elapsed[s]; d > 0 {
 			m.stageNS[s].Observe(d)

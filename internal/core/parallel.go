@@ -77,6 +77,21 @@ func (t *Transformer) Reps() []int32 { return t.reps }
 // it, not by len(qs), because a scan batch hands in only its point
 // queries, whose Idx values still span the full batch.
 func (t *Transformer) Transform(qs []keys.Query, rs *keys.ResultSet, st *stats.Batch) []keys.Query {
+	if len(qs) > 0 {
+		var sw stats.Stopwatch
+		if st != nil {
+			sw = st.Timer(stats.StageQSAT1)
+		}
+		t.sort(qs)
+		if st != nil {
+			sw.Stop()
+		}
+	}
+	return t.reduce(qs, rs, st)
+}
+
+// reduce is Transform's QSAT pass over the already key-sorted qs.
+func (t *Transformer) reduce(qs []keys.Query, rs *keys.ResultSet, st *stats.Batch) []keys.Query {
 	t.Router.Reset(rs.Len())
 	t.reps = t.reps[:0]
 	t.inferred = 0
@@ -86,14 +101,8 @@ func (t *Transformer) Transform(qs []keys.Query, rs *keys.ResultSet, st *stats.B
 
 	var sw stats.Stopwatch
 	if st != nil {
-		sw = st.Timer(stats.StageQSAT1)
-	}
-	t.sort(qs)
-	if st != nil {
-		sw.Stop()
 		sw = st.Timer(stats.StageQSAT2)
 	}
-
 	runAlignedBounds(qs, t.bounds)
 	t.batch, t.rs = qs, rs
 	t.pool.Run(t.qsatStep)

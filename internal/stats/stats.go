@@ -76,6 +76,16 @@ type Batch struct {
 	// top-K cache operations (inter-batch optimization). Evictions can
 	// exceed flushes: evicting a clean entry owes no write-back.
 	CacheHits, CacheMisses, CacheFlushes, CacheEvictions int
+	// QSATSkipped is 1 for an engine batch whose duplicate share was
+	// below the Adaptive gate's crossover, so it went to the tree
+	// unreduced, and 0 otherwise. CacheOn is 1 for an engine batch that
+	// ran with the top-K cache mode on. AddTo sums both, so over shards
+	// or a run they count batches.
+	QSATSkipped, CacheOn int
+	// CacheModeSwitches counts cache mode changes (on to off or back)
+	// and CacheDrains whole-cache drains: the one that switches the
+	// cache off and the one every scan/RMW batch runs while it is on.
+	CacheModeSwitches, CacheDrains int
 	// FenceHits counts Stage-1 descents skipped entirely because the
 	// previous descent's leaf fences covered the key (path-reuse kernel,
 	// DESIGN.md §8).
@@ -165,6 +175,10 @@ func (b *Batch) AddTo(dst *Batch) {
 	dst.CacheMisses += b.CacheMisses
 	dst.CacheFlushes += b.CacheFlushes
 	dst.CacheEvictions += b.CacheEvictions
+	dst.QSATSkipped += b.QSATSkipped
+	dst.CacheOn += b.CacheOn
+	dst.CacheModeSwitches += b.CacheModeSwitches
+	dst.CacheDrains += b.CacheDrains
 	dst.FenceHits += b.FenceHits
 	dst.Splits += b.Splits
 	dst.GapClaims += b.GapClaims
@@ -205,8 +219,8 @@ func (b *Batch) LeafOpImbalance() float64 {
 // String renders a compact human-readable summary.
 func (b *Batch) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "batch=%d remaining=%d (reduction %.1f%%)",
-		b.BatchSize, b.RemainingQueries, 100*b.ReductionRatio())
+	fmt.Fprintf(&sb, "batch=%d remaining=%d (reduction %.1f%%) qsat-skipped=%d cache-on=%d",
+		b.BatchSize, b.RemainingQueries, 100*b.ReductionRatio(), b.QSATSkipped, b.CacheOn)
 	for _, s := range Stages() {
 		if b.Elapsed[s] > 0 {
 			fmt.Fprintf(&sb, " %s=%s", s, b.Elapsed[s].Round(time.Microsecond))

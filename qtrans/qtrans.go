@@ -61,11 +61,15 @@ type Optimization int
 // engine.
 const (
 	// Full applies intra-batch QTrans plus the inter-batch top-K
-	// cache (§V-A + §V-B). The default.
+	// cache (§V-A + §V-B) where they pay: a batch whose share of
+	// duplicate keys is below the cost gate's crossover skips QSAT and
+	// takes the plain PALM path, and the cache turns off while recent
+	// batches stay below it (core.Adaptive). The default.
 	Full Optimization = iota
 	// None runs the plain PALM pipeline.
 	None
-	// IntraBatch adds only the parallel intra-batch QTrans (§V-A).
+	// IntraBatch adds only the parallel intra-batch QTrans (§V-A), on
+	// every batch.
 	IntraBatch
 )
 
@@ -76,7 +80,7 @@ func (o Optimization) mode() core.Mode {
 	case IntraBatch:
 		return core.Intra
 	default:
-		return core.IntraInter
+		return core.Adaptive
 	}
 }
 
@@ -664,12 +668,16 @@ func Load(r io.Reader, opts Options) (*DB, error) {
 	return db, nil
 }
 
-// LastBatchStats exposes the instrumentation of the most recent Run.
+// LastBatchStats exposes the instrumentation of the most recent Run,
+// including the cost gate's decisions under Full: QSATSkipped (the
+// batch went to the tree unreduced) and CacheOn (the top-K cache mode),
+// each counted per shard.
 func (db *DB) LastBatchStats() *stats.Batch { return db.eng.Stats() }
 
 // Explain classifies a batch's redundancy without running it: how many
 // queries QTrans would eliminate and why (the three §III-C categories).
-// The batch is not consumed.
+// The batch is not consumed. The report also carries the batch's
+// duplicate share and whether the cost gate skips QSAT for it.
 func Explain(b *Batch) core.Report { return core.Explain(b.qs) }
 
 // Service wraps a DB with an online, latency-bounded interface:
