@@ -47,7 +47,10 @@
 #                crash-recovery fuzzer (the
 #                durability property of DESIGN.md §7: power cut at an
 #                arbitrary byte, then recover to an acked whole-batch
-#                prefix — with RMW in the workload), the tree fuzzer
+#                prefix — with RMW in the workload, at 1 and 4 shards,
+#                and with checkpoints racing a pipelined stream from a
+#                second goroutine, which fails if the gate is released
+#                between a batch's log append and its apply), the tree fuzzer
 #                (the gapped tree vs a map oracle, DESIGN.md §10), the
 #                wire-protocol frame decoder
 #                (canonical re-encode property, DESIGN.md §12), and the

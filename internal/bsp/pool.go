@@ -38,14 +38,13 @@ type Pool struct {
 	inline     bool
 	dispatched atomic.Uint64
 
-	// Sort scratch reused across SortQueries / RadixSortQueries calls.
-	// Because Run (and therefore sorting) has a single caller per pool,
-	// one scratch set per pool suffices; holding it here makes
-	// steady-state batch sorting allocation-free.
-	sortBuf    []keys.Query
-	sortBounds []int
-	tally      []radixTally
-	job        radixJob
+	// Sort scratch reused across RadixSortQueries calls. Because Run
+	// (and therefore sorting) has a single caller per pool, one scratch
+	// set per pool suffices; holding it here makes steady-state batch
+	// sorting allocation-free.
+	sortBuf []keys.Query
+	tally   []radixTally
+	job     radixJob
 }
 
 // NewPool creates a pool of n workers. n <= 0 selects runtime.GOMAXPROCS(0).

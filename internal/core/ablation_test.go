@@ -141,25 +141,6 @@ func BenchmarkAblationPreSorted(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSortAlgorithm compares the default radix sort
-// against the comparison merge sort through the full engine (org mode,
-// where the batch sort is the dominant transform-side cost).
-func BenchmarkAblationSortAlgorithm(b *testing.B) {
-	for _, cmp := range []bool{false, true} {
-		name := "radix"
-		if cmp {
-			name = "merge"
-		}
-		b.Run(name, func(b *testing.B) {
-			benchEngine(b, EngineConfig{
-				Mode:        Original,
-				Palm:        palm.Config{Workers: 1, LoadBalance: true},
-				CompareSort: cmp,
-			})
-		})
-	}
-}
-
 // BenchmarkAblationRouterReset isolates the per-batch Router clearing
 // cost, the only O(batch) fixed overhead QTrans adds.
 func BenchmarkAblationRouterReset(b *testing.B) {

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bsp"
 	"repro/internal/btree"
@@ -53,16 +51,13 @@ func (m Mode) String() string {
 
 // EngineConfig configures an Engine.
 type EngineConfig struct {
-	// Mode selects Original, Intra, or IntraInter.
+	// Mode selects Original, Intra, IntraInter, or Adaptive.
 	Mode Mode
 	// Palm configures the underlying batch processor.
 	Palm palm.Config
 	// CacheCapacity is the top-K cache size (K); used only in
 	// IntraInter and Adaptive modes. <= 0 disables the cache there.
 	CacheCapacity int
-	// CompareSort selects comparison sorting for the batch sort instead
-	// of the default radix sort (ablation; see Transformer.CompareSort).
-	CompareSort bool
 	// Pipeline enables two-stage pipelined stream execution: while the
 	// tree stages of batch N run on the engine's pool, the sort + QSAT
 	// transform of batch N+1 runs concurrently on a second pool. Only
@@ -111,14 +106,6 @@ type Engine struct {
 	// ProcessStream call; see pipeline.go).
 	tfPool *bsp.Pool
 	slots  []*pipeSlot
-
-	// Durability hooks (nil/zero when durability is off; see commit.go).
-	// commitErr is written by whichever goroutine runs the batch's
-	// commit (the pipeline's tree stage, in streamed execution) and read
-	// by CommitErr from dispatcher goroutines, hence the atomic slot.
-	committer Committer
-	commitErr atomic.Value // error; sticky once set
-	gate      *sync.RWMutex
 }
 
 // NewEngine builds an Engine. The Engine owns its pool and processor;
@@ -189,11 +176,6 @@ func (e *Engine) Mode() Mode { return e.cfg.Mode }
 
 // ProcessBatch evaluates one batch, writing search results into rs
 // (which must have been Reset to len(qs)). qs is reordered in place.
-//
-// With a Committer installed, the batch's surviving queries are logged
-// before any effect reaches tree or cache; a commit failure drops the
-// batch (rs contents are then unspecified) and poisons the engine — see
-// CommitErr.
 func (e *Engine) ProcessBatch(qs []keys.Query, rs *keys.ResultSet) {
 	if e.met == nil {
 		e.processBatch(qs, rs)
@@ -218,12 +200,9 @@ func (e *Engine) processBatch(qs []keys.Query, rs *keys.ResultSet) {
 		return
 	}
 
-	if e.gate != nil {
-		e.gate.RLock()
-		defer e.gate.RUnlock()
-	}
-	// Inside the gate: a snapshot's Flush, which holds it exclusively,
-	// runs on the same pool and must find worker scheduling.
+	// Callers keep Flush off a batch in flight (the shard engine's
+	// scheduling gate spans the whole batch), so a snapshot's Flush on
+	// the same pool always finds worker scheduling restored.
 	if len(qs) < inlineBatch {
 		e.pool.SetInline(true)
 		defer e.pool.SetInline(false)
@@ -257,9 +236,7 @@ type batchPlan struct {
 }
 
 func (e *Engine) newPlan(pool *bsp.Pool, st *stats.Batch) batchPlan {
-	tf := NewTransformer(pool)
-	tf.CompareSort = e.cfg.CompareSort
-	return batchPlan{tf: tf, st: st}
+	return batchPlan{tf: NewTransformer(pool), st: st}
 }
 
 // transform is the tree- and cache-independent half of a non-empty
@@ -308,8 +285,8 @@ func (e *Engine) transform(p *batchPlan, qs []keys.Query, rs *keys.ResultSet) {
 }
 
 // apply is the tree half of a transformed batch (stage B in pipelined
-// execution), run under the gate strictly in batch order. Its counters
-// and timings go to e.st. In order:
+// execution), run strictly in batch order. Its counters and timings go
+// to e.st. In order:
 //
 //   - the engine's cache mode follows the plan's; switching it off
 //     drains the cache, so an unreduced batch (planned only with the
@@ -318,9 +295,6 @@ func (e *Engine) transform(p *batchPlan, qs []keys.Query, rs *keys.ResultSet) {
 //     tree directly, so clean residents would go stale the moment the
 //     batch mutates the tree underneath them (the cache's contract is
 //     point-only, so such batches pay full tree price);
-//   - the surviving queries are logged as ONE commit record before any
-//     effect reaches tree or cache (whole-batch crash atomicity; scans
-//     are pure reads and never logged);
 //   - every scan reads the pre-batch tree in one EvalScans pass;
 //   - a point batch with the cache on runs the cache pass;
 //   - the queries left run as one PALM pass over the sorted batch
@@ -342,9 +316,6 @@ func (e *Engine) apply(p *batchPlan, rs *keys.ResultSet) {
 		e.drainCache()
 	}
 	remaining := p.remaining
-	if !e.commit(remaining) {
-		return
-	}
 	scans := len(p.ov.scans) > 0
 	if scans {
 		e.st.ScanQueries, e.st.ScanKills = len(p.ov.scans), p.ov.kills

@@ -128,21 +128,6 @@ func TestEngineIntraInterPolicies(t *testing.T) {
 	}, batches)
 }
 
-func TestEngineCompareSortDifferential(t *testing.T) {
-	// The comparison-sort ablation path must be exactly as correct as
-	// the default radix path, in every mode.
-	for _, mode := range []Mode{Original, Intra, IntraInter} {
-		r := rand.New(rand.NewSource(int64(mode) + 77))
-		batches := skewedBatches(r, 3, 2500, 15, 1500, 0.5)
-		engineDifferential(t, EngineConfig{
-			Mode:          mode,
-			Palm:          palm.Config{Order: 8, Workers: 4, LoadBalance: true},
-			CacheCapacity: 64,
-			CompareSort:   true,
-		}, batches)
-	}
-}
-
 func TestEngineSearchOnlyBatches(t *testing.T) {
 	// U-0 workload: the QTrans fast path answers everything in Stage 1.
 	r := rand.New(rand.NewSource(7))

@@ -25,9 +25,6 @@ type Transformer struct {
 	// Router is exposed so the integration layer (Engine) can resolve
 	// cache-served representatives and broadcast surviving ones.
 	Router Router
-	// CompareSort selects comparison sorting for the batch sort instead
-	// of the default radix sort (ablation).
-	CompareSort bool
 
 	emitters []*Emitter
 	out      []keys.Query
@@ -121,16 +118,9 @@ func (t *Transformer) reduce(qs []keys.Query, rs *keys.ResultSet, st *stats.Batc
 	return t.out
 }
 
-// sort stably key-sorts qs in place on the transformer's pool, by
-// radix sort or, under CompareSort, by merge sort. It is the only sort
-// core runs on a batch before the tree.
-func (t *Transformer) sort(qs []keys.Query) {
-	if t.CompareSort {
-		t.pool.SortQueries(qs)
-	} else {
-		t.pool.RadixSortQueries(qs)
-	}
-}
+// sort stably key-sorts qs in place on the transformer's pool by radix
+// sort. It is the only sort core runs on a batch before the tree.
+func (t *Transformer) sort(qs []keys.Query) { t.pool.RadixSortQueries(qs) }
 
 // Broadcast fans each surviving representative's evaluated result out
 // to its chain. Call after the reduced batch has been evaluated.

@@ -16,7 +16,7 @@ import (
 // transform — scan split, sort, QSAT, define overlay — touches only the
 // batch itself, its plan's Transformer/Router and overlay, and the
 // batch's ResultSet: never the tree or the inter-batch cache. apply —
-// commit, cache pass, PALM stages, broadcast, scan patch — touches
+// cache pass, PALM stages, broadcast, scan patch — touches
 // shared state. ProcessBatch calls the pair back to back; a pipelined
 // stream splits it:
 //
@@ -131,10 +131,9 @@ func (e *Engine) ProcessStream(in <-chan *Job, emit func(*Job)) {
 		close(handoff)
 	}()
 
-	// Stage B: apply each slot under the gate on the engine's pool,
-	// strictly in batch order, so commits are logged and the cache pass
-	// runs in arrival order even though transforms overlap (the handoff
-	// rule). The engine's Stats() block is rebuilt from the slot's
+	// Stage B: apply each slot on the engine's pool, strictly in batch
+	// order, so the cache pass runs in arrival order even though
+	// transforms overlap (the handoff rule). The engine's Stats() block is rebuilt from the slot's
 	// transform timings plus apply's own. With metrics on, the batch
 	// wall is this stage's wall: the transform overlapped the previous
 	// batch, and its time is already in the slot's stage timings.
@@ -146,13 +145,7 @@ func (e *Engine) ProcessStream(in <-chan *Job, emit func(*Job)) {
 		e.st.Reset()
 		slot.st.AddTo(e.st)
 		if len(slot.job.Qs) > 0 {
-			if e.gate != nil {
-				e.gate.RLock()
-			}
 			e.apply(&slot.batchPlan, slot.job.RS)
-			if e.gate != nil {
-				e.gate.RUnlock()
-			}
 		}
 		if e.met != nil {
 			e.met.recordBatch(e.st, e.met.reg.Since(start))

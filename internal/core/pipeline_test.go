@@ -89,23 +89,6 @@ func TestPipelineDifferential(t *testing.T) {
 	}
 }
 
-// TestPipelineCompareSortDifferential covers the comparison-sort
-// ablation path under pipelining (it exercises the transform pool's
-// merge sort in stage A).
-func TestPipelineCompareSortDifferential(t *testing.T) {
-	for _, mode := range []Mode{Original, IntraInter} {
-		r := rand.New(rand.NewSource(int64(mode) + 31))
-		batches := skewedBatches(r, 10, 400, 10, 300, 0.5)
-		streamDifferential(t, EngineConfig{
-			Mode:          mode,
-			Palm:          palm.Config{Order: 8, Workers: 3, LoadBalance: true},
-			CacheCapacity: 32,
-			CompareSort:   true,
-			Pipeline:      true,
-		}, batches)
-	}
-}
-
 // TestPipelineCallerResultSets: jobs with caller-supplied ResultSets
 // keep their results after the stream completes (no lending).
 func TestPipelineCallerResultSets(t *testing.T) {
@@ -271,42 +254,6 @@ func TestSerialPipelinedParity(t *testing.T) {
 			pk, pv := piped.Processor().Tree().Dump()
 			if !slices.Equal(sk, pk) || !slices.Equal(sv, pv) {
 				t.Fatalf("stores differ after Flush: serial %d keys, pipelined %d", len(sk), len(pk))
-			}
-		})
-	}
-}
-
-// TestSerialPipelinedCommitParity checks that serial and pipelined
-// execution hand the durability hook the same record for every batch:
-// the same surviving queries, in the same order.
-func TestSerialPipelinedCommitParity(t *testing.T) {
-	for _, mode := range []Mode{Original, Intra, IntraInter} {
-		t.Run(mode.String(), func(t *testing.T) {
-			serial, piped, batches := parityTwins(t, mode)
-			record := func(log *[][]keys.Query) Committer {
-				return CommitterFunc(func(qs []keys.Query) error {
-					*log = append(*log, slices.Clone(qs))
-					return nil
-				})
-			}
-			var serialLog, pipedLog [][]keys.Query
-			serial.SetCommitter(record(&serialLog))
-			piped.SetCommitter(record(&pipedLog))
-
-			for _, b := range batches {
-				serial.ProcessBatch(append([]keys.Query(nil), b...), keys.NewResultSet(len(b)))
-			}
-			streamBatches(t, piped, batches, func(int, *Job) {})
-			if len(serialLog) != len(batches) || len(pipedLog) != len(batches) {
-				t.Fatalf("commit records: serial %d, pipelined %d, want %d", len(serialLog), len(pipedLog), len(batches))
-			}
-			for i := range batches {
-				if !slices.Equal(serialLog[i], pipedLog[i]) {
-					t.Fatalf("batch %d: pipelined record %v, serial %v", i, pipedLog[i], serialLog[i])
-				}
-				if !keys.IsSortedByKey(serialLog[i]) {
-					t.Fatalf("batch %d: record not key-sorted: %v", i, serialLog[i])
-				}
 			}
 		})
 	}

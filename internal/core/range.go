@@ -6,7 +6,7 @@ import "repro/internal/keys"
 // on the tree directly at a batch boundary: the tier engine wrapper
 // calls them between batches while holding the scheduling gate
 // exclusively, so they take no locks themselves and bypass the
-// transformer, cache, and committer. Callers must drain the cache for
+// transformer, the cache and the write-ahead log. Callers must drain the cache for
 // the affected range first (DrainCacheRange) so the tree alone is
 // authoritative for it.
 

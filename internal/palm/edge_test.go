@@ -139,51 +139,6 @@ func TestProcessTransformedEmptyAndSearchOnly(t *testing.T) {
 	}
 }
 
-func TestCompareSortModeMatchesRadix(t *testing.T) {
-	// Same batch through radix-sorting and comparison-sorting
-	// processors must produce identical results and trees.
-	mk := func(cmp bool) (*Processor, *keys.ResultSet, []keys.Query) {
-		p, _ := New(Config{Order: 8, Workers: 3, LoadBalance: true, CompareSort: cmp}, nil)
-		batch := make([]keys.Query, 5000)
-		for i := range batch {
-			k := keys.Key((i * 2654435761) % 700)
-			switch i % 3 {
-			case 0:
-				batch[i] = keys.Insert(k, keys.Value(i))
-			case 1:
-				batch[i] = keys.Search(k)
-			default:
-				batch[i] = keys.Delete(k)
-			}
-		}
-		keys.Number(batch)
-		rs := keys.NewResultSet(len(batch))
-		p.ProcessBatch(batch, rs)
-		return p, rs, batch
-	}
-	p1, rs1, _ := mk(false)
-	defer p1.Close()
-	p2, rs2, _ := mk(true)
-	defer p2.Close()
-	for i := int32(0); i < int32(rs1.Len()); i++ {
-		a, aok := rs1.Get(i)
-		b, bok := rs2.Get(i)
-		if aok != bok || a != b {
-			t.Fatalf("result %d: radix %+v(%v) vs merge %+v(%v)", i, a, aok, b, bok)
-		}
-	}
-	k1, v1 := p1.Tree().Dump()
-	k2, v2 := p2.Tree().Dump()
-	if len(k1) != len(k2) {
-		t.Fatalf("tree sizes %d vs %d", len(k1), len(k2))
-	}
-	for i := range k1 {
-		if k1[i] != k2[i] || v1[i] != v2[i] {
-			t.Fatalf("tree mismatch at %d", i)
-		}
-	}
-}
-
 // TestMergeApplyEmptiesRootLeaf: a group of eight or more deletes takes
 // the gapped merge kernel, and when it deletes every key of a tree
 // that is one root leaf, the leaf must come out empty — the root has

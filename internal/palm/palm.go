@@ -43,10 +43,6 @@ type Config struct {
 	// count regardless of how many queries each holds — the ablation of
 	// Fig. 13.
 	LoadBalance bool
-	// CompareSort selects the parallel comparison merge sort for the
-	// pre-sorting step instead of the default parallel radix sort
-	// (ablation; radix is several times faster on integer keys).
-	CompareSort bool
 }
 
 // Processor evaluates query batches against a B+ tree using the PALM
@@ -214,11 +210,7 @@ func (p *Processor) processBatch(qs []keys.Query, rs *keys.ResultSet, sorted boo
 
 	if !sorted {
 		sw := st.Timer(stats.StageSort)
-		if p.cfg.CompareSort {
-			p.pool.SortQueries(qs)
-		} else {
-			p.pool.RadixSortQueries(qs)
-		}
+		p.pool.RadixSortQueries(qs)
 		sw.Stop()
 	}
 

@@ -618,16 +618,6 @@ func (e *Engine) insertShard(at, boundAt int, bound keys.Key) error {
 	subRS = append(subRS, e.subRS[at:]...)
 	e.subRS = subRS
 
-	if e.committer != nil {
-		pc := &partCommitter{eng: e, gc: e.committer}
-		sh.SetCommitter(pc)
-		partCs := make([]*partCommitter, 0, len(e.shards))
-		partCs = append(partCs, e.partCs[:at]...)
-		partCs = append(partCs, pc)
-		partCs = append(partCs, e.partCs[at:]...)
-		e.partCs = partCs
-	}
-
 	e.sp = newSplitter(len(e.shards))
 	e.shst.InsertSlot(at)
 	return nil
@@ -646,9 +636,6 @@ func (e *Engine) removeShard(at int) {
 	}
 	e.bounds = append(e.bounds[:bi:bi], e.bounds[bi+1:]...)
 	e.subRS = append(e.subRS[:at:at], e.subRS[at+1:]...)
-	if e.partCs != nil {
-		e.partCs = append(e.partCs[:at:at], e.partCs[at+1:]...)
-	}
 	e.sp = newSplitter(len(e.shards))
 	e.shst.RemoveSlot(at)
 }

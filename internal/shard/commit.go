@@ -3,162 +3,75 @@ package shard
 import (
 	"sync"
 
-	"repro/internal/core"
 	"repro/internal/keys"
 )
 
-// GroupCommitter is the sharded durability hook (DESIGN.md §7). A batch
-// that splits across shards commits as a group: the engine reserves one
-// LSN (BeginBatch), each participating shard appends its own surviving
-// sub-batch under that LSN (CommitPart, from the shard's goroutine,
-// before the shard applies anything), and once every shard's part is
-// logged the engine appends the commit marker (EndBatch). Replay
-// discards parts without a marker, so multi-shard batches stay atomic
-// across crashes. wal.Log implements this interface.
-type GroupCommitter interface {
-	BeginBatch() uint64
-	CommitPart(lsn uint64, qs []keys.Query) error
-	EndBatch(lsn uint64) error
+// Committer is the durability hook (DESIGN.md §7). The engine is the
+// one commit point for every shard count: before any shard sees a
+// batch, CommitBatch gets the whole batch in batch order and appends
+// one record of its defines (inserts, deletes, RMWs); a batch without
+// defines appends nothing. The scheduling gate is taken before the
+// append and held until the batch is applied, so a snapshot taken under
+// the exclusive gate covers every appended batch. wal.Log implements
+// this interface.
+//
+// A non-nil error poisons the engine: the failing batch and every
+// later one are dropped unapplied (state never runs ahead of the log),
+// and CommitErr reports the failure.
+type Committer interface {
 	CommitBatch(qs []keys.Query) error
 }
 
-// partCommitter adapts one shard's core.Committer hook onto the group
-// log: the dispatcher pushes the batch's reserved LSN before handing the
-// shard its sub-batch, and the shard's commit (which runs sub-batches
-// strictly in dispatch order) pops it. push and pop run on different
-// goroutines, hence the mutex. A group poison (a failed marker or a
-// sibling shard's part failure) surfaces here as a commit error, so
-// every shard stops applying — no shard's state runs ahead of the group.
-type partCommitter struct {
-	mu   sync.Mutex
-	eng  *Engine
-	gc   GroupCommitter
-	lsns []uint64
-}
+// SetCommitter installs (or, with nil, removes) the durability hook.
+// Must not be called while batches are in flight.
+func (e *Engine) SetCommitter(c Committer) { e.committer = c }
 
-func (p *partCommitter) push(lsn uint64) {
-	p.mu.Lock()
-	p.lsns = append(p.lsns, lsn)
-	p.mu.Unlock()
-}
+// SetGate installs the scheduling gate: every batch holds gate.RLock
+// from its append until it is applied (in a stream, until it is
+// emitted), so a writer (snapshot, Train, the autoshard controller)
+// acquiring gate.Lock observes all shards exactly at a batch boundary,
+// with every appended batch applied. Must not be called while batches
+// are in flight.
+func (e *Engine) SetGate(gate *sync.RWMutex) { e.gate = gate }
 
-// CommitBatch implements core.Committer for the shard's engine.
-func (p *partCommitter) CommitBatch(qs []keys.Query) error {
-	p.mu.Lock()
-	lsn := p.lsns[0]
-	p.lsns = p.lsns[1:]
-	p.mu.Unlock()
-	if err := p.eng.groupErr(); err != nil {
-		return err
-	}
-	return p.gc.CommitPart(lsn, qs)
-}
-
-// groupErr reads the sticky group failure (safe from any goroutine).
-func (e *Engine) groupErr() error {
+// CommitErr reports the sticky commit failure, if any. Once set, every
+// later batch is dropped unapplied.
+func (e *Engine) CommitErr() error {
 	e.cmu.Lock()
 	defer e.cmu.Unlock()
 	return e.commitErr
 }
 
-// poison records the group failure (first error wins).
-func (e *Engine) poison(err error) {
-	e.cmu.Lock()
-	if e.commitErr == nil {
+// commit logs one batch ahead of its application and reports whether
+// the batch may be applied. The caller holds the gate. Commits run on
+// one goroutine at a time (ProcessBatch's caller, or the stream
+// dispatcher), in batch order.
+func (e *Engine) commit(qs []keys.Query) bool {
+	if e.CommitErr() != nil {
+		return false
+	}
+	if e.committer == nil {
+		return true
+	}
+	if err := e.committer.CommitBatch(qs); err != nil {
+		e.cmu.Lock()
 		e.commitErr = err
+		e.cmu.Unlock()
+		return false
 	}
-	e.cmu.Unlock()
+	return true
 }
 
-// SetCommitter installs (or, with nil, removes) the durability hook.
-// Must not be called while batches are in flight. With a single shard
-// the hook is delegated whole-batch to the shard's engine (one record
-// per batch, no part/marker overhead).
-func (e *Engine) SetCommitter(gc GroupCommitter) {
-	if len(e.shards) == 1 {
-		if gc == nil {
-			e.shards[0].SetCommitter(nil)
-		} else {
-			e.shards[0].SetCommitter(core.CommitterFunc(gc.CommitBatch))
-		}
-		return
-	}
-	e.committer = gc
-	if gc == nil {
-		e.partCs = nil
-		for _, sh := range e.shards {
-			sh.SetCommitter(nil)
-		}
-		return
-	}
-	e.partCs = make([]*partCommitter, len(e.shards))
-	for s, sh := range e.shards {
-		e.partCs[s] = &partCommitter{eng: e, gc: gc}
-		sh.SetCommitter(e.partCs[s])
+// rlock and runlock take and release the gate's shared side, when a
+// gate is installed.
+func (e *Engine) rlock() {
+	if e.gate != nil {
+		e.gate.RLock()
 	}
 }
 
-// SetGate installs the scheduling gate: every batch holds gate.RLock
-// from dispatch until its merge completes, so a writer (snapshot)
-// acquiring gate.Lock observes all shards exactly at a batch boundary.
-// Must not be called while batches are in flight.
-func (e *Engine) SetGate(gate *sync.RWMutex) {
-	if len(e.shards) == 1 {
-		e.shards[0].SetGate(gate)
-		return
-	}
-	e.gate = gate
-}
-
-// CommitErr reports the sticky commit failure, if any — the engine's
-// own (a failed commit marker or a shard part failure it observed) or
-// any shard's. Once set, batches are dropped unapplied.
-func (e *Engine) CommitErr() error {
-	if err := e.groupErr(); err != nil {
-		return err
-	}
-	for _, sh := range e.shards {
-		if err := sh.CommitErr(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// beginCommit reserves the batch's LSN and queues it at every
-// participating shard's part committer. Returns 0 when durability is
-// off, the engine is poisoned, or the batch is empty (LSNs start at 1).
-func (e *Engine) beginCommit(sp *splitter) uint64 {
-	if e.committer == nil || e.groupErr() != nil {
-		return 0
-	}
-	lsn := e.committer.BeginBatch()
-	for s := range sp.subs {
-		if len(sp.subs[s]) > 0 {
-			e.partCs[s].push(lsn)
-		}
-	}
-	return lsn
-}
-
-// endCommit seals the batch at lsn: if every participating shard logged
-// its part cleanly, the commit marker is appended; any failure poisons
-// the engine instead (no marker — the batch is discarded on replay, and
-// the poison stops every shard's next commit before it applies).
-func (e *Engine) endCommit(lsn uint64, sp *splitter) {
-	if lsn == 0 || e.groupErr() != nil {
-		return
-	}
-	for s := range sp.subs {
-		if len(sp.subs[s]) == 0 {
-			continue
-		}
-		if err := e.shards[s].CommitErr(); err != nil {
-			e.poison(err)
-			return
-		}
-	}
-	if err := e.committer.EndBatch(lsn); err != nil {
-		e.poison(err)
+func (e *Engine) runlock() {
+	if e.gate != nil {
+		e.gate.RUnlock()
 	}
 }

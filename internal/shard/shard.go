@@ -88,9 +88,8 @@ type Engine struct {
 	streaming bool
 
 	// Durability hooks (nil/zero when durability is off; see commit.go).
-	committer GroupCommitter
-	partCs    []*partCommitter
-	cmu       sync.Mutex // guards commitErr (merge loop vs. shard commits)
+	committer Committer
+	cmu       sync.Mutex // guards commitErr (committing goroutine vs. readers)
 	commitErr error
 	gate      *sync.RWMutex
 }
@@ -245,10 +244,8 @@ func lowerBound(ks []keys.Key, bound keys.Key, from int) int {
 // Shards returns the number of partitions. With autoshard on the count
 // changes over time; the gate makes the read consistent.
 func (e *Engine) Shards() int {
-	if e.gate != nil {
-		e.gate.RLock()
-		defer e.gate.RUnlock()
-	}
+	e.rlock()
+	defer e.runlock()
 	return len(e.shards)
 }
 
@@ -256,10 +253,8 @@ func (e *Engine) Shards() int {
 // Shards-1) — a copy because the autoshard controller replaces the
 // engine's own slice between batches.
 func (e *Engine) Bounds() []keys.Key {
-	if e.gate != nil {
-		e.gate.RLock()
-		defer e.gate.RUnlock()
-	}
+	e.rlock()
+	defer e.runlock()
 	return append([]keys.Key(nil), e.bounds...)
 }
 
@@ -292,16 +287,21 @@ func (e *Engine) Close() {
 // len(qs). When every query routes to one shard the batch is passed
 // through unsplit (and, like the unsharded engine, reordered in
 // place); otherwise qs is left untouched.
+//
+// With a Committer installed, the batch's defines are logged before
+// any shard sees it; a commit failure drops the batch (rs contents are
+// then unspecified) and poisons the engine — see CommitErr.
 func (e *Engine) ProcessBatch(qs []keys.Query, rs *keys.ResultSet) {
-	// The gate spans the whole batch application — split, every shard's
-	// sub-batch, merge — so a snapshot never observes a half-applied
-	// batch (see commit.go), and the autoshard controller (which holds
-	// the gate exclusively while it mutates bounds, shards, and the
-	// splitter) never overlaps one. It must be taken before anything
-	// below reads those fields.
-	if e.gate != nil {
-		e.gate.RLock()
-		defer e.gate.RUnlock()
+	// The gate spans the append and the whole batch application —
+	// split, every shard's sub-batch, merge — so a snapshot never
+	// observes a logged but unapplied batch (see commit.go), and the
+	// autoshard controller (which holds the gate exclusively while it
+	// mutates bounds, shards, and the splitter) never overlaps one. It
+	// must be taken before anything below reads those fields.
+	e.rlock()
+	defer e.runlock()
+	if !e.commit(qs) {
+		return // poisoned: drop unapplied
 	}
 	if len(e.shards) == 1 {
 		e.shards[0].ProcessBatch(qs, rs)
@@ -312,15 +312,10 @@ func (e *Engine) ProcessBatch(qs []keys.Query, rs *keys.ResultSet) {
 		return
 	}
 
-	if e.committer != nil && e.groupErr() != nil {
-		return // poisoned: drop unapplied
-	}
-
 	splitStart, _ := e.met.now()
 	e.sp.split(qs, e.bounds, e.heat)
 	e.met.observeSplit(splitStart)
 	e.recordRouting(e.sp)
-	lsn := e.beginCommit(e.sp)
 
 	if s := e.sp.sole; s >= 0 {
 		// Partial batch: one shard owns every query, so its engine can
@@ -329,7 +324,6 @@ func (e *Engine) ProcessBatch(qs []keys.Query, rs *keys.ResultSet) {
 		e.shards[s].ProcessBatch(qs, rs)
 		e.st.Reset()
 		e.shards[s].Stats().AddTo(e.st)
-		e.endCommit(lsn, e.sp)
 		return
 	}
 
@@ -357,7 +351,6 @@ func (e *Engine) ProcessBatch(qs []keys.Query, rs *keys.ResultSet) {
 			e.shards[s].Stats().AddTo(e.st)
 		}
 	}
-	e.endCommit(lsn, e.sp)
 }
 
 // recordRouting folds one split's routing into the shard counters and

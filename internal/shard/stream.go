@@ -9,9 +9,16 @@ import (
 
 // Streamed sharded execution: every shard runs its own core
 // ProcessStream (two-stage pipelined when the engine config asks for
-// it), a splitter goroutine feeds each incoming job's sub-batches to
+// it), a dispatcher goroutine feeds each incoming job's sub-batches to
 // the shard streams, and the emit loop merges each job's sub-results —
 // strictly in arrival order — back into the job's ResultSet.
+//
+// Commit: the dispatcher takes the gate's shared side for each job,
+// logs the job (commit) and only then hands it on; the gate is released
+// after the job is emitted. So, as in ProcessBatch, a snapshot under
+// the exclusive gate never sees a logged job that is not yet applied.
+// A job dropped by a poisoned engine still flows to emit, in order, with
+// unspecified results.
 //
 // Order and equivalence: the splitter pushes sub-jobs to every shard in
 // arrival order and each shard stream completes its sub-jobs in that
@@ -35,9 +42,9 @@ type streamJob struct {
 	subs  []core.Job
 	subRS []*keys.ResultSet
 	wg    sync.WaitGroup
-	// lsn is the batch's reserved commit LSN (0 = durability off or
-	// empty batch); the merge loop seals it with the commit marker.
-	lsn uint64
+	// dropped marks a job the poisoned engine did not apply: nothing
+	// was dispatched, so there is nothing to merge.
+	dropped bool
 }
 
 func (e *Engine) newStreamJob() *streamJob {
@@ -66,20 +73,10 @@ func (e *Engine) ProcessStream(in <-chan *core.Job, emit func(*core.Job)) {
 	// autoshard controller checks under the gate's exclusive lock —
 	// to defer structural shard-count changes until the stream ends.
 	// Boundary moves stay allowed between jobs.
-	if e.gate != nil {
-		e.gate.RLock()
-	}
+	e.rlock()
 	if len(e.shards) == 1 {
-		if e.gate != nil {
-			e.gate.RUnlock()
-		}
-		e.shards[0].ProcessStream(in, func(j *core.Job) {
-			e.shst.RecordRouted(0, len(j.Qs))
-			e.shst.RecordBatch()
-			e.met.recordRouted(0, len(j.Qs))
-			e.met.recordBatch()
-			emit(j)
-		})
+		e.runlock()
+		e.processStreamOne(in, emit)
 		return
 	}
 	e.streaming = true
@@ -103,20 +100,21 @@ func (e *Engine) ProcessStream(in <-chan *core.Job, emit func(*core.Job)) {
 		free <- e.newStreamJob()
 	}
 	ordered := make(chan *streamJob, streamDepth)
-	if e.gate != nil {
-		e.gate.RUnlock()
-	}
+	e.runlock()
 
 	go func() {
 		for job := range in {
 			sj := <-free
 			sj.job = job
-			// Gate held per job from dispatch until its merge completes
+			// Gate held per job from its append until it is emitted
 			// (RLock here, RUnlock in the merge loop — legal for a
 			// counted RWMutex): a snapshot writer waits for every
 			// in-flight job and blocks new dispatches.
-			if e.gate != nil {
-				e.gate.RLock()
+			e.rlock()
+			sj.dropped = !e.commit(job.Qs)
+			if sj.dropped {
+				ordered <- sj
+				continue
 			}
 			splitStart, _ := e.met.now()
 			// e.bounds is read under this job's RLock, so a boundary
@@ -125,17 +123,6 @@ func (e *Engine) ProcessStream(in <-chan *core.Job, emit func(*core.Job)) {
 			sj.sp.split(job.Qs, e.bounds, e.heat)
 			e.met.observeSplit(splitStart)
 			e.recordRouting(sj.sp)
-			sj.lsn = e.beginCommit(sj.sp)
-			if e.committer != nil && sj.lsn == 0 && len(job.Qs) > 0 {
-				// Poisoned group: no LSN was reserved (and nothing
-				// queued at the shards), so the batch must be dropped
-				// unapplied — dispatching would desynchronize the
-				// per-shard LSN queues. The job still flows through the
-				// merge loop for ordering; its results are unspecified,
-				// matching the ProcessBatch drop path.
-				ordered <- sj
-				continue
-			}
 			for s := 0; s < n; s++ {
 				sub := sj.sp.subs[s]
 				if len(sub) == 0 {
@@ -159,32 +146,63 @@ func (e *Engine) ProcessStream(in <-chan *core.Job, emit func(*core.Job)) {
 	}
 	for sj := range ordered {
 		sj.wg.Wait()
-		// All parts are logged (each shard commits before it applies);
-		// the merge loop runs in arrival order, so markers are sealed in
-		// arrival order too.
-		e.endCommit(sj.lsn, sj.sp)
 		job := sj.job
 		sj.job = nil
 		if job.RS == nil {
 			job.RS = e.lendRS
 		}
 		job.RS.Reset(len(job.Qs))
-		mergeStart, _ := e.met.now()
-		sj.sp.merge(sj.subRS, job.RS)
-		e.met.observeMerge(mergeStart)
+		if !sj.dropped {
+			mergeStart, _ := e.met.now()
+			sj.sp.merge(sj.subRS, job.RS)
+			e.met.observeMerge(mergeStart)
+		}
 		emit(job)
 		// Ownership returns to the caller at emit; no accesses past it.
 		free <- sj
-		if e.gate != nil {
-			e.gate.RUnlock()
-		}
+		e.runlock()
 	}
 	shardWG.Wait()
-	if e.gate != nil {
-		e.gate.RLock()
-	}
+	e.rlock()
 	e.streaming = false
-	if e.gate != nil {
-		e.gate.RUnlock()
-	}
+	e.runlock()
+}
+
+// droppedJob stands in, inside the one-shard stream, for a job the
+// poisoned engine does not apply: an empty job flows through the shard
+// stream in the original's place, so emit order is kept.
+type droppedJob struct{ job *core.Job }
+
+// processStreamOne is ProcessStream over one shard: the shard's own
+// stream evaluates the jobs unsplit, and a dispatcher in front of it
+// holds the gate's shared side for each job from its append until it is
+// emitted — Checkpoint relies on every logged batch being applied once
+// it holds the exclusive side.
+func (e *Engine) processStreamOne(in <-chan *core.Job, emit func(*core.Job)) {
+	sub := make(chan *core.Job)
+	go func() {
+		for job := range in {
+			e.rlock()
+			if !e.commit(job.Qs) {
+				job = &core.Job{RS: job.RS, Tag: droppedJob{job}}
+			}
+			sub <- job
+		}
+		close(sub)
+	}()
+	e.shards[0].ProcessStream(sub, func(j *core.Job) {
+		if d, ok := j.Tag.(droppedJob); ok {
+			if d.job.RS == nil {
+				d.job.RS = j.RS
+			}
+			d.job.RS.Reset(len(d.job.Qs))
+			j = d.job
+		}
+		e.shst.RecordRouted(0, len(j.Qs))
+		e.shst.RecordBatch()
+		e.met.recordRouted(0, len(j.Qs))
+		e.met.recordBatch()
+		emit(j)
+		e.runlock()
+	})
 }

@@ -3,11 +3,13 @@
 // of committed batches, plus atomic snapshot files.
 //
 // The commit point is the batch — the atomic unit of evaluation in the
-// PALM/QTrans design — and what is logged per batch is its post-QSAT
-// surviving queries, appended *before* any of the batch's effects reach
-// tree or cache (append-then-apply). A crash therefore loses at most a
-// whole-batch suffix: replay recovers exactly the state after some
-// whole-batch prefix of the committed stream.
+// PALM/QTrans design — and what is logged per batch is its defining
+// queries (inserts, deletes, RMWs) in batch order, appended *before*
+// any of the batch's effects reach tree or cache (append-then-apply).
+// Searches and scans change no state (the define/use split of §IV-B),
+// so a batch without defines appends nothing. A crash therefore loses
+// at most a whole-batch suffix: replay recovers exactly the state after
+// some whole-batch prefix of the committed stream.
 //
 // Segment format (little-endian):
 //
@@ -23,17 +25,17 @@
 //
 // The record op byte is a wire code, not keys.Op: 0=search, 1=insert,
 // 2=delete, 4=RMW(add), 5=RMW(set-if-absent), with the RMW operand in
-// the value field. Range scans are pure reads and never reach the
-// commit path (wire code 3 is reserved and rejected on replay), so
-// point-only logs are byte-identical to those written before RMW
-// existed.
+// the value field. The writer emits only codes 1, 2, 4 and 5; the
+// reader still accepts 0, which logs written before searches were
+// dropped from records hold (wire code 3 is reserved for scans and
+// rejected on replay).
 //
-// A `batch` record is one whole committed batch (a one-shard engine's
-// path). The sharded engine appends one `part` record per shard
-// sub-batch followed by a `commit` marker once every shard's part is in
-// the log; a batch without its commit marker is discarded on replay, so
-// multi-shard batches stay atomic. Records are serialized through one
-// Log, so commit-marker order equals batch arrival order.
+// The writer appends only `batch` records: one per batch, whatever the
+// shard count, since the sharded engine logs the whole batch before it
+// splits it. The reader also accepts the `part` and `commit` records of
+// logs written when each shard logged its own sub-batch: parts
+// accumulate per LSN and become one batch at their commit marker, and
+// parts without a marker are discarded on replay.
 //
 // Replay tolerates a truncated tail: scanning stops at the first
 // invalid frame (torn write, CRC mismatch, short segment) and everything
@@ -286,9 +288,8 @@ const (
 	wireRMWSetIfAbs = 5
 )
 
-// wireOp maps a query to its wire code. Scans must never reach the
-// commit path — the engine evaluates them without logging — so hitting
-// one here is a programming error, not an I/O condition.
+// wireOp maps a query to its wire code. encodeFrame passes it defines
+// only, so a scan here is a programming error, not an I/O condition.
 func wireOp(q *keys.Query) byte {
 	switch q.Op {
 	case keys.OpSearch:
@@ -307,17 +308,34 @@ func wireOp(q *keys.Query) byte {
 	}
 }
 
-// encodeFrame appends one framed record to buf and returns it.
+// countDefines returns how many of qs are defines.
+func countDefines(qs []keys.Query) int {
+	n := 0
+	for i := range qs {
+		if qs[i].Op.IsDefining() {
+			n++
+		}
+	}
+	return n
+}
+
+// encodeFrame appends to buf one framed record of the defines among
+// qs, in their order, and returns it. Searches and scans are skipped
+// in place, so a batch is encoded without a copy of its defines.
 func encodeFrame(buf []byte, kind uint8, lsn uint64, qs []keys.Query) []byte {
-	plen := 1 + 8 + 4 + 17*len(qs)
+	n := countDefines(qs)
+	plen := 1 + 8 + 4 + 17*n
 	start := len(buf)
 	buf = append(buf, make([]byte, 8+plen)...)
 	p := buf[start+8:]
 	p[0] = kind
 	binary.LittleEndian.PutUint64(p[1:9], lsn)
-	binary.LittleEndian.PutUint32(p[9:13], uint32(len(qs)))
+	binary.LittleEndian.PutUint32(p[9:13], uint32(n))
 	o := 13
 	for i := range qs {
+		if !qs[i].Op.IsDefining() {
+			continue
+		}
 		p[o] = wireOp(&qs[i])
 		binary.LittleEndian.PutUint64(p[o+1:o+9], uint64(qs[i].Key))
 		binary.LittleEndian.PutUint64(p[o+9:o+17], uint64(qs[i].Value))
@@ -328,9 +346,15 @@ func encodeFrame(buf []byte, kind uint8, lsn uint64, qs []keys.Query) []byte {
 	return buf
 }
 
+// keepScratch caps the frame buffer a Log keeps between appends. A
+// record of a 32 Ki-query batch of defines fits; the buffer of a rare
+// larger one, such as a bulk prefill, is left to the collector rather
+// than held for the life of the log.
+const keepScratch = 1 << 20
+
 // appendLocked writes one record, rotating segments as needed, and
-// applies the per-record fsync policy when sync is true.
-func (l *Log) appendLocked(kind uint8, lsn uint64, qs []keys.Query, sync bool) error {
+// applies the per-record fsync policy.
+func (l *Log) appendLocked(kind uint8, lsn uint64, qs []keys.Query) error {
 	if l.err != nil {
 		return l.err
 	}
@@ -343,8 +367,10 @@ func (l *Log) appendLocked(kind uint8, lsn uint64, qs []keys.Query, sync bool) e
 			return err
 		}
 	}
-	l.scratch = encodeFrame(l.scratch[:0], kind, lsn, qs)
-	frame := l.scratch
+	frame := encodeFrame(l.scratch[:0], kind, lsn, qs)
+	if cap(frame) <= keepScratch {
+		l.scratch = frame
+	}
 	var start time.Time
 	if l.appendNS != nil {
 		start = l.metReg.Now()
@@ -361,48 +387,26 @@ func (l *Log) appendLocked(kind uint8, lsn uint64, qs []keys.Query, sync bool) e
 		l.segMax[l.segSeq] = lsn
 	}
 	l.dirty = true
-	if sync && l.opts.Sync == SyncAlways {
+	if l.opts.Sync == SyncAlways {
 		l.syncLocked()
 		return l.err
 	}
 	return nil
 }
 
-// CommitBatch appends one whole batch's surviving queries as a single
-// committed record, durable per the sync policy before it returns.
-// This is the one-shard commit path (core.Committer).
+// CommitBatch appends one record holding the defines of qs (inserts,
+// deletes, RMWs) in their order, under the next LSN, durable per the
+// sync policy before it returns. A batch without defines changes no
+// state: it appends nothing, takes no LSN and causes no fsync.
 func (l *Log) CommitBatch(qs []keys.Query) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if countDefines(qs) == 0 {
+		return l.err
+	}
 	lsn := l.next
 	l.next++
-	return l.appendLocked(kindBatch, lsn, qs, true)
-}
-
-// BeginBatch reserves the LSN for a multi-part (sharded) batch.
-func (l *Log) BeginBatch() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	lsn := l.next
-	l.next++
-	return lsn
-}
-
-// CommitPart appends one shard's surviving sub-batch for the batch at
-// lsn. Parts are not individually fsynced — the EndBatch marker's sync
-// covers them (same file, sequential offsets; rotation syncs too).
-func (l *Log) CommitPart(lsn uint64, qs []keys.Query) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appendLocked(kindPart, lsn, qs, false)
-}
-
-// EndBatch appends the commit marker for the batch at lsn: the batch
-// becomes replayable only once this record is in the log.
-func (l *Log) EndBatch(lsn uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appendLocked(kindCommit, lsn, nil, true)
+	return l.appendLocked(kindBatch, lsn, qs)
 }
 
 // LastLSN returns the most recently assigned LSN (0 = none yet).

@@ -14,6 +14,18 @@ import (
 
 func batch(ops ...keys.Query) []keys.Query { return ops }
 
+// defines returns the defining queries of qs, in order: what a record
+// of qs holds.
+func defines(qs []keys.Query) []keys.Query {
+	var out []keys.Query
+	for _, q := range qs {
+		if q.Op.IsDefining() {
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
 func stripIdx(qs []keys.Query) []keys.Query {
 	out := make([]keys.Query, len(qs))
 	for i, q := range qs {
@@ -63,8 +75,8 @@ func TestRoundTripBatches(t *testing.T) {
 		t.Fatalf("recovered %d batches, want %d", len(rec.Batches), len(batches))
 	}
 	for i := range batches {
-		if !reflect.DeepEqual(rec.Batches[i], stripIdx(batches[i])) {
-			t.Fatalf("batch %d: got %v want %v", i, rec.Batches[i], batches[i])
+		if want := stripIdx(defines(batches[i])); !reflect.DeepEqual(rec.Batches[i], want) {
+			t.Fatalf("batch %d: got %v want %v", i, rec.Batches[i], want)
 		}
 	}
 	// LSNs continue after recovery.
@@ -73,25 +85,29 @@ func TestRoundTripBatches(t *testing.T) {
 	}
 }
 
+// TestPartsRequireCommitMarker: the reader still replays logs of the
+// per-shard commit protocol, where each shard appended a part record
+// and a commit marker sealed the batch. A part without its marker is
+// discarded.
 func TestPartsRequireCommitMarker(t *testing.T) {
 	fs := faultfs.New()
 	_, l := openLog(t, fs, "d", wal.Options{})
 
 	// Batch 1: two parts + commit marker.
-	lsn1 := l.BeginBatch()
-	if err := l.CommitPart(lsn1, batch(keys.Insert(1, 1))); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.CommitPart(lsn1, batch(keys.Insert(100, 2))); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.EndBatch(lsn1); err != nil {
-		t.Fatal(err)
-	}
-	// Batch 2: a part with no commit marker — must be discarded.
-	lsn2 := l.BeginBatch()
-	if err := l.CommitPart(lsn2, batch(keys.Insert(7, 7))); err != nil {
-		t.Fatal(err)
+	for _, r := range []struct {
+		kind uint8
+		lsn  uint64
+		qs   []keys.Query
+	}{
+		{wal.KindPart, 1, batch(keys.Insert(1, 1))},
+		{wal.KindPart, 1, batch(keys.Insert(100, 2))},
+		{wal.KindCommit, 1, nil},
+		// Batch 2: a part with no commit marker — must be discarded.
+		{wal.KindPart, 2, batch(keys.Insert(7, 7))},
+	} {
+		if err := l.AppendRecord(r.kind, r.lsn, r.qs); err != nil {
+			t.Fatal(err)
+		}
 	}
 	l.Close()
 
@@ -359,8 +375,8 @@ func TestSegNames(t *testing.T) {
 }
 
 // TestRMWRoundTripBatches: read-modify-write queries commit and replay
-// with their kind intact (scans, by contrast, never reach the log —
-// the engine's commit plan excludes them before CommitBatch).
+// with their kind intact (scans, like searches, are left out of the
+// record).
 func TestRMWRoundTripBatches(t *testing.T) {
 	fs := faultfs.New()
 	batches := [][]keys.Query{
@@ -387,5 +403,39 @@ func TestRMWRoundTripBatches(t *testing.T) {
 		if !reflect.DeepEqual(got, stripIdx(want)) {
 			t.Fatalf("batch %d:\n got %+v\nwant %+v", bi, got, stripIdx(want))
 		}
+	}
+}
+
+// TestReadOnlyBatchAppendsNothing: a batch of searches and scans
+// changes no state, so CommitBatch appends no record, takes no LSN and
+// causes no fsync even under SyncAlways; a batch mixing reads and
+// defines records only its defines, in batch order.
+func TestReadOnlyBatchAppendsNothing(t *testing.T) {
+	fs := faultfs.New()
+	_, l := openLog(t, fs, "d", wal.Options{Sync: wal.SyncAlways})
+	w0, s0 := fs.Stats()
+	if err := l.CommitBatch(batch(keys.Search(1), keys.Scan(0, 9, 0), keys.Search(2))); err != nil {
+		t.Fatal(err)
+	}
+	if w, s := fs.Stats(); w != w0 || s != s0 {
+		t.Fatalf("read-only batch: %d writes, %d fsyncs", w-w0, s-s0)
+	}
+	if got := l.LastLSN(); got != 0 {
+		t.Fatalf("read-only batch took LSN %d", got)
+	}
+	mixed := batch(keys.Search(5), keys.Insert(5, 50), keys.Scan(0, 9, 0), keys.AddDelta(5, 1), keys.Delete(3))
+	if err := l.CommitBatch(mixed); err != nil {
+		t.Fatal(err)
+	}
+	if w, s := fs.Stats(); w != w0+1 || s != s0+1 {
+		t.Fatalf("mixed batch: %d writes, %d fsyncs, want 1 and 1", w-w0, s-s0)
+	}
+	l.Close()
+
+	rec, l2 := openLog(t, fs, "d", wal.Options{})
+	defer l2.Close()
+	want := stripIdx(batch(keys.Insert(5, 50), keys.AddDelta(5, 1), keys.Delete(3)))
+	if len(rec.Batches) != 1 || !reflect.DeepEqual(rec.Batches[0], want) {
+		t.Fatalf("recovered %v, want [%v]", rec.Batches, want)
 	}
 }

@@ -1,6 +1,7 @@
 package qtrans
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/faultfs"
@@ -18,13 +19,18 @@ import (
 //
 // The config byte sweeps the engine matrix: unsharded and Shards=4,
 // serial and pipelined streams, with and without a mid-run checkpoint,
-// and reopening under the same or a different shard count. Bit 4 is
-// unused: it once ran the pre-crash DB on the retired dense node
-// layout, and seeds that set it now repeat the run without it (loading
-// dense-written snapshots is covered by the snapshot files under
-// internal/btree/testdata). The workload mixes all five operations: range
-// scans take the extended execution path but add no log records, while
-// RMW effects must replay from the log like any other write.
+// and reopening under the same or a different shard count. The
+// workload mixes all five operations: range scans take the extended
+// execution path but add no log records, while RMW effects must replay
+// from the log like any other write.
+//
+// Bit 4 runs a pipelined RunStream (whatever bit 1 says) while a second
+// goroutine calls Checkpoint in a loop. A checkpoint snapshots the
+// state and claims every LSN up to the log's last; the engine holds
+// the scheduling gate from a batch's append until the batch is
+// emitted, so no snapshot can claim a logged batch it does not hold.
+// A snapshot that did would lose that batch on recovery, which
+// replays only records past the snapshot's LSN.
 //
 // Bit 5 runs the DB tiered (DESIGN.md §14) with a budget tiny enough
 // that the 64-key space churns through demotions and promotions
@@ -46,6 +52,15 @@ func FuzzCrashRecovery(f *testing.F) {
 	// RMW effects must be durably replayed like any other write.
 	f.Add([]byte{10, 1, 40, 10, 5, 2, 20, 4, 63, 10, 5, 3, 10, 0, 0, 20, 5, 9}, byte(5), uint16(150), uint16(11))
 	f.Add([]byte{1, 5, 8, 2, 5, 8, 3, 5, 9, 1, 4, 200, 2, 4, 100, 3, 3, 0}, byte(9), uint16(80), uint16(2))
+	// Concurrent-checkpoint arms (bit 4), one and four shards: 40
+	// batches with the cut late, so many checkpoints race the stream
+	// before the power fails.
+	racing := make([]byte, 600)
+	for i := range racing {
+		racing[i] = byte(i*37 + i/3)
+	}
+	f.Add(racing, byte(18), uint16(20000), uint16(8))
+	f.Add(racing, byte(19), uint16(20000), uint16(12))
 	// Tiered arms (bit 5): insert-heavy so the tiny budget forces
 	// demotions, then writes/scans back into demoted ranges force
 	// promotions; varied cut offsets land the power cut inside run
@@ -94,7 +109,8 @@ func FuzzCrashRecovery(f *testing.F) {
 		if cfg&1 != 0 {
 			shards = 4
 		}
-		pipeline := cfg&2 != 0
+		racingCheckpoints := cfg&16 != 0
+		pipeline := cfg&2 != 0 || racingCheckpoints
 		midCheckpoint := cfg&4 != 0
 		reopenShards := 1
 		if cfg&8 != 0 {
@@ -153,6 +169,25 @@ func FuzzCrashRecovery(f *testing.F) {
 		fs.CutAfter(int64(cut))
 		acked := 0
 		run := func() {
+			if racingCheckpoints {
+				stop, stopped := make(chan struct{}), make(chan struct{})
+				go func() {
+					defer close(stopped)
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+							db.Checkpoint() // fails once the cut trips
+							runtime.Gosched()
+						}
+					}
+				}()
+				defer func() {
+					close(stop)
+					<-stopped
+				}()
+			}
 			if pipeline {
 				in := make(chan *Batch)
 				done := make(chan struct{})

@@ -36,8 +36,9 @@ const (
 // performance identical to previous releases.
 //
 // With Dir set, Open recovers the directory's snapshot and write-ahead
-// log before serving, every batch's post-QSAT surviving queries are
-// logged before any effect reaches tree or cache, and Checkpoint
+// log before serving, every batch's defines (inserts, deletes, RMWs)
+// are logged as one record, in batch order, before any effect reaches
+// tree or cache — a read-only batch logs nothing — and Checkpoint
 // writes an atomic snapshot that truncates the log. After any crash —
 // even mid-write — reopening yields the state after a whole-batch
 // prefix of the committed stream; under SyncAlways that prefix
@@ -104,8 +105,8 @@ func openDurable(opts Options) (*DB, error) {
 	}
 
 	// Replay committed batches logged after the snapshot, in commit
-	// order, through the normal batch path (the surviving queries fully
-	// determine each batch's state effect). The commit hook is not yet
+	// order, through the normal batch path (a batch's defines fully
+	// determine its state effect). The commit hook is not yet
 	// attached, so replay does not re-log. On a tiered DB the replay
 	// runs on the raw inner engine — promotions logged before the
 	// crash replay as plain insert batches, and the tier wrapper is

@@ -1,6 +1,8 @@
 package qtrans
 
 import (
+	"math/rand"
+	"os"
 	"testing"
 	"time"
 )
@@ -67,4 +69,56 @@ func BenchmarkDurability(b *testing.B) {
 			}
 		})
 	}
+	// The log's size on a batch QSAT reduces: 16 384 queries, half of
+	// them inserts, over a power law of θ = 2.0 (duplicate share ≈ 0.99,
+	// above the cost gate's crossover, so the batch runs QSAT). The
+	// record holds every define of the batch, not QSAT's survivors, so
+	// log-B/update is where logging forgoes the reduction (DESIGN.md §7).
+	b.Run("wal-off/zipf2", func(b *testing.B) {
+		dir := b.TempDir()
+		db, err := Open(Options{
+			Workers:       2,
+			CacheCapacity: 1 << 14,
+			Durability:    Durability{Dir: dir, Sync: SyncOff},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		z := rand.NewZipf(rand.New(rand.NewSource(5)), 2.0, 1, 1<<20)
+		const n = 16384
+		updates := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			nb := NewBatch()
+			for q := 0; q < n; q++ {
+				if k := Key(z.Uint64()); q%2 == 0 {
+					nb.Search(k)
+				} else {
+					nb.Insert(k, Value(q))
+					updates++
+				}
+			}
+			b.StartTimer()
+			db.Run(nb)
+		}
+		b.StopTimer()
+		if err := db.Err(); err != nil {
+			b.Fatal(err)
+		}
+		db.Close()
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var bytes int64
+		for _, e := range entries {
+			info, err := e.Info()
+			if err != nil {
+				b.Fatal(err)
+			}
+			bytes += info.Size()
+		}
+		b.ReportMetric(float64(bytes)/float64(updates), "log-B/update")
+	})
 }
