@@ -29,8 +29,9 @@
 #                resharding controller stepping between batches vs the
 #                serial oracle, DESIGN.md §13), the
 #                range/RMW differential fuzzer (the org and inter
-#                engine modes vs the oracle on batches mixing all five
-#                ops, DESIGN.md §11), the
+#                engine modes, and adaptive over a prefilled order-4
+#                tree at 1 and 3 workers, vs the oracle on batches
+#                mixing all five ops, DESIGN.md §11), the
 #                cache-pass fuzzer (point batches through the two-phase
 #                top-K cache pass at several capacities and worker
 #                counts plus a pipelined arm vs the oracle, with

@@ -213,11 +213,11 @@ func (e *Engine) processBatch(qs []keys.Query, rs *keys.ResultSet) {
 
 // batchPlan carries one batch from transform to apply: the
 // Transformer that reduced it (its Router broadcasts the survivors'
-// answers), the scans' define overlay, the stats block transform
-// records into, the queries that still need the tree, and the plan's
-// two decisions. The engine owns one for ProcessBatch; each pipeline
-// slot owns another, since stage A transforms the next batch while
-// stage B applies this one.
+// answers), the batch's scans and sorted points, the stats block
+// transform records into, the queries that still need the tree, and
+// the plan's two decisions. The engine owns one for ProcessBatch; each
+// pipeline slot owns another, since stage A transforms the next batch
+// while stage B applies this one.
 type batchPlan struct {
 	tf        *Transformer
 	ov        scanOverlay
@@ -240,17 +240,17 @@ func (e *Engine) newPlan(pool *bsp.Pool, st *stats.Batch) batchPlan {
 }
 
 // transform is the tree- and cache-independent half of a non-empty
-// batch (stage A in pipelined execution). Scans are split out first;
-// the point queries are then sorted once, in place — Original mode
-// stops there and sends all of them to the tree, the QTrans modes run
-// the one-pass QSAT over them, writing inferred answers into rs, and
-// Adaptive mode first asks its gate whether to — and the scans' define
-// overlay is read off those sorted points (overlay.go; timed as
-// StageQSAT2, since it is inference).
+// batch (stage A in pipelined execution). Scans are split out first
+// (overlay.go; timed as StageQSAT2, since it is inference); the point
+// queries are then sorted once, in place — Original mode stops there
+// and sends all of them to the tree, the QTrans modes run the one-pass
+// QSAT over them, writing inferred answers into rs, and Adaptive mode
+// first asks its gate whether to. The sorted points stay in the plan:
+// apply's scan pass reads the scans' defines off them.
 func (e *Engine) transform(p *batchPlan, qs []keys.Query, rs *keys.ResultSet) {
 	scan, rmw := hasScanOrRMW(qs)
 	p.extended = scan || rmw
-	p.ov.scans, p.ov.fetch = p.ov.scans[:0], p.ov.fetch[:0]
+	p.ov.scans = p.ov.scans[:0]
 	if scan {
 		sw := p.st.Timer(stats.StageQSAT2)
 		qs = p.ov.build(qs)
@@ -277,11 +277,6 @@ func (e *Engine) transform(p *batchPlan, qs []keys.Query, rs *keys.ResultSet) {
 	if p.reduced {
 		p.remaining = p.tf.reduce(qs, rs, p.st)
 	}
-	if scan {
-		sw := p.st.Timer(stats.StageQSAT2)
-		p.ov.finish(qs)
-		sw.Stop()
-	}
 }
 
 // apply is the tree half of a transformed batch (stage B in pipelined
@@ -295,12 +290,13 @@ func (e *Engine) transform(p *batchPlan, qs []keys.Query, rs *keys.ResultSet) {
 //     tree directly, so clean residents would go stale the moment the
 //     batch mutates the tree underneath them (the cache's contract is
 //     point-only, so such batches pay full tree price);
-//   - every scan reads the pre-batch tree in one EvalScans pass;
+//   - every scan is answered in one EvalScans superstep: it walks the
+//     pre-batch tree once, merging in the defines that precede it from
+//     the sorted points, and writes its final rows;
 //   - a point batch with the cache on runs the cache pass;
 //   - the queries left run as one PALM pass over the sorted batch
 //     (unreduced), or as one pass over the reduced batch whose
-//     representatives' answers are then broadcast;
-//   - the scans' rows are patched with the defines that precede them.
+//     representatives' answers are then broadcast.
 func (e *Engine) apply(p *batchPlan, rs *keys.ResultSet) {
 	if p.cacheOn != e.cacheOn {
 		if !p.cacheOn {
@@ -316,10 +312,9 @@ func (e *Engine) apply(p *batchPlan, rs *keys.ResultSet) {
 		e.drainCache()
 	}
 	remaining := p.remaining
-	scans := len(p.ov.scans) > 0
-	if scans {
-		e.st.ScanQueries, e.st.ScanKills = len(p.ov.scans), p.ov.kills
-		e.proc.EvalScans(p.ov.fetch, rs)
+	if len(p.ov.scans) > 0 {
+		e.st.ScanQueries = len(p.ov.scans)
+		e.st.ScanRows = e.proc.EvalScans(p.ov.scans, p.ov.points, rs)
 		e.mergeProcStats(e.st)
 	}
 	if p.cacheOn && !p.extended {
@@ -327,7 +322,7 @@ func (e *Engine) apply(p *batchPlan, rs *keys.ResultSet) {
 		remaining = e.cachePass(remaining, rs, &p.tf.Router, e.st)
 		sw.Stop()
 	}
-	e.st.RemainingQueries = len(remaining) + len(p.ov.fetch)
+	e.st.RemainingQueries = len(remaining) + len(p.ov.scans)
 	if p.reduced {
 		e.proc.ProcessTransformed(remaining, rs)
 		p.tf.Broadcast(rs)
@@ -335,11 +330,6 @@ func (e *Engine) apply(p *batchPlan, rs *keys.ResultSet) {
 		e.proc.ProcessBatchSorted(remaining, rs)
 	}
 	e.mergeProcStats(e.st)
-	if scans {
-		sw := e.st.Timer(stats.StageQSAT2)
-		e.st.ScanRows = p.ov.patch(rs)
-		sw.Stop()
-	}
 }
 
 // drainCache empties the top-K cache while its mode is on, applying

@@ -33,7 +33,6 @@ type engineMetrics struct {
 	cacheEvict  *metrics.Counter
 	scanQueries *metrics.Counter
 	scanRows    *metrics.Counter
-	scanKills   *metrics.Counter
 	qsatSkipped *metrics.Counter
 	modeSwitch  *metrics.Counter
 	cacheDrains *metrics.Counter
@@ -64,7 +63,6 @@ func newEngineMetrics(reg *metrics.Registry) *engineMetrics {
 		cacheEvict:  reg.Counter("cache_evictions_total"),
 		scanQueries: reg.Counter("scan_queries_total"),
 		scanRows:    reg.Counter("scan_rows_total"),
-		scanKills:   reg.Counter("scan_kills_total"),
 		qsatSkipped: reg.Counter("qsat_skipped_batches_total"),
 		modeSwitch:  reg.Counter("cache_mode_switches_total"),
 		cacheDrains: reg.Counter("cache_drains_total"),
@@ -95,7 +93,6 @@ func (m *engineMetrics) recordBatch(st *stats.Batch, wall time.Duration) {
 	m.cacheEvict.Add(int64(st.CacheEvictions))
 	m.scanQueries.Add(int64(st.ScanQueries))
 	m.scanRows.Add(int64(st.ScanRows))
-	m.scanKills.Add(int64(st.ScanKills))
 	m.qsatSkipped.Add(int64(st.QSATSkipped))
 	m.modeSwitch.Add(int64(st.CacheModeSwitches))
 	m.cacheDrains.Add(int64(st.CacheDrains))

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bsp"
 	"repro/internal/keys"
+	"repro/internal/oracle"
 	"repro/internal/palm"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -126,85 +128,115 @@ func TestOverlayProperty(t *testing.T) {
 	}
 }
 
-// defsFromSortedPoints runs the overlay's two halves the way the engine
-// does — split, sort the points, merge-join — and checks ov.defs
-// against a brute-force filter of the sorted points. It returns the
-// number of defines taken.
-func defsFromSortedPoints(t *testing.T, ov *scanOverlay, batch []keys.Query) int {
-	t.Helper()
-	pts := ov.build(keys.Number(batch))
-	keys.SortByKey(pts) // stable over batch order: (Key, Idx)
-	ov.finish(pts)
-	var want []keys.Query
-	for _, q := range pts {
-		if q.Op == keys.OpSearch {
-			continue
-		}
-		for _, s := range ov.scans {
-			if s.Key <= q.Key && q.Key < s.Key2 {
-				want = append(want, q)
-				break
-			}
-		}
-	}
-	if !slices.Equal(ov.defs, want) {
-		t.Fatalf("defs %v, want %v", ov.defs, want)
-	}
-	if len(ov.plan) != len(ov.scans) {
-		t.Fatalf("%d scan plans for %d scans", len(ov.plan), len(ov.scans))
-	}
-	return len(ov.defs)
+// scanRig is a processor over a small order-4 tree — scans cross
+// leaves and start in the middle of one — and the pairs it holds.
+type scanRig struct {
+	proc *palm.Processor
+	fill []keys.Query
+	ov   scanOverlay
+	rs   *keys.ResultSet
 }
 
-// TestOverlayDefsFromSortedPoints pins the merge-join that takes a scan
-// batch's in-range defines off its sorted point queries: a define on a
-// scan's lo is inside, one on its hi is outside, empty ranges take
-// nothing, and every define kind counts while searches never do.
+// newScanRig builds the rig's tree from fill on pool.
+func newScanRig(t *testing.T, pool *bsp.Pool, fill []keys.Query) *scanRig {
+	t.Helper()
+	proc, err := palm.New(palm.Config{Order: 4, Workers: pool.N()}, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill = keys.Number(fill)
+	rs := keys.NewResultSet(len(fill))
+	proc.ProcessBatch(slices.Clone(fill), rs)
+	return &scanRig{proc: proc, fill: fill, rs: keys.NewResultSet(0)}
+}
+
+// walkedRows answers a batch's scans the way the engine does — split
+// the scans from the points, sort the points, one EvalScans pass over
+// the pre-batch tree — and checks every scan's rows, and the returned
+// row count, against the oracle running the batch serially after the
+// rig's fill. The tree is only read.
+func walkedRows(t *testing.T, rig *scanRig, batch []keys.Query) {
+	t.Helper()
+	batch = keys.Number(batch)
+	o := oracle.New()
+	o.ApplyAll(rig.fill, nil)
+	want := keys.NewResultSet(len(batch))
+	o.ApplyAll(batch, want)
+
+	pts := rig.ov.build(batch)
+	keys.SortByKey(pts) // stable over batch order: (Key, Idx)
+	rig.rs.Reset(len(batch))
+	rows := rig.proc.EvalScans(rig.ov.scans, pts, rig.rs)
+	n := 0
+	for _, s := range rig.ov.scans {
+		got, ok := rig.rs.ScanRows(s.Idx)
+		exp, _ := want.ScanRows(s.Idx)
+		if !ok || !slices.Equal(got, exp) {
+			t.Fatalf("scan %d [%d,%d) limit %d: rows %v (%v), want %v",
+				s.Idx, s.Key, s.Key2, s.Value, got, ok, exp)
+		}
+		n += len(got)
+	}
+	if rows != n {
+		t.Fatalf("EvalScans counted %d rows, the scans hold %d", rows, n)
+	}
+}
+
+// TestOverlayDefsFromSortedPoints pins how the scan walk takes a
+// batch's defines off its sorted point queries, against the oracle
+// over a tree holding every third key below 102 and top-2: a define on
+// a scan's lo is inside, one on its hi is outside, empty ranges take
+// nothing, every define kind counts while searches never do, and
+// defines on keys the tree lacks become rows of their own.
 func TestOverlayDefsFromSortedPoints(t *testing.T) {
 	const top = ^keys.Key(0)
 	cases := []struct {
 		name  string
 		batch []keys.Query
-		defs  int
 	}{
 		{"touching", []keys.Query{
 			keys.Scan(10, 20, 0), keys.Scan(20, 30, 0),
 			keys.Insert(19, 1), keys.Insert(20, 2), keys.Insert(30, 3), keys.Delete(9), keys.Insert(10, 4),
-		}, 3},
+		}},
 		{"overlapping", []keys.Query{
 			keys.Insert(15, 1), keys.Scan(10, 25, 0), keys.Delete(22), keys.Scan(20, 40, 1),
 			keys.AddDelta(39, 2), keys.Insert(40, 3),
-		}, 3},
+		}},
 		{"nested", []keys.Query{
 			keys.Scan(0, 100, 0), keys.Scan(10, 20, 2),
 			keys.Insert(5, 1), keys.Delete(15), keys.Insert(99, 2), keys.Insert(100, 3),
-		}, 3},
+		}},
 		{"empty-ranges", []keys.Query{
 			keys.Scan(50, 50, 0), keys.Scan(60, 55, 0),
 			keys.Insert(50, 1), keys.Insert(57, 2), keys.Delete(60),
-		}, 0},
+		}},
 		{"define-on-lo-inside-on-hi-outside", []keys.Query{
 			keys.Insert(10, 1), keys.Delete(20), keys.AddDelta(10, 2), keys.SetIfAbsent(20, 3),
 			keys.Scan(10, 20, 0),
-		}, 2},
+		}},
 		{"every-define-kind", []keys.Query{
 			keys.Scan(0, 50, 0), keys.Search(1), keys.Insert(1, 1), keys.Delete(2),
 			keys.AddDelta(3, 4), keys.SetIfAbsent(4, 5), keys.Search(4), keys.Insert(1, 6),
-		}, 5},
+		}},
 		{"defines-beyond-last-span", []keys.Query{
 			keys.Scan(0, 10, 0), keys.Insert(5, 1), keys.Insert(11, 2), keys.Delete(top),
-		}, 1},
+		}},
 		{"span-to-top", []keys.Query{
 			keys.Scan(top-3, top, 0), keys.Insert(top-3, 1), keys.Insert(top-1, 2), keys.Delete(top),
-		}, 2},
-		{"no-points", []keys.Query{keys.Scan(0, 10, 0), keys.Scan(5, 8, 1)}, 0},
+		}},
+		{"no-points", []keys.Query{keys.Scan(0, 10, 0), keys.Scan(5, 8, 1)}},
 	}
-	var ov scanOverlay // reused: finish must not carry defines over
+	pool := bsp.NewPool(2)
+	defer pool.Close()
+	var fill []keys.Query
+	for k := keys.Key(0); k < 102; k += 3 {
+		fill = append(fill, keys.Insert(k, keys.Value(k+1)))
+	}
+	fill = append(fill, keys.Insert(top-2, 7))
+	rig := newScanRig(t, pool, fill) // reused: each pass reads the same pre-batch tree
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := defsFromSortedPoints(t, &ov, slices.Clone(c.batch)); got != c.defs {
-				t.Fatalf("%d defines in span, want %d", got, c.defs)
-			}
+			walkedRows(t, rig, slices.Clone(c.batch))
 		})
 	}
 	t.Run("random", func(t *testing.T) {
@@ -230,7 +262,7 @@ func TestOverlayDefsFromSortedPoints(t *testing.T) {
 					batch[i] = keys.Search(k)
 				}
 			}
-			defsFromSortedPoints(t, &ov, batch)
+			walkedRows(t, rig, batch)
 		}
 	})
 }
@@ -238,8 +270,8 @@ func TestOverlayDefsFromSortedPoints(t *testing.T) {
 // TestScanBatchSinglePass checks the shape of scan-batch execution
 // through the engine's stats block: S identical scans interleaved with
 // W writes into their range cost one transform (the W same-key writes
-// fold into one survivor) and one tree walk (the other S-1 scans are
-// killed across the whole batch), where fencing paid one epoch per
+// fold into one survivor) and one walk per scan, each merging the
+// writes that precede it, where fencing paid one epoch per
 // write-after-scan.
 func TestScanBatchSinglePass(t *testing.T) {
 	for _, pipelined := range []bool{false, true} {
@@ -272,9 +304,9 @@ func TestScanBatchSinglePass(t *testing.T) {
 			}
 		})
 		st := eng.Stats()
-		if st.RemainingQueries != 2 || st.ScanQueries != S || st.ScanKills != S-1 || st.ScanRows != S-1 {
-			t.Errorf("pipelined=%v: remaining=%d scans=%d kills=%d rows=%d, want 2 (one define + one walk), %d, %d, %d",
-				pipelined, st.RemainingQueries, st.ScanQueries, st.ScanKills, st.ScanRows, S, S-1, S-1)
+		if st.RemainingQueries != 1+S || st.ScanQueries != S || st.ScanRows != S-1 {
+			t.Errorf("pipelined=%v: remaining=%d scans=%d rows=%d, want %d (one define + one walk per scan), %d, %d",
+				pipelined, st.RemainingQueries, st.ScanQueries, st.ScanRows, 1+S, S, S-1)
 		}
 		if st.InferredReturns != S {
 			t.Errorf("pipelined=%v: %d searches inferred, want all %d", pipelined, st.InferredReturns, S)
@@ -289,10 +321,11 @@ func TestScanBatchSinglePass(t *testing.T) {
 
 // mixedScanEngine is the benchmark spine's mixed-write-batch workload
 // at engine level: a gaussian 16 384-query batch generator (50 %
-// updates, 10 % RMW, 2 % limited scans) over a prefilled tree.
-func mixedScanEngine(tb testing.TB) (*Engine, func() []keys.Query, *keys.ResultSet) {
+// updates, 10 % RMW, 2 % limited scans) over a prefilled tree, under
+// the given mode.
+func mixedScanEngine(tb testing.TB, mode Mode) (*Engine, func() []keys.Query, *keys.ResultSet) {
 	tb.Helper()
-	eng, err := NewEngine(EngineConfig{Mode: IntraInter, CacheCapacity: 1 << 16, Palm: palm.Config{Workers: 2}})
+	eng, err := NewEngine(EngineConfig{Mode: mode, CacheCapacity: 1 << 16, Palm: palm.Config{Workers: 2}})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -320,7 +353,7 @@ func mixedScanEngine(tb testing.TB) (*Engine, func() []keys.Query, *keys.ResultS
 // leaves the tree grows by and the BSP stage closures — far below the
 // ~100 × 512 KiB the epoch planner's per-epoch slices cost.
 func TestScanBatchSteadyStateAllocs(t *testing.T) {
-	eng, next, rs := mixedScanEngine(t)
+	eng, next, rs := mixedScanEngine(t, IntraInter)
 	run := func() {
 		qs := next()
 		rs.Reset(len(qs))
@@ -344,47 +377,90 @@ func TestScanBatchSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkMixedScanBatch times the same workload and splits what a
-// scan batch's StageQSAT2 holds into its parts, in ns per submitted
-// query: the overlay's build, the QSAT pass, the overlay's finish and
-// the row patch. To time them it runs transform's steps for a scan
-// batch by hand, then apply, as processBatch does for a batch this
-// size (on the pool's workers).
+// TestScanPassWritesRowsOnce pins the scan pass's two exact costs on
+// mixed-write-batch-shaped batches under the spine's Adaptive mode:
+// every row the result set's slabs take is a final row (slab rows
+// equal ScanRows), and the pass is one superstep.
+func TestScanPassWritesRowsOnce(t *testing.T) {
+	eng, next, rs := mixedScanEngine(t, Adaptive)
+	for i := 0; i < 4; i++ {
+		qs := next()
+		rs.Reset(len(qs))
+		eng.ProcessBatch(qs, rs)
+		slabRows := 0
+		for _, sl := range rs.ScanSlabs(0) {
+			slabRows += sl.Rows()
+		}
+		st := eng.Stats()
+		if st.ScanQueries == 0 || st.ScanRows == 0 {
+			t.Fatalf("batch %d ran no scans: %+v", i, st)
+		}
+		if slabRows != st.ScanRows {
+			t.Fatalf("batch %d: the slabs took %d rows for %d final rows", i, slabRows, st.ScanRows)
+		}
+	}
+
+	// The pass alone, over the next batch's split and sorted points.
+	qs := next()
+	var ov scanOverlay
+	pts := ov.build(qs)
+	keys.SortByKey(pts)
+	rs.Reset(len(qs))
+	before := eng.Pool().Dispatched()
+	rows := eng.Processor().EvalScans(ov.scans, pts, rs)
+	if d := eng.Pool().Dispatched() - before; d != 1 || rows == 0 {
+		t.Fatalf("scan pass: %d supersteps, %d rows; want 1 superstep", d, rows)
+	}
+}
+
+// BenchmarkMixedScanBatch times the same workload through the engine's
+// own batch path, transform then apply, as processBatch runs a batch
+// this size (on the pool's workers): Adaptive, the spine's mode, which
+// takes the unreduced path on this workload, and IntraInter, which
+// reduces every batch. Besides queries/s it reports, in ns per
+// submitted query, the two scan steps: the split of scans from points
+// (build, in transform) and the scan superstep (in apply). Both are
+// re-timed on each batch with the benchmark timer stopped, between
+// transform and apply, over the same batch and pre-batch tree — the
+// pass only reads the tree — into a scratch result set.
 //
 //	go test -run '^$' -bench MixedScanBatch -benchmem ./internal/core
 func BenchmarkMixedScanBatch(b *testing.B) {
-	eng, next, rs := mixedScanEngine(b)
-	p, st := &eng.serial, eng.Stats()
-	var build, pass, finish, patch time.Duration
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		qs := next()
-		rs.Reset(len(qs))
-		st.Reset()
-		st.BatchSize = len(qs)
-		p.extended = true
+	for _, mode := range []Mode{Adaptive, IntraInter} {
+		b.Run(mode.String(), func(b *testing.B) {
+			eng, next, rs := mixedScanEngine(b, mode)
+			p, st := &eng.serial, eng.Stats()
+			var ov scanOverlay
+			scratch := keys.NewResultSet(0)
+			var build, pass time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				qs := next()
+				rs.Reset(len(qs))
+				st.Reset()
+				st.BatchSize = len(qs)
+				eng.transform(p, qs, rs)
 
-		t0 := time.Now()
-		points := p.ov.build(qs)
-		build += time.Since(t0)
-		p.remaining = p.tf.Transform(points, rs, st) // sort: StageQSAT1, pass: StageQSAT2
-		t0 = time.Now()
-		p.ov.finish(points)
-		finish += time.Since(t0)
+				b.StopTimer()
+				t0 := time.Now()
+				ov.build(qs)
+				build += time.Since(t0)
+				scratch.Reset(len(qs))
+				t0 = time.Now()
+				eng.proc.EvalScans(p.ov.scans, p.ov.points, scratch)
+				pass += time.Since(t0)
+				b.StartTimer()
 
-		passed := st.Elapsed[stats.StageQSAT2]
-		eng.apply(p, rs) // adds the patch to StageQSAT2
-		pass += passed
-		patch += st.Elapsed[stats.StageQSAT2] - passed
+				eng.apply(p, rs)
+			}
+			if st.ScanQueries == 0 || st.ScanRows == 0 {
+				b.Fatalf("workload ran no scans: %+v", st)
+			}
+			perQuery := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(b.N*16384) }
+			b.ReportMetric(perQuery(build), "build-ns/query")
+			b.ReportMetric(perQuery(pass), "scan-pass-ns/query")
+			b.ReportMetric(float64(b.N)*16384/b.Elapsed().Seconds(), "queries/s")
+		})
 	}
-	if st.ScanQueries == 0 || st.ScanRows == 0 {
-		b.Fatalf("workload ran no scans: %+v", st)
-	}
-	perQuery := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(b.N*16384) }
-	b.ReportMetric(perQuery(build), "build-ns/query")
-	b.ReportMetric(perQuery(pass), "qsat-pass-ns/query")
-	b.ReportMetric(perQuery(finish), "finish-ns/query")
-	b.ReportMetric(perQuery(patch), "patch-ns/query")
-	b.ReportMetric(float64(b.N)*16384/b.Elapsed().Seconds(), "queries/s")
 }

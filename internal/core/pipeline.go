@@ -13,12 +13,11 @@ import (
 // stages of batch N.
 //
 // Stage split. Every batch runs one transform/apply pair (engine.go).
-// transform — scan split, sort, QSAT, define overlay — touches only the
-// batch itself, its plan's Transformer/Router and overlay, and the
-// batch's ResultSet: never the tree or the inter-batch cache. apply —
-// cache pass, PALM stages, broadcast, scan patch — touches
-// shared state. ProcessBatch calls the pair back to back; a pipelined
-// stream splits it:
+// transform — scan split, sort, QSAT — touches only the batch itself,
+// its plan's Transformer/Router and overlay, and the batch's ResultSet:
+// never the tree or the inter-batch cache. apply — scan pass, cache
+// pass, PALM stages, broadcast — touches shared state. ProcessBatch
+// calls the pair back to back; a pipelined stream splits it:
 //
 //	stage A: transform on a second BSP pool, one batch ahead, into a
 //	    per-slot plan.

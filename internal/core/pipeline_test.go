@@ -135,14 +135,14 @@ func TestPipelineCallerResultSets(t *testing.T) {
 type batchCounters struct {
 	BatchSize, RemainingQueries, InferredReturns         int
 	CacheHits, CacheMisses, CacheFlushes, CacheEvictions int
-	ScanQueries, ScanKills, ScanRows                     int
+	ScanQueries, ScanRows                                int
 }
 
 func countersOf(st *stats.Batch) batchCounters {
 	return batchCounters{
 		st.BatchSize, st.RemainingQueries, st.InferredReturns,
 		st.CacheHits, st.CacheMisses, st.CacheFlushes, st.CacheEvictions,
-		st.ScanQueries, st.ScanKills, st.ScanRows,
+		st.ScanQueries, st.ScanRows,
 	}
 }
 

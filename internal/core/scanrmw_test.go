@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/bsp"
 	"repro/internal/btree"
 	"repro/internal/keys"
 	"repro/internal/oracle"
@@ -227,74 +228,52 @@ func mixedPointBatch(r *rand.Rand, size, keySpace int) []keys.Query {
 	return keys.Number(qs)
 }
 
-// TestCoveringKillNeverDropsKeys is the covering-scan property: for
-// random scan sets over a random store, deriving a covered scan's rows
-// from its cover must yield exactly the rows a direct evaluation would
-// — no key lost to the kill, limits still honored.
+// TestCoveringKillNeverDropsKeys is the nested/identical scan
+// property: for random groups of scans over a random store — ranges
+// nested inside an outer one, some repeated exactly, limited and
+// unlimited, some empty — every scan's rows must equal a direct
+// evaluation of its own range, and no scan returns more rows than its
+// limit.
 func TestCoveringKillNeverDropsKeys(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
-	var ov scanOverlay
+	pool := bsp.NewPool(2)
+	defer pool.Close()
 	for iter := 0; iter < 500; iter++ {
-		o := oracle.New()
+		var fill []keys.Query
 		for i := 0; i < 40; i++ {
 			k := keys.Key(r.Intn(64))
-			o.Apply(keys.Insert(k, keys.Value(k*3+1)), nil)
+			fill = append(fill, keys.Insert(k, keys.Value(k*3+1)))
 		}
+		rig := newScanRig(t, pool, fill)
 
+		lo := keys.Key(r.Intn(64))
+		hi := lo + keys.Key(r.Intn(32))
 		group := make([]keys.Query, 1+r.Intn(6))
 		for i := range group {
-			lo := keys.Key(r.Intn(64))
-			hi := lo + keys.Key(r.Intn(32))
-			group[i] = keys.Scan(lo, hi, keys.Value(r.Intn(3)))
-		}
-		pts := ov.build(keys.Number(group))
-		if len(pts) != 0 {
-			t.Fatalf("iter %d: %d point queries in a scan-only batch", iter, len(pts))
-		}
-		ov.finish(pts)
-
-		nCovered, nFetch := 0, 0
-		for i, q := range ov.scans {
-			pl := ov.plan[i]
-			direct := o.Scan(q.Key, q.Key2, q.Value)
-			got := direct
 			switch {
-			case q.Key2 <= q.Key:
-				if pl.cover >= 0 {
-					t.Fatalf("iter %d: empty scan %d covered", iter, i)
-				}
-			case pl.cover < 0:
-				nFetch++
-			default:
-				nCovered++
-				cover := ov.scans[pl.cover]
-				if ov.plan[pl.cover].cover >= 0 {
-					t.Fatalf("iter %d: cover %d is itself covered", iter, pl.cover)
-				}
-				if cover.Value != 0 {
-					t.Fatalf("iter %d: limited scan %d used as cover", iter, pl.cover)
-				}
-				if cover.Key > q.Key || cover.Key2 < q.Key2 {
-					t.Fatalf("iter %d: cover [%d,%d) does not contain [%d,%d)",
-						iter, cover.Key, cover.Key2, q.Key, q.Key2)
-				}
-				got = clipRows(o.Scan(cover.Key, cover.Key2, 0), q.Key, q.Key2, pl.fetch)
-			}
-			if !slices.Equal(got, direct) {
-				t.Fatalf("iter %d scan %d [%d,%d) limit %d: derived %v, want %v",
-					iter, i, q.Key, q.Key2, q.Value, got, direct)
+			case i > 0 && r.Intn(3) == 0: // identical to an earlier scan
+				group[i] = group[r.Intn(i)]
+			case r.Intn(4) == 0: // anywhere
+				l := keys.Key(r.Intn(64))
+				group[i] = keys.Scan(l, l+keys.Key(r.Intn(32)), keys.Value(r.Intn(3)))
+			default: // nested in [lo, hi)
+				l := lo + keys.Key(r.Intn(int(hi-lo)+1))
+				h := l + keys.Key(r.Intn(int(hi-l)+1))
+				group[i] = keys.Scan(l, h, keys.Value(r.Intn(3)))
 			}
 		}
-		if nCovered != ov.kills || nFetch != len(ov.fetch) {
-			t.Fatalf("iter %d: kills=%d fetch=%d but %d covered, %d uncovered",
-				iter, ov.kills, len(ov.fetch), nCovered, nFetch)
+		walkedRows(t, rig, group)
+		for _, q := range rig.ov.scans {
+			if rows, _ := rig.rs.ScanRows(q.Idx); q.Value > 0 && keys.Value(len(rows)) > q.Value {
+				t.Fatalf("iter %d: scan [%d,%d) limit %d returned %d rows", iter, q.Key, q.Key2, q.Value, len(rows))
+			}
 		}
 	}
 }
 
 // TestEngineScanStats checks the scan counters: a batch with two
-// identical unlimited scans and one sub-range scan kills two of the
-// three tree walks and reports the summed row count.
+// identical unlimited scans and one sub-range scan walks the tree once
+// per scan and reports the summed row count.
 func TestEngineScanStats(t *testing.T) {
 	cfg := EngineConfig{Mode: IntraInter}
 	cfg.Palm.Workers = 2
@@ -312,9 +291,9 @@ func TestEngineScanStats(t *testing.T) {
 	eng.ProcessBatch(keys.Number(fill), rs)
 
 	qs := keys.Number([]keys.Query{
-		keys.Scan(0, 20, 0), // walks the tree: all 10 keys
-		keys.Scan(0, 20, 0), // identical: derived from the first
-		keys.Scan(4, 8, 0),  // contained: derived too (keys 4, 6)
+		keys.Scan(0, 20, 0), // all 10 keys
+		keys.Scan(0, 20, 0), // identical: its own walk, same rows
+		keys.Scan(4, 8, 0),  // contained: keys 4, 6
 	})
 	rs.Reset(len(qs))
 	eng.ProcessBatch(qs, rs)
@@ -322,8 +301,8 @@ func TestEngineScanStats(t *testing.T) {
 	if st.ScanQueries != 3 {
 		t.Fatalf("ScanQueries = %d, want 3", st.ScanQueries)
 	}
-	if st.ScanKills != 2 {
-		t.Fatalf("ScanKills = %d, want 2", st.ScanKills)
+	if st.RemainingQueries != 3 {
+		t.Fatalf("RemainingQueries = %d, want 3 (one walk per scan)", st.RemainingQueries)
 	}
 	if st.ScanRows != 10+10+2 {
 		t.Fatalf("ScanRows = %d, want 22", st.ScanRows)
@@ -377,12 +356,18 @@ func TestEngineCacheDrainedBeforeScan(t *testing.T) {
 // FuzzRangeRMWEquivalence is the extended-query differential fuzzer:
 // arbitrary bytes decode into a batch mixing all five operations, which
 // must produce oracle-identical results and final stores under the org
-// and inter engine modes.
+// and inter engine modes over an empty default-order tree, and under
+// Adaptive over an order-4 tree prefilled with every other fuzz key at
+// 1 and 3 workers — there the keys span many leaves, so scans cross
+// leaves and start in the middle of one.
 func FuzzRangeRMWEquivalence(f *testing.F) {
 	f.Add([]byte{3, 0, 16, 1, 5, 7, 3, 0, 16})          // scan, insert, identical scan
 	f.Add([]byte{4, 2, 9, 4, 2, 9, 0, 2, 0})            // RMW chain then search
 	f.Add([]byte{1, 4, 8, 3, 2, 40, 2, 4, 0, 3, 2, 40}) // write, scan, delete, rescan
 	f.Add([]byte("covering-scans-and-rmw-fences"))
+	f.Add([]byte{1, 5, 9, 2, 4, 0, 3, 4, 0x26})                           // limit 1 of [4,10) reached on the deleted 4 → 5
+	f.Add([]byte{1, 9, 5, 1, 10, 6, 3, 4, 6, 5, 9, 1, 3, 4, 6})           // defines on hi-1 and hi of [4,10)
+	f.Add([]byte{1, 23, 3, 4, 22, 2, 3, 17, 0x1f, 2, 23, 0, 3, 20, 0x3f}) // scans to the top of the key space
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		qs := decodeMixedQueries(data)
@@ -390,39 +375,60 @@ func FuzzRangeRMWEquivalence(f *testing.F) {
 			return
 		}
 		for _, mode := range []Mode{Original, IntraInter} {
-			o := oracle.New()
-			want := keys.NewResultSet(len(qs))
-			o.ApplyAll(qs, want)
-
 			cfg := EngineConfig{Mode: mode}
 			cfg.Palm.Workers = 2
-			eng, err := NewEngine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := keys.NewResultSet(len(qs))
-			eng.ProcessBatch(qs, got)
-			compareBatch(t, mode.String(), qs, want, got)
-
-			eng.Flush()
-			gk, gv := eng.Processor().Tree().Dump()
-			wk, wv := o.Dump()
-			if len(gk) != len(wk) {
-				t.Fatalf("mode=%v: final sizes %d vs %d", mode, len(gk), len(wk))
-			}
-			for i := range gk {
-				if gk[i] != wk[i] || gv[i] != wv[i] {
-					t.Fatalf("mode=%v: final mismatch at %d", mode, i)
-				}
-			}
-			eng.Close()
+			fuzzRangeArm(t, cfg, nil, slices.Clone(qs))
+		}
+		var fill []keys.Query
+		for k := keys.Key(0); k < 24; k += 2 {
+			fill = append(fill, keys.Insert(k, keys.Value(k)+100))
+		}
+		for _, workers := range []int{1, 3} {
+			cfg := EngineConfig{Mode: Adaptive, CacheCapacity: 8}
+			cfg.Palm.Order, cfg.Palm.Workers = 4, workers
+			fuzzRangeArm(t, cfg, keys.Number(slices.Clone(fill)), slices.Clone(qs))
 		}
 	})
 }
 
+// fuzzRangeArm runs fill (when non-empty) and then qs through a fresh
+// engine and the oracle, comparing qs's results and the final stores.
+func fuzzRangeArm(t *testing.T, cfg EngineConfig, fill, qs []keys.Query) {
+	t.Helper()
+	tag := cfg.Mode.String() + " order " + itoa(cfg.Palm.Order) + " workers " + itoa(cfg.Palm.Workers)
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	o := oracle.New()
+	if len(fill) > 0 {
+		o.ApplyAll(fill, nil)
+		eng.ProcessBatch(fill, keys.NewResultSet(len(fill)))
+	}
+	want := keys.NewResultSet(len(qs))
+	o.ApplyAll(qs, want)
+	got := keys.NewResultSet(len(qs))
+	eng.ProcessBatch(qs, got)
+	compareBatch(t, tag, qs, want, got)
+
+	eng.Flush()
+	gk, gv := eng.Processor().Tree().Dump()
+	wk, wv := o.Dump()
+	if len(gk) != len(wk) {
+		t.Fatalf("%s: final sizes %d vs %d", tag, len(gk), len(wk))
+	}
+	for i := range gk {
+		if gk[i] != wk[i] || gv[i] != wv[i] {
+			t.Fatalf("%s: final mismatch at %d", tag, i)
+		}
+	}
+}
+
 // decodeMixedQueries turns fuzz bytes into a query sequence over a
 // small key space, three bytes per query: op selector, key, and an
-// auxiliary byte (scan width + limit, RMW delta, insert value).
+// auxiliary byte (scan width + limit, RMW delta, insert value). A scan
+// width of 31 runs the scan to the top of the key space.
 func decodeMixedQueries(data []byte) []keys.Query {
 	var qs []keys.Query
 	for i := 0; i+2 < len(data); i += 3 {
@@ -437,6 +443,9 @@ func decodeMixedQueries(data []byte) []keys.Query {
 			qs = append(qs, keys.Delete(k))
 		case 3:
 			hi := k + keys.Key(aux%32)
+			if aux%32 == 31 {
+				hi = ^keys.Key(0)
+			}
 			qs = append(qs, keys.Scan(k, hi, keys.Value(aux>>5))) // limit 0..7
 		case 4:
 			qs = append(qs, keys.AddDelta(k, keys.Value(aux)))

@@ -237,6 +237,10 @@ func (s *RowSlab) AppendAll(rows []KV) {
 // Len returns the number of rows in the unsealed scan.
 func (s *RowSlab) Len() int { return len(s.rows) - s.open }
 
+// Rows returns the number of rows the slab has taken since its last
+// reset, sealed or not.
+func (s *RowSlab) Rows() int { return s.spilt + len(s.rows) }
+
 // Finish seals the unsealed scan and returns its rows, clipped to their
 // own capacity. They stay valid until the owning ResultSet is Reset.
 func (s *RowSlab) Finish() []KV {

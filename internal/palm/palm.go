@@ -65,8 +65,6 @@ type Processor struct {
 	counts  []int       // group-size prefix sums for load balancing
 	runs    []parentRun // Stage-3 same-parent request runs
 
-	scanLeaves []*btree.Node // EvalScans: start leaf per scan
-
 	// Stats for the most recent batch; never nil.
 	batchStats *stats.Batch
 }
@@ -84,6 +82,7 @@ type workerScratch struct {
 	leafVals  []keys.Value
 	sizeDelta int64
 	leafOps   int64 // operations applied at the leaf level (Fig. 13)
+	scanRows  int   // rows EvalScans wrote
 	// Layout counters (stats.Batch Splits/GapClaims/ShiftedSlots).
 	splits       int64
 	gapClaims    int64

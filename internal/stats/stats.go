@@ -22,7 +22,7 @@ type Stage int
 const (
 	StageSort     Stage = iota // pre-sorting the batch by key
 	StageQSAT1                 // QTrans sort (named qsat-phase1 for continuity)
-	StageQSAT2                 // QSAT pass + scan overlay (named qsat-phase2)
+	StageQSAT2                 // QSAT pass + scan split (named qsat-phase2)
 	StageCache                 // inter-batch top-K cache pass
 	StageFind                  // Stage 1: leaf search
 	StageEvaluate              // Stage 2: query evaluation at leaves
@@ -103,12 +103,8 @@ type Batch struct {
 	ShiftedSlots int
 	// ScanQueries counts range scans submitted in the batch.
 	ScanQueries int
-	// ScanRows counts rows returned across all of the batch's scans
-	// (covered scans count their derived rows).
+	// ScanRows counts rows returned across all of the batch's scans.
 	ScanRows int
-	// ScanKills counts scans answered by clipping a covering scan's
-	// rows instead of walking the tree (the covering-scan kill).
-	ScanKills int
 	// LeafOps[t] counts leaf-level operations performed by worker t
 	// (Fig. 13's load-balance metric).
 	LeafOps []int64
@@ -185,7 +181,6 @@ func (b *Batch) AddTo(dst *Batch) {
 	dst.ShiftedSlots += b.ShiftedSlots
 	dst.ScanQueries += b.ScanQueries
 	dst.ScanRows += b.ScanRows
-	dst.ScanKills += b.ScanKills
 	for i := range b.Elapsed {
 		dst.Elapsed[i] += b.Elapsed[i]
 	}
