@@ -13,7 +13,8 @@
 #                kernel differentials, the gapped tree, the sharded
 #                engine and autoshard controller, the cold-range tier
 #                store, the WAL syncer, the batcher's group-commit
-#                dispatch, the metrics registry, the TCP server front
+#                dispatch, the metrics registry, the shard routing
+#                counters, the TCP server front
 #                end and its CLI, and the facade (stream and service
 #                hammers, scan/RMW batches, tiered and durable
 #                integration, and the composition matrix of shards x
@@ -83,7 +84,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/bsp ./internal/core ./internal/cache ./internal/palm ./internal/btree ./internal/shard ./internal/tier ./internal/wal ./internal/batcher ./internal/metrics ./internal/server ./cmd/qtransserver ./qtrans
+	$(GO) test -race ./internal/bsp ./internal/core ./internal/cache ./internal/palm ./internal/btree ./internal/shard ./internal/tier ./internal/wal ./internal/batcher ./internal/metrics ./internal/stats ./internal/server ./cmd/qtransserver ./qtrans
 
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzRadixSortQueries -fuzztime=10s ./internal/bsp

@@ -44,7 +44,7 @@ func run(args []string) error {
 		modes   = fs.String("modes", "org,intra,inter", "comma-separated modes")
 		shards  = fs.Int("shards", 1, "range-partitioned shard count (>1 splits the worker budget across shards)")
 		rebal   = fs.Int("rebalance", 0, "rebalance shard boundaries every N batches (0 = never; needs -shards > 1)")
-		auto    = fs.Bool("autoshard", false, "traffic-aware automatic resharding: one controller step per batch (needs -shards > 1)")
+		auto    = fs.Bool("autoshard", false, "traffic-aware autosharding: one boundary-move step per batch (needs -shards > 1)")
 		tiered  = fs.Bool("tiered", false, "cold-range tiering: spill cold key ranges to runs in a temp directory, bounding resident keys (needs -shards = 1)")
 		tierBud = fs.Int("tiered-budget", 0, "tiered resident key budget (0 = a quarter of the keys stored after prefill)")
 

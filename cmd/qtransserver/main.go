@@ -53,7 +53,7 @@ func run(args []string, stdout *os.File) error {
 		drainGrace = fs.Duration("drain-grace", 30*time.Second, "graceful-drain deadline before connections are force-closed")
 		metricsOn  = fs.String("metrics-addr", "", "also serve /metrics and /healthz over HTTP on this address (empty = off)")
 		shards     = fs.Int("shards", 1, "range-partition the key space across N engines (1 = one shard, no split)")
-		autoshard  = fs.Bool("autoshard", false, "traffic-aware automatic resharding: heat-weighted boundary moves, hot splits, cold merges (needs -shards > 1)")
+		autoshard  = fs.Bool("autoshard", false, "traffic-aware autosharding: heat-weighted boundary moves over a fixed shard count (needs -shards > 1)")
 		tieredDir  = fs.String("tiered", "", "cold-range tiering: spill cold key ranges to runs in this directory, bounding resident keys (empty = off; wiped on start)")
 		tieredBud  = fs.Int("tiered-budget", 1<<20, "tiered resident key budget (needs -tiered)")
 	)

@@ -723,12 +723,11 @@ func Table2(rn *Runner, w io.Writer) error {
 // are sized to a third of the window — smaller than the hot set, so the
 // static arm's one hot shard thrashes, while the controller's boundary
 // moves spread the window across shards whose aggregate cache covers
-// it. The autoshard arm starts at two shards and is capped at the
-// static arm's four, so both arms end with identical resources; splits,
-// merges, and boundary moves all run live during the measured loop.
+// it. Both arms run four shards, so they have identical resources; the
+// autoshard arm's boundary moves run live during the measured loop.
 // Rows report end-to-end throughput, speedup over the static arm, the
-// cumulative routing imbalance, structural/migration activity, batch
-// wall percentiles, and the longest single controller pause — the
+// cumulative routing imbalance, migration activity, batch wall
+// percentiles, and the longest single controller pause — the
 // non-stop-the-world claim is that the pause stays within one batch
 // wall time.
 func AutoshardExp(rn *Runner, w io.Writer) error {
@@ -824,7 +823,7 @@ func AutoshardExp(rn *Runner, w io.Writer) error {
 			// spin forever.
 			for s := 0; auto.Enabled && s < 64; s++ {
 				r := eng.AutoshardStep()
-				if r.Moved == 0 && !r.Split && !r.Merge {
+				if r.Moved == 0 {
 					break
 				}
 			}
@@ -901,12 +900,7 @@ func AutoshardExp(rn *Runner, w io.Writer) error {
 		Interval:   -1, // stepped manually so every pause is timed
 		Buckets:    256,
 		DecayShift: 3,
-		SplitAbove: 1.6,
-		MergeBelow: 0.15,
-		Hysteresis: 3,
 		MaxStep:    256,
-		MaxShards:  4,
-		MinShards:  2,
 		MinHeat:    16,
 	}
 	auto, err := runArm(4, autoCfg)
@@ -914,12 +908,12 @@ func AutoshardExp(rn *Runner, w io.Writer) error {
 		return err
 	}
 
-	row(w, "arm", "shards", "qps", "speedup", "hit_rate", "imbalance", "splits", "merges", "moves", "migrated", "p50_batch_ms", "max_batch_ms", "pause_p99_ms", "max_pause_ms")
+	row(w, "arm", "shards", "qps", "speedup", "hit_rate", "imbalance", "moves", "migrated", "p50_batch_ms", "max_batch_ms", "pause_p99_ms", "max_pause_ms")
 	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
 	row(w, "static", static.shards, static.qps, 1.0, static.hitRate, static.st.Imbalance(),
-		0, 0, 0, 0, ms(static.p50), ms(static.max), 0.0, 0.0)
+		0, 0, ms(static.p50), ms(static.max), 0.0, 0.0)
 	row(w, "autoshard", auto.shards, auto.qps, auto.qps/static.qps, auto.hitRate, auto.st.Imbalance(),
-		auto.st.AutoSplits, auto.st.AutoMerges, auto.st.Moves, auto.st.Migrated,
+		auto.st.Moves, auto.st.Migrated,
 		ms(auto.p50), ms(auto.max), ms(auto.pauseP99), ms(auto.maxPause))
 	// The non-stop-the-world claim, asserted rather than eyeballed: the
 	// controller's batch-boundary pause must stay within one batch wall

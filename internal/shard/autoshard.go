@@ -6,20 +6,20 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/keys"
 	"repro/internal/metrics"
 )
 
 // Traffic-aware autosharding (DESIGN.md §13): a background controller
 // watches the heat histogram the splitter feeds (heat.go), recomputes
-// traffic-weighted shard boundaries, splits persistently hot shards and
-// merges persistently cold ones, and migrates keys between shards in
-// small bounded slices — each slice moved while the controller holds
+// traffic-weighted shard boundaries, and migrates keys between shards
+// in small bounded slices — each slice moved while the controller holds
 // the scheduling gate exclusively, i.e. exactly at a batch boundary, so
-// serving never pauses longer than one inter-batch gap (the old
-// stop-the-world Dump+BulkLoad rebalance is gone; Rebalance in
-// rebalance.go is now a thin loop over the same bounded moves).
+// serving never pauses longer than one inter-batch gap (Rebalance in
+// rebalance.go is a thin loop over the same bounded moves). The shard
+// count is fixed for the engine's life: like the paper's §V-A
+// partitioning, load is balanced by moving boundaries, never by adding
+// or removing shards.
 //
 // Migration operates strictly below the durability layer: moved pairs
 // are written with tree-level Insert/Delete, never through the commit
@@ -54,25 +54,9 @@ type AutoshardConfig struct {
 	// (50ms); negative disables the background goroutine so the
 	// controller only acts on explicit AutoshardStep calls.
 	Interval time.Duration
-	// SplitAbove triggers a split when the hottest shard's heat exceeds
-	// this multiple of the mean for Hysteresis consecutive steps
-	// (default 1.6).
-	SplitAbove float64
-	// MergeBelow triggers a merge when the coldest shard's heat falls
-	// below this multiple of the mean for Hysteresis consecutive steps
-	// (default 0.25).
-	MergeBelow float64
-	// Hysteresis is the number of consecutive over/under-threshold
-	// controller steps required before a structural change (default 3);
-	// it is what keeps the controller from flapping on noise.
-	Hysteresis int
 	// MaxStep bounds the pairs migrated per controller step (default
 	// 4096) — the unit of non-stop-the-world migration.
 	MaxStep int
-	// MaxShards caps splits (default 16); MinShards floors merges
-	// (default and minimum 2).
-	MaxShards int
-	MinShards int
 	// MinHeat is the total histogram heat below which the controller
 	// idles (default 256): no boundary chasing on traffic too thin to
 	// measure.
@@ -90,23 +74,8 @@ func (c AutoshardConfig) withDefaults() AutoshardConfig {
 	if c.Interval == 0 {
 		c.Interval = 50 * time.Millisecond
 	}
-	if c.SplitAbove <= 1 {
-		c.SplitAbove = 1.6
-	}
-	if c.MergeBelow <= 0 || c.MergeBelow >= 1 {
-		c.MergeBelow = 0.25
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = 3
-	}
 	if c.MaxStep <= 0 {
 		c.MaxStep = 4096
-	}
-	if c.MaxShards <= 0 {
-		c.MaxShards = 16
-	}
-	if c.MinShards < 2 {
-		c.MinShards = 2
 	}
 	if c.MinHeat <= 0 {
 		c.MinHeat = 256
@@ -118,22 +87,14 @@ func (c AutoshardConfig) withDefaults() AutoshardConfig {
 // which boundary moves are not worth their migration traffic.
 const moveImbalanceFloor = 1.05
 
-// autoController holds the controller's policy state. All mutable
-// fields are touched only from step(), which runs under the scheduling
-// gate's exclusive lock (or, gate-less, under the engine's
-// single-caller contract).
+// autoController holds the controller's policy state. Its scratch is
+// touched only from step(), which runs under the scheduling gate's
+// exclusive lock (or, gate-less, under the engine's single-caller
+// contract).
 type autoController struct {
 	e   *Engine
 	cfg AutoshardConfig
 	met *autoMetrics // nil when metrics are off
-
-	// hysteresis streaks: consecutive steps the split/merge condition
-	// held.
-	hotStreak  int
-	coldStreak int
-	// drain, when >= 0, is the shard currently being emptied into a
-	// neighbor (a cold-merge in progress, one bounded move per step).
-	drain int
 
 	// scratch reused across steps.
 	buckets []int64
@@ -149,25 +110,19 @@ func newAutoController(e *Engine, cfg AutoshardConfig) *autoController {
 	return &autoController{
 		e:       e,
 		cfg:     cfg,
-		met:     newAutoMetrics(e.cfg.Engine.Metrics),
-		drain:   -1,
+		met:     newAutoMetrics(e.cfg.Engine.Metrics, len(e.shards)),
 		buckets: make([]int64, cfg.Buckets),
+		share:   make([]float64, len(e.shards)),
 	}
 }
 
 // AutoshardReport summarizes one controller step.
 type AutoshardReport struct {
-	// Shards is the shard count after the step.
-	Shards int
-	// Imbalance is the observed max-shard-heat/mean ratio (0 while a
-	// drain is in progress or the controller idled).
+	// Imbalance is the observed max-shard-heat/mean ratio (0 when the
+	// controller idled).
 	Imbalance float64
 	// Moved is the number of pairs migrated by this step.
 	Moved int
-	// Split/Merge report a structural change made by this step (Merge
-	// reports the completed shard removal, not the drain's start).
-	Split bool
-	Merge bool
 	// Idle is true when total heat was below MinHeat and nothing was
 	// examined.
 	Idle bool
@@ -175,13 +130,13 @@ type AutoshardReport struct {
 
 // AutoshardStep runs one controller step at a batch boundary: it takes
 // the scheduling gate exclusively (waiting out every in-flight batch),
-// applies at most one bounded action — a boundary move of at most
-// MaxStep pairs, a split, or one drain slice of a merge — and releases
-// the gate. No-op when autoshard is off. Without a gate installed the
-// caller must not run it concurrently with batch processing.
+// makes at most one boundary move of at most MaxStep pairs, and
+// releases the gate. No-op when autoshard is off. Without a gate
+// installed the caller must not run it concurrently with batch
+// processing.
 func (e *Engine) AutoshardStep() AutoshardReport {
 	if e.auto == nil {
-		return AutoshardReport{Shards: len(e.shards)}
+		return AutoshardReport{}
 	}
 	if e.gate != nil {
 		e.gate.Lock()
@@ -244,85 +199,38 @@ func (a *autoController) stopBackground() {
 	}
 }
 
-// step runs one controller decision. Priority: finish an in-progress
-// drain, then rebalance boundaries by traffic weight, then structural
-// split/merge — structural changes fire only once boundary moves have
-// converged (deadband) yet the imbalance persists through Hysteresis
-// steps.
+// step runs one controller decision: once the histogram holds MinHeat
+// and the hottest shard exceeds moveImbalanceFloor times the mean, it
+// moves the boundary farthest from its traffic-weighted target by at
+// most MaxStep pairs. Heat that no boundary move can divide (it sits
+// inside one bucket) leaves every boundary dead-banded, and the layout
+// holds.
 func (a *autoController) step() AutoshardReport {
 	e := a.e
 	a.met.stepped()
-	rep := AutoshardReport{Shards: len(e.shards)}
-
-	if a.drain >= 0 {
-		a.drainStep(&rep)
-		rep.Shards = len(e.shards)
-		a.met.publish(len(e.shards), 0, nil)
-		return rep
-	}
+	var rep AutoshardReport
 
 	total := e.heat.load(a.buckets)
 	if total < a.cfg.MinHeat {
 		rep.Idle = true
-		a.met.publish(len(e.shards), 0, nil)
+		a.met.publish(0, nil)
 		return rep
 	}
 
 	share := a.shardHeat()
-	mean := float64(total) / float64(len(share))
-	maxS, minS := 0, 0
-	for s, v := range share {
-		if v > share[maxS] {
-			maxS = s
-		}
-		if v < share[minS] {
-			minS = s
-		}
+	maxHeat := 0.0
+	for _, v := range share {
+		maxHeat = math.Max(maxHeat, v)
 	}
-	imb := share[maxS] / mean
-	rep.Imbalance = imb
+	rep.Imbalance = maxHeat / (float64(total) / float64(len(share)))
 
-	// Hysteresis streaks accumulate whenever the condition holds, even
-	// on steps spent moving boundaries: a hot spike that boundary moves
-	// absorb resets the streak before it matters.
-	if share[maxS] >= a.cfg.SplitAbove*mean && len(e.shards) < a.cfg.MaxShards {
-		a.hotStreak++
-	} else {
-		a.hotStreak = 0
-	}
-	if share[minS] <= a.cfg.MergeBelow*mean && len(e.shards) > a.cfg.MinShards {
-		a.coldStreak++
-	} else {
-		a.coldStreak = 0
-	}
-
-	// Traffic-weighted boundary move: chase the split point whose
-	// cumulative-heat error is largest, one bounded slice per step.
-	if imb > moveImbalanceFloor {
+	if rep.Imbalance > moveImbalanceFloor {
 		if i, target, ok := a.worstBoundary(total); ok {
 			rep.Moved = e.moveBoundary(i, target, a.cfg.MaxStep, true)
 			a.met.moved(rep.Moved)
-			a.met.publish(len(e.shards), imb, share)
-			return rep
 		}
 	}
-
-	// Structural changes are deferred while a stream is active: the
-	// per-shard stream channels are fixed for the stream's lifetime.
-	// Boundary moves (above) and drain slices remain allowed.
-	if a.hotStreak >= a.cfg.Hysteresis && !e.streaming {
-		if err := e.splitShard(maxS); err == nil {
-			rep.Split = true
-			a.hotStreak, a.coldStreak = 0, 0
-			a.met.splitDone()
-		}
-	} else if a.coldStreak >= a.cfg.Hysteresis {
-		a.drain = minS
-		a.hotStreak, a.coldStreak = 0, 0
-		a.drainStep(&rep)
-	}
-	rep.Shards = len(e.shards)
-	a.met.publish(len(e.shards), imb, share)
+	a.met.publish(rep.Imbalance, share)
 	return rep
 }
 
@@ -332,11 +240,7 @@ func (a *autoController) step() AutoshardReport {
 func (a *autoController) shardHeat() []float64 {
 	e := a.e
 	h := e.heat
-	n := len(e.shards)
-	if cap(a.share) < n {
-		a.share = make([]float64, n)
-	}
-	share := a.share[:n]
+	share := a.share
 	for i := range share {
 		share[i] = 0
 	}
@@ -456,9 +360,8 @@ func (a *autoController) worstBoundary(total int64) (idx int, target keys.Key, o
 // is set the moved pairs are re-admitted into the receiver's cache as
 // clean entries: traffic-weighted moves shift the hottest range in the
 // system, and dropping it from both caches would serve misses until
-// the next write to each key. Cold paths (merge drains, count-based
-// rebalance) pass warm=false so cold keys never evict hot cache
-// entries. The caller must hold the gate exclusively (or otherwise
+// the next write to each key. The count-based Rebalance passes
+// warm=false so cold keys never evict hot cache entries. The caller must hold the gate exclusively (or otherwise
 // exclude batch processing). Also used by Rebalance (rebalance.go).
 func (e *Engine) moveBoundary(i int, target keys.Key, budget int, warm bool) int {
 	b := e.bounds[i]
@@ -484,8 +387,8 @@ func (e *Engine) moveBoundary(i int, target keys.Key, budget int, warm bool) int
 		moved, newBound = e.migrateDown(i, target, b, budget, warm)
 	}
 	if newBound != b {
-		// Copy-on-write keeps any bounds slice handed out (Bounds) or
-		// captured by a past split immutable.
+		// Copy-on-write keeps any bounds slice captured by a past
+		// split immutable.
 		nb := append([]keys.Key(nil), e.bounds...)
 		nb[i] = newBound
 		e.bounds = nb
@@ -573,191 +476,37 @@ func (e *Engine) migrateDown(i int, lo, hi keys.Key, budget int, warm bool) (int
 	return len(ks), newBound
 }
 
-// splitShard inserts an empty shard adjacent to hot shard s by
-// duplicating one of its boundaries — an O(1) structural change; the
-// traffic-weighted boundary moves of subsequent steps then shift keys
-// into the newcomer incrementally. The empty shard goes above s (the
-// duplicate of s's upper bound), or below when s is the last shard,
-// whose upper bound is +∞ and cannot be duplicated.
-func (e *Engine) splitShard(s int) error {
-	at, boundAt := s+1, s
-	bound := keys.Key(0)
-	if s == len(e.shards)-1 {
-		at, boundAt = s, s-1
-		bound = e.bounds[s-1]
-	} else {
-		bound = e.bounds[s]
-	}
-	return e.insertShard(at, boundAt, bound)
-}
-
-// insertShard splices a fresh empty shard in at index at with the given
-// boundary value spliced in at boundAt. Caller must hold the gate
-// exclusively and must not be streaming.
-func (e *Engine) insertShard(at, boundAt int, bound keys.Key) error {
-	sh, err := core.NewEngine(e.cfg.Engine)
-	if err != nil {
-		return fmt.Errorf("autoshard split: %w", err)
-	}
-
-	shards := make([]*core.Engine, 0, len(e.shards)+1)
-	shards = append(shards, e.shards[:at]...)
-	shards = append(shards, sh)
-	shards = append(shards, e.shards[at:]...)
-	e.shards = shards
-
-	nb := make([]keys.Key, 0, len(e.bounds)+1)
-	nb = append(nb, e.bounds[:boundAt]...)
-	nb = append(nb, bound)
-	nb = append(nb, e.bounds[boundAt:]...)
-	e.bounds = nb
-
-	subRS := make([]*keys.ResultSet, 0, len(e.shards))
-	subRS = append(subRS, e.subRS[:at]...)
-	subRS = append(subRS, keys.NewResultSet(0))
-	subRS = append(subRS, e.subRS[at:]...)
-	e.subRS = subRS
-
-	e.sp = newSplitter(len(e.shards))
-	e.shst.InsertSlot(at)
-	return nil
-}
-
-// removeShard splices out shard at (whose key range and tree must be
-// empty) and the boundary that delimited it. Caller must hold the gate
-// exclusively and must not be streaming.
-func (e *Engine) removeShard(at int) {
-	e.shards[at].Close()
-	e.shards = append(e.shards[:at:at], e.shards[at+1:]...)
-
-	bi := at - 1
-	if bi < 0 {
-		bi = 0
-	}
-	e.bounds = append(e.bounds[:bi:bi], e.bounds[bi+1:]...)
-	e.subRS = append(e.subRS[:at:at], e.subRS[at+1:]...)
-	e.sp = newSplitter(len(e.shards))
-	e.shst.RemoveSlot(at)
-}
-
-// drainStep advances a cold-merge: one bounded move of the draining
-// shard's keys into a neighbor, and — once the shard is empty — its
-// removal. Removal is structural and so waits for any active stream to
-// finish; the drain stays parked until then.
-func (a *autoController) drainStep(rep *AutoshardReport) {
-	e := a.e
-	c := a.drain
-	n := len(e.shards)
-	if n <= a.cfg.MinShards || c >= n {
-		a.drain = -1
-		return
-	}
-	if c == 0 {
-		// Shard 0 serves [0, bounds[0]); lower that bound to 0 to hand
-		// everything to shard 1.
-		rep.Moved = e.moveBoundary(0, 0, a.cfg.MaxStep, false)
-		a.met.moved(rep.Moved)
-		if e.bounds[0] != 0 {
-			return // more slices to go
-		}
-	} else {
-		// Raise the bound below c past c's upper end, handing its keys
-		// to shard c-1. The last shard's upper end is +∞.
-		target := keys.Key(math.MaxUint64)
-		if c < n-1 {
-			target = e.bounds[c]
-		}
-		rep.Moved = e.moveBoundary(c-1, target, a.cfg.MaxStep, false)
-		a.met.moved(rep.Moved)
-		if e.bounds[c-1] != target {
-			return
-		}
-		if t := e.shards[c].Processor().Tree(); t.Len() > 0 {
-			if c == n-1 {
-				// [MaxUint64, ∞) can still hold the single maximal key,
-				// which no exclusive-upper-bound move can express; hand
-				// it over directly.
-				e.shards[c].Flush()
-				rt := e.shards[c-1].Processor().Tree()
-				t.Scan(func(k keys.Key, v keys.Value) bool {
-					rt.Insert(k, v)
-					return true
-				})
-				for t.Len() > 0 {
-					var k0 keys.Key
-					t.Scan(func(k keys.Key, v keys.Value) bool {
-						k0 = k
-						return false
-					})
-					t.Delete(k0)
-				}
-			} else {
-				return // keys arrived mid-drain; keep moving
-			}
-		}
-	}
-	if t := e.shards[c].Processor().Tree(); t.Len() > 0 {
-		return
-	}
-	if e.streaming {
-		return // park: channel plumbing is fixed until the stream ends
-	}
-	e.removeShard(c)
-	a.drain = -1
-	a.hotStreak, a.coldStreak = 0, 0
-	rep.Merge = true
-	a.met.mergeDone()
-}
-
 // autoMetrics is the nil-safe metrics handle bundle for the controller
-// (mirrors shardMetrics): counters for structural activity and
-// migration volume, gauges for the live shard count, imbalance, and
-// per-shard heat. Per-shard heat gauges are created on demand as the
-// shard count grows; slots beyond the current count are zeroed so a
-// merge does not leave a stale reading behind.
+// (mirrors shardMetrics): counters for migration volume, gauges for the
+// imbalance and per-shard heat (one per shard, built once).
 type autoMetrics struct {
-	reg      *metrics.Registry
-	shards   *metrics.Gauge
 	imb      *metrics.Gauge
-	splits   *metrics.Counter
-	merges   *metrics.Counter
 	moves    *metrics.Counter
 	migrated *metrics.Counter
 	steps    *metrics.Counter
 	heat     []*metrics.Gauge
 }
 
-func newAutoMetrics(reg *metrics.Registry) *autoMetrics {
+func newAutoMetrics(reg *metrics.Registry, shards int) *autoMetrics {
 	if reg == nil {
 		return nil
 	}
-	return &autoMetrics{
-		reg:      reg,
-		shards:   reg.Gauge("autoshard_shards"),
+	m := &autoMetrics{
 		imb:      reg.Gauge("autoshard_imbalance_permille"),
-		splits:   reg.Counter("autoshard_splits_total"),
-		merges:   reg.Counter("autoshard_merges_total"),
 		moves:    reg.Counter("autoshard_moves_total"),
 		migrated: reg.Counter("autoshard_migrated_total"),
 		steps:    reg.Counter("autoshard_steps_total"),
+		heat:     make([]*metrics.Gauge, shards),
 	}
+	for i := range m.heat {
+		m.heat[i] = reg.Gauge(fmt.Sprintf("autoshard_heat_shard_%d", i))
+	}
+	return m
 }
 
 func (m *autoMetrics) stepped() {
 	if m != nil {
 		m.steps.Add(1)
-	}
-}
-
-func (m *autoMetrics) splitDone() {
-	if m != nil {
-		m.splits.Add(1)
-	}
-}
-
-func (m *autoMetrics) mergeDone() {
-	if m != nil {
-		m.merges.Add(1)
 	}
 }
 
@@ -771,20 +520,18 @@ func (m *autoMetrics) moved(pairs int) {
 	}
 }
 
-func (m *autoMetrics) publish(shards int, imb float64, share []float64) {
+// publish sets the imbalance and per-shard heat gauges; a nil share (an
+// idle step) zeroes the heat gauges.
+func (m *autoMetrics) publish(imb float64, share []float64) {
 	if m == nil {
 		return
 	}
-	m.shards.Set(int64(shards))
 	m.imb.Set(int64(imb * 1000))
-	for len(m.heat) < len(share) {
-		m.heat = append(m.heat, m.reg.Gauge(fmt.Sprintf("autoshard_heat_shard_%d", len(m.heat))))
-	}
 	for i, g := range m.heat {
-		if i < len(share) {
-			g.Set(int64(share[i]))
-		} else {
-			g.Set(0)
+		v := 0.0
+		if share != nil {
+			v = share[i]
 		}
+		g.Set(int64(v))
 	}
 }

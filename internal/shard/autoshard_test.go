@@ -54,21 +54,18 @@ func checkStore(t *testing.T, tag string, e *Engine, orc *oracle.Oracle) {
 	}
 }
 
-// TestAutoshardSplitsHotShard pins the split policy: heat concentrated
-// inside one bucket — too narrow for boundary moves to re-split
-// (deadband) — must split the hot shard after exactly Hysteresis
-// controller steps, and must not split again at MaxShards.
-func TestAutoshardSplitsHotShard(t *testing.T) {
+// TestAutoshardDeadbandHoldsLayout pins the layout's stability when
+// heat sits inside one histogram bucket: no boundary move can divide
+// it (every traffic-weighted target lies within one bucket width of
+// its bound), so the controller reports the imbalance and holds —
+// never adding shards that would carry no traffic.
+func TestAutoshardDeadbandHoldsLayout(t *testing.T) {
 	e, err := New(Config{
 		Shards:     2,
 		Engine:     testEngineConfig(core.IntraInter, false),
 		KeyMax:     1<<16 - 1,
 		Boundaries: []keys.Key{16000},
-		Autoshard: AutoshardConfig{
-			Enabled: true, Interval: -1,
-			Buckets: 4, SplitAbove: 1.5, MergeBelow: 0.01,
-			Hysteresis: 2, MaxStep: 64, MaxShards: 3, MinShards: 3, MinHeat: 1,
-		},
+		Autoshard:  AutoshardConfig{Enabled: true, Interval: -1, Buckets: 4},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -80,80 +77,24 @@ func TestAutoshardSplitsHotShard(t *testing.T) {
 
 	// Bucket width is 16384; all heat in bucket 0, bound at 16000 →
 	// shard 0 carries ~98% of interpolated heat, and the equal-heat
-	// target (8192) is within one bucket of the bound, so moves stay
-	// dead-banded and the imbalance persists.
-	injectHeat(e, 1000, 1000)
-
-	r1 := e.AutoshardStep()
-	if r1.Split || r1.Merge || e.Shards() != 2 {
-		t.Fatalf("step 1 acted before hysteresis: %+v, shards=%d", r1, e.Shards())
-	}
-	r2 := e.AutoshardStep()
-	if !r2.Split || e.Shards() != 3 {
-		t.Fatalf("step 2: %+v, shards=%d, want split to 3", r2, e.Shards())
-	}
-	// The empty newcomer duplicates the hot shard's upper bound.
-	if b := e.Bounds(); len(b) != 2 || b[0] != 16000 || b[1] != 16000 {
-		t.Fatalf("bounds after split = %v, want [16000 16000]", b)
-	}
-	// At MaxShards (and MinShards=3 blocking a merge-back of the empty
-	// newcomer) further steps must hold steady.
-	for i := 0; i < 4; i++ {
-		if r := e.AutoshardStep(); r.Split || r.Merge {
-			t.Fatalf("post-cap step %d acted: %+v", i, r)
+	// target (8192) is within one bucket of the bound.
+	for i := 0; i < 40; i++ {
+		injectHeat(e, 1000, 1000)
+		r := e.AutoshardStep()
+		if r.Moved != 0 || r.Idle {
+			t.Fatalf("step %d acted: %+v", i, r)
+		}
+		if r.Imbalance <= 1.5 {
+			t.Fatalf("step %d imbalance %.3f, want > 1.5", i, r.Imbalance)
+		}
+		if n, b := e.Shards(), e.Bounds(); n != 2 || len(b) != 1 || b[0] != 16000 {
+			t.Fatalf("step %d: shards=%d bounds=%v, want 2 and [16000]", i, n, b)
 		}
 	}
-	if st := e.ShardStats(); st.AutoSplits != 1 || st.AutoMerges != 0 {
-		t.Fatalf("split/merge counters = %d/%d, want 1/0", st.AutoSplits, st.AutoMerges)
+	if st := e.ShardStats(); st.Moves != 0 || st.Migrated != 0 {
+		t.Fatalf("move counters = %d/%d, want 0/0", st.Moves, st.Migrated)
 	}
-	checkStore(t, "post-split", e, orc)
-}
-
-// TestAutoshardHysteresisResets pins the anti-flap contract: a streak
-// broken before Hysteresis steps must not split.
-func TestAutoshardHysteresisResets(t *testing.T) {
-	e, err := New(Config{
-		Shards:     2,
-		Engine:     testEngineConfig(core.IntraInter, false),
-		KeyMax:     1<<16 - 1,
-		Boundaries: []keys.Key{16000},
-		Autoshard: AutoshardConfig{
-			Enabled: true, Interval: -1,
-			Buckets: 4, SplitAbove: 1.5, MergeBelow: 0.01,
-			Hysteresis: 3, MaxStep: 64, MaxShards: 4, MinShards: 2, MinHeat: 1,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-
-	injectHeat(e, 1000, 1000) // hot bucket 0, as in the split test
-	e.AutoshardStep()
-	e.AutoshardStep() // streak at 2 of 3
-	// One balanced step resets the streak: matching heat on shard 1's
-	// side evens the shares (imbalance ~1.02, under the move floor and
-	// far under SplitAbove).
-	injectHeat(e, 40000, 1000)
-	if r := e.AutoshardStep(); r.Split || r.Idle || r.Moved != 0 {
-		t.Fatalf("balanced step acted: %+v", r)
-	}
-	// A fully cooled histogram idles (below MinHeat) without touching
-	// the streak.
-	coolHeat(e)
-	if r := e.AutoshardStep(); !r.Idle {
-		t.Fatalf("cooled step not idle: %+v", r)
-	}
-	// Re-heat: the streak must start over, so two more steps stay put
-	// and only the third splits.
-	injectHeat(e, 1000, 1000)
-	e.AutoshardStep()
-	if r := e.AutoshardStep(); r.Split || e.Shards() != 2 {
-		t.Fatalf("split after broken streak: %+v, shards=%d", r, e.Shards())
-	}
-	if r := e.AutoshardStep(); !r.Split || e.Shards() != 3 {
-		t.Fatalf("step at full streak: %+v, shards=%d, want split", r, e.Shards())
-	}
+	checkStore(t, "deadband", e, orc)
 }
 
 // TestAutoshardMovesTowardTraffic pins the boundary-move policy: heat
@@ -167,8 +108,7 @@ func TestAutoshardMovesTowardTraffic(t *testing.T) {
 		KeyMax: 1<<16 - 1,
 		Autoshard: AutoshardConfig{
 			Enabled: true, Interval: -1,
-			Buckets: 16, SplitAbove: 100, MergeBelow: 0.001,
-			Hysteresis: 100, MaxStep: 100, MaxShards: 2, MinShards: 2, MinHeat: 1,
+			Buckets: 16, MaxStep: 100, MinHeat: 1,
 		},
 	})
 	if err != nil {
@@ -189,9 +129,6 @@ func TestAutoshardMovesTowardTraffic(t *testing.T) {
 	var steps, migrated int
 	for i := 0; i < 20; i++ {
 		r := e.AutoshardStep()
-		if r.Split || r.Merge {
-			t.Fatalf("step %d structural: %+v", i, r)
-		}
 		migrated += r.Moved
 		steps++
 		if r.Moved == 0 && i > 0 {
@@ -223,67 +160,6 @@ func TestAutoshardMovesTowardTraffic(t *testing.T) {
 	got := keys.NewResultSet(len(qs))
 	e.ProcessBatch(qs, got)
 	diffResults(t, "post-move-batch", 0, want, got, len(qs))
-}
-
-// TestAutoshardMergeDrainsColdShard pins the merge policy: a sliver
-// shard whose heat share stays under MergeBelow — while every boundary
-// is dead-banded against moves — is drained into its neighbor in
-// bounded slices and removed.
-func TestAutoshardMergeDrainsColdShard(t *testing.T) {
-	e, err := New(Config{
-		Shards: 3,
-		Engine: testEngineConfig(core.IntraInter, false),
-		KeyMax: 1<<16 - 1,
-		// Shard 1 is a low-traffic sliver: [17930, 20000).
-		Boundaries: []keys.Key{17930, 20000},
-		Autoshard: AutoshardConfig{
-			Enabled: true, Interval: -1,
-			Buckets: 4, SplitAbove: 100, MergeBelow: 0.25,
-			Hysteresis: 2, MaxStep: 16, MaxShards: 3, MinShards: 2, MinHeat: 1,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	orc := oracle.New()
-	seedPairs(t, e, orc, 1<<16, 64)
-	coolHeat(e)
-
-	// Buckets of width 16384. Heat 300/350/350 in buckets 0–2 puts the
-	// traffic-weighted targets at ~17930 and ~33554: boundary 0 sits on
-	// its target, boundary 1 is within one bucket of its own, so moves
-	// are dead-banded while shard 1's share (~44 of a 333 mean) stays
-	// cold.
-	injectHeat(e, 1000, 300)
-	injectHeat(e, 17000, 350)
-	injectHeat(e, 33000, 350)
-
-	merged := false
-	var migrated int
-	for i := 0; i < 20 && !merged; i++ {
-		r := e.AutoshardStep()
-		if r.Split {
-			t.Fatalf("step %d split: %+v", i, r)
-		}
-		migrated += r.Moved
-		merged = r.Merge
-	}
-	if !merged || e.Shards() != 2 {
-		t.Fatalf("no merge (shards=%d)", e.Shards())
-	}
-	if b := e.Bounds(); len(b) != 1 || b[0] != 20000 {
-		t.Fatalf("bounds after merge = %v, want [20000]", b)
-	}
-	// The sliver held (20000-17930)/64 ≈ 32 pairs; at 16 pairs/step the
-	// drain took multiple slices.
-	if migrated < 30 {
-		t.Fatalf("drain migrated %d pairs, want ≥30", migrated)
-	}
-	if st := e.ShardStats(); st.AutoMerges != 1 {
-		t.Fatalf("AutoMerges = %d, want 1", st.AutoMerges)
-	}
-	checkStore(t, "post-merge", e, orc)
 }
 
 // TestAutoshardOffAllocIdentical is the alloc half of the zero-cost-off
@@ -336,18 +212,20 @@ func TestAutoshardOffAllocIdentical(t *testing.T) {
 }
 
 // FuzzAutoshard is the differential property for the whole controller:
-// ANY batch sequence interleaved with controller steps — with
-// thresholds aggressive enough that splits, merges, and boundary moves
-// all fire constantly — stays byte-identical to the oracle, scans
+// ANY batch sequence interleaved with controller steps — with a
+// histogram fine and a migration slice small enough that boundary
+// moves fire constantly — stays byte-identical to the oracle, scans
 // straddling freshly moved boundaries included, across shard counts
-// and pipelined execution.
+// and pipelined execution; and the shard count never changes.
 func FuzzAutoshard(f *testing.F) {
 	// Mixed ops with batch breaks (steps run between batches).
 	f.Add([]byte{1, 10, 1, 30, 1, 50, 0xFF, 0, 0, 10, 0, 30, 2, 50, 0xFF, 0, 0, 10, 0})
-	// Hot hammering of one key range to provoke splits.
+	// Hot hammering of one key range.
 	f.Add([]byte{1, 5, 0, 5, 0, 6, 0, 5, 0, 6, 0, 5, 0xFF, 0, 0, 5, 0, 6, 0, 5, 0, 6})
 	// Straddling scans after moves.
 	f.Add([]byte{1, 10, 1, 30, 1, 50, 63, 0, 0xFF, 0, 63, 0, 4, 40, 63, 0})
+	// All traffic on one key, across batches: heat no move can divide.
+	f.Add([]byte{1, 7, 0, 7, 2, 7, 0, 7, 0xFF, 0, 0, 7, 1, 7, 0, 7, 0xFF, 0, 0, 7, 3, 7, 0, 7})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		batches := decodeFuzzBatches(data)
@@ -357,12 +235,12 @@ func FuzzAutoshard(f *testing.F) {
 		auto := AutoshardConfig{
 			Enabled: true, Interval: -1,
 			Buckets: 8, DecayShift: 2,
-			SplitAbove: 1.01, MergeBelow: 0.9, Hysteresis: 1,
-			MaxStep: 5, MaxShards: 5, MinShards: 2, MinHeat: 1,
+			MaxStep: 5, MinHeat: 1,
 		}
 		type arm struct {
-			name string
-			eng  *Engine
+			name   string
+			eng    *Engine
+			shards int
 		}
 		var arms []arm
 		for _, n := range []int{1, 2, 3, 8} {
@@ -377,7 +255,7 @@ func FuzzAutoshard(f *testing.F) {
 					t.Fatal(err)
 				}
 				defer e.Close()
-				arms = append(arms, arm{name: "auto+" + armName(n, pipelined), eng: e})
+				arms = append(arms, arm{name: "auto+" + armName(n, pipelined), eng: e, shards: n})
 			}
 		}
 
@@ -389,14 +267,13 @@ func FuzzAutoshard(f *testing.F) {
 				rs := keys.NewResultSet(len(qs))
 				a.eng.ProcessBatch(append([]keys.Query(nil), qs...), rs)
 				diffResults(t, a.name, bi, want, rs, len(qs))
-				// Two controller steps per batch: structural changes
-				// need consecutive over-threshold steps even at
-				// Hysteresis 1, and back-to-back steps exercise drain
-				// continuations.
-				a.eng.AutoshardStep()
-				a.eng.AutoshardStep()
-				if b := a.eng.Bounds(); len(b) != a.eng.Shards()-1 {
-					t.Fatalf("%s: %d bounds for %d shards", a.name, len(b), a.eng.Shards())
+				// Two controller steps per batch: back-to-back steps
+				// continue a move that outgrew one MaxStep slice.
+				for step := 0; step < 2; step++ {
+					a.eng.AutoshardStep()
+					if n, b := a.eng.Shards(), a.eng.Bounds(); n != a.shards || len(b) != a.shards-1 {
+						t.Fatalf("%s: %d shards, %d bounds, want %d and %d", a.name, n, len(b), a.shards, a.shards-1)
+					}
 				}
 			}
 		}
@@ -430,8 +307,7 @@ func TestAutoshardMoveWarmsReceiverCache(t *testing.T) {
 		KeyMax: 1<<16 - 1,
 		Autoshard: AutoshardConfig{
 			Enabled: true, Interval: -1,
-			Buckets: 16, SplitAbove: 100, MergeBelow: 0.001,
-			Hysteresis: 100, MaxStep: 100, MaxShards: 2, MinShards: 2, MinHeat: 1,
+			Buckets: 16, MaxStep: 100, MinHeat: 1,
 		},
 	})
 	if err != nil {
@@ -449,8 +325,8 @@ func TestAutoshardMoveWarmsReceiverCache(t *testing.T) {
 	// keys [newBound, 32768) now live in shard 1, whose cache was just
 	// warmed with the tail of the moved slice.
 	r := e.AutoshardStep()
-	if r.Moved == 0 || r.Split || r.Merge {
-		t.Fatalf("expected a pure boundary move, got %+v", r)
+	if r.Moved == 0 {
+		t.Fatalf("expected a boundary move, got %+v", r)
 	}
 	bound := e.Bounds()[0]
 	if bound >= 32768 {

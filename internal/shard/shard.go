@@ -47,10 +47,10 @@ type Config struct {
 	// initial choice from the observed keys, and the Autoshard
 	// controller tracks it continuously.
 	KeyMax keys.Key
-	// Autoshard configures traffic-aware automatic resharding (online
-	// heat tracking, hot-split/cold-merge, incremental migration; see
-	// autoshard.go and DESIGN.md §13). The zero value keeps it off with
-	// the routing hot path byte- and alloc-identical to previous
+	// Autoshard configures traffic-aware boundary moves (online heat
+	// tracking, incremental migration; the shard count stays Shards;
+	// see autoshard.go and DESIGN.md §13). The zero value keeps it off
+	// with the routing hot path byte- and alloc-identical to previous
 	// releases. Requires Shards > 1.
 	Autoshard AutoshardConfig
 }
@@ -63,7 +63,9 @@ type Config struct {
 // ProcessStream, and Rebalance must not run concurrently with each
 // other or themselves.
 type Engine struct {
-	cfg    Config
+	cfg Config
+	// shards, sp and subRS are built once, for the engine's fixed shard
+	// count; bounds is replaced (never mutated) by boundary moves.
 	shards []*core.Engine
 	bounds []keys.Key
 
@@ -81,11 +83,6 @@ type Engine struct {
 
 	// stream state (stream.go)
 	lendRS *keys.ResultSet
-	// streaming is true while a multi-shard ProcessStream is active.
-	// Set and cleared under gate.RLock, read by the controller under
-	// gate.Lock (so access is mutually exclusive); it blocks structural
-	// shard-count changes, whose channel plumbing is fixed per stream.
-	streaming bool
 
 	// Durability hooks (nil/zero when durability is off; see commit.go).
 	committer Committer
@@ -241,13 +238,8 @@ func lowerBound(ks []keys.Key, bound keys.Key, from int) int {
 	return lo
 }
 
-// Shards returns the number of partitions. With autoshard on the count
-// changes over time; the gate makes the read consistent.
-func (e *Engine) Shards() int {
-	e.rlock()
-	defer e.runlock()
-	return len(e.shards)
-}
+// Shards returns the number of partitions, fixed at construction.
+func (e *Engine) Shards() int { return len(e.shards) }
 
 // Bounds returns a copy of the current split points (ascending, len
 // Shards-1) — a copy because the autoshard controller replaces the
@@ -296,8 +288,8 @@ func (e *Engine) ProcessBatch(qs []keys.Query, rs *keys.ResultSet) {
 	// split, every shard's sub-batch, merge — so a snapshot never
 	// observes a logged but unapplied batch (see commit.go), and the
 	// autoshard controller (which holds the gate exclusively while it
-	// mutates bounds, shards, and the splitter) never overlaps one. It
-	// must be taken before anything below reads those fields.
+	// moves keys and swaps bounds) never overlaps one. It must be taken
+	// before anything below reads the bounds or the shard trees.
 	e.rlock()
 	defer e.runlock()
 	if !e.commit(qs) {

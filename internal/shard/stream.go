@@ -67,20 +67,13 @@ func (e *Engine) newStreamJob() *streamJob {
 // (the core.Job contract). Must not be called concurrently with itself,
 // ProcessBatch, or Rebalance.
 func (e *Engine) ProcessStream(in <-chan *core.Job, emit func(*core.Job)) {
-	// Stream setup fixes the shard fan-out (one channel and one
-	// ProcessStream per shard) for the stream's whole lifetime, so it
-	// reads e.shards under the gate and raises e.streaming — which the
-	// autoshard controller checks under the gate's exclusive lock —
-	// to defer structural shard-count changes until the stream ends.
-	// Boundary moves stay allowed between jobs.
-	e.rlock()
 	if len(e.shards) == 1 {
-		e.runlock()
 		e.processStreamOne(in, emit)
 		return
 	}
-	e.streaming = true
 
+	// One channel and one ProcessStream per shard; the shard count is
+	// fixed, and boundary moves between jobs change only the routing.
 	n := len(e.shards)
 	subIn := make([]chan *core.Job, n)
 	var shardWG sync.WaitGroup
@@ -100,7 +93,6 @@ func (e *Engine) ProcessStream(in <-chan *core.Job, emit func(*core.Job)) {
 		free <- e.newStreamJob()
 	}
 	ordered := make(chan *streamJob, streamDepth)
-	e.runlock()
 
 	go func() {
 		for job := range in {
@@ -163,9 +155,6 @@ func (e *Engine) ProcessStream(in <-chan *core.Job, emit func(*core.Job)) {
 		e.runlock()
 	}
 	shardWG.Wait()
-	e.rlock()
-	e.streaming = false
-	e.runlock()
 }
 
 // droppedJob stands in, inside the one-shard stream, for a job the

@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -342,15 +341,11 @@ func (d MemDelta) PerBatch(n int) (allocs, bytes float64) {
 // Shard accumulates the routing and rebalancing counters of a
 // range-partitioned sharded engine (internal/shard): how many queries
 // each shard received, how evenly the splitter spread the load, and how
-// much key migration the boundary rebalances caused. Counter updates
-// use atomics so the stream splitter goroutine can record routing while
-// other goroutines read snapshots; mu guards the Routed slice header
-// itself, which the autoshard controller replaces when it adds or
-// removes a shard.
+// much key migration the boundary moves caused. The shard count is
+// fixed, so every counter is a plain atomic: the stream splitter
+// goroutine records routing while other goroutines read snapshots.
 type Shard struct {
-	mu sync.RWMutex
-	// Routed[s] counts queries routed to shard s since creation (since
-	// the slot was inserted, for shards the autoshard controller added).
+	// Routed[s] counts queries routed to shard s since creation.
 	Routed []int64
 	// Batches counts batches split across the shards.
 	Batches int64
@@ -361,8 +356,6 @@ type Shard struct {
 	Rebalances int64
 	// Moves counts autoshard incremental boundary moves.
 	Moves int64
-	// AutoSplits and AutoMerges count autoshard structural changes.
-	AutoSplits, AutoMerges int64
 }
 
 // NewShard returns a Shard stats block for n shards.
@@ -372,9 +365,7 @@ func NewShard(n int) *Shard {
 
 // RecordRouted adds n routed queries to shard s.
 func (s *Shard) RecordRouted(shard, n int) {
-	s.mu.RLock()
 	atomic.AddInt64(&s.Routed[shard], int64(n))
-	s.mu.RUnlock()
 }
 
 // RecordBatch counts one split batch.
@@ -394,41 +385,8 @@ func (s *Shard) RecordMove(migrated int) {
 	atomic.AddInt64(&s.Migrated, int64(migrated))
 }
 
-// InsertSlot grows the per-shard counters with a zeroed slot at
-// position at (an autoshard hot-split) and counts the split.
-func (s *Shard) InsertSlot(at int) {
-	s.mu.Lock()
-	routed := make([]int64, 0, len(s.Routed)+1)
-	routed = append(routed, s.Routed[:at]...)
-	routed = append(routed, 0)
-	routed = append(routed, s.Routed[at:]...)
-	s.Routed = routed
-	s.mu.Unlock()
-	atomic.AddInt64(&s.AutoSplits, 1)
-}
-
-// RemoveSlot drops shard at's counter slot (an autoshard cold-merge)
-// and counts the merge. The removed slot's history folds into the
-// neighbor that absorbed its range, keeping RoutedTotal monotone.
-func (s *Shard) RemoveSlot(at int) {
-	s.mu.Lock()
-	into := at - 1
-	if into < 0 {
-		into = at + 1
-	}
-	atomic.AddInt64(&s.Routed[into], atomic.LoadInt64(&s.Routed[at]))
-	routed := make([]int64, 0, len(s.Routed)-1)
-	routed = append(routed, s.Routed[:at]...)
-	routed = append(routed, s.Routed[at+1:]...)
-	s.Routed = routed
-	s.mu.Unlock()
-	atomic.AddInt64(&s.AutoMerges, 1)
-}
-
 // RoutedTotal returns the total number of routed queries.
 func (s *Shard) RoutedTotal() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	var sum int64
 	for i := range s.Routed {
 		sum += atomic.LoadInt64(&s.Routed[i])
@@ -440,8 +398,6 @@ func (s *Shard) RoutedTotal() int64 {
 // is a perfectly even spread, n means one shard took all the load.
 // Returns 1 when nothing has been routed.
 func (s *Shard) Imbalance() float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	if len(s.Routed) == 0 {
 		return 1
 	}
@@ -460,16 +416,14 @@ func (s *Shard) Imbalance() float64 {
 }
 
 // String renders a compact summary, e.g.
-// "shards=4 routed=[10 20 30 40] imbalance=1.60 rebalances=1 migrated=12".
+// "shards=4 routed=[10 20 30 40] imbalance=1.60 rebalances=1 migrated=12 moves=3".
 func (s *Shard) String() string {
-	s.mu.RLock()
 	routed := make([]int64, len(s.Routed))
 	for i := range routed {
 		routed[i] = atomic.LoadInt64(&s.Routed[i])
 	}
-	s.mu.RUnlock()
-	return fmt.Sprintf("shards=%d routed=%v imbalance=%.2f rebalances=%d migrated=%d moves=%d splits=%d merges=%d",
+	return fmt.Sprintf("shards=%d routed=%v imbalance=%.2f rebalances=%d migrated=%d moves=%d",
 		len(s.Routed), routed, s.Imbalance(),
 		atomic.LoadInt64(&s.Rebalances), atomic.LoadInt64(&s.Migrated),
-		atomic.LoadInt64(&s.Moves), atomic.LoadInt64(&s.AutoSplits), atomic.LoadInt64(&s.AutoMerges))
+		atomic.LoadInt64(&s.Moves))
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -187,5 +188,65 @@ func TestShardImbalanceOneHot(t *testing.T) {
 	s.RecordRouted(5, 1000)
 	if got := s.Imbalance(); got != 8 {
 		t.Fatalf("one-hot Imbalance = %f, want 8", got)
+	}
+}
+
+// TestShardCountersConcurrent runs routing and move records from
+// several goroutines while another reads every summary: the counters
+// are plain atomics over a fixed-length slice, so under -race nothing
+// may be reported and the final totals must be exact.
+func TestShardCountersConcurrent(t *testing.T) {
+	const shards, writers, rounds = 4, 4, 2000
+	s := NewShard(shards)
+	done := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if s.RoutedTotal() < 0 || s.Imbalance() < 1 || !strings.Contains(s.String(), "shards=4") {
+				t.Error("inconsistent snapshot")
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				s.RecordRouted((w+i)%shards, 3)
+				s.RecordBatch()
+				if i%10 == 0 {
+					s.RecordMove(7)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(done)
+	reader.Wait()
+
+	if got, want := s.RoutedTotal(), int64(writers*rounds*3); got != want {
+		t.Fatalf("RoutedTotal = %d, want %d", got, want)
+	}
+	for sh, v := range s.Routed {
+		if want := int64(writers * rounds * 3 / shards); v != want {
+			t.Fatalf("Routed[%d] = %d, want %d", sh, v, want)
+		}
+	}
+	if got := s.Imbalance(); got != 1 {
+		t.Fatalf("Imbalance = %f, want 1", got)
+	}
+	moves := int64(writers * rounds / 10)
+	if s.Batches != writers*rounds || s.Moves != moves || s.Migrated != 7*moves {
+		t.Fatalf("batches/moves/migrated = %d/%d/%d, want %d/%d/%d",
+			s.Batches, s.Moves, s.Migrated, writers*rounds, moves, 7*moves)
 	}
 }

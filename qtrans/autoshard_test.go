@@ -9,23 +9,19 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/shard"
 )
 
-// aggressiveAutoshard makes every controller mechanism fire within a
-// short test: hair-trigger thresholds, single-step hysteresis, tiny
-// migration slices.
+// aggressiveAutoshard makes boundary moves fire within a short test:
+// a fine histogram, no idle floor, tiny migration slices.
 func aggressiveAutoshard() Autoshard {
 	return Autoshard{
-		Enabled:    true,
-		Interval:   -1, // manual stepping
-		Buckets:    16,
-		SplitAbove: 1.1,
-		MergeBelow: 0.5,
-		Hysteresis: 1,
-		MaxStep:    32,
-		MaxShards:  6,
-		MinShards:  2,
-		MinHeat:    1,
+		Enabled:  true,
+		Interval: -1, // manual stepping
+		Buckets:  16,
+		MaxStep:  32,
+		MinHeat:  1,
 	}
 }
 
@@ -40,8 +36,8 @@ func scanBatch(round int) *Batch {
 }
 
 // TestAutoshardOnIdenticalResults is the facade-level differential half
-// of the autoshard contract: a DB that splits, merges, and migrates
-// under an aggressive controller must stay byte-identical — point
+// of the autoshard contract: a DB that migrates keys under an
+// aggressive controller must stay byte-identical — point
 // results and scan rows — to an identical DB with the controller off.
 func TestAutoshardOnIdenticalResults(t *testing.T) {
 	base := Options{Order: 8, Workers: 2, CacheCapacity: 16, Shards: 4, ShardKeyMax: 4095}
@@ -82,8 +78,8 @@ func TestAutoshardOnIdenticalResults(t *testing.T) {
 			}
 		}
 		// Two controller steps per round: mixedBatch concentrates each
-		// round's traffic on one narrow key range, so splits and
-		// boundary moves fire constantly at these thresholds.
+		// round's traffic on one narrow key range, so boundary moves
+		// fire constantly at these thresholds.
 		auto.AutoshardStep()
 		auto.AutoshardStep()
 	}
@@ -93,28 +89,28 @@ func TestAutoshardOnIdenticalResults(t *testing.T) {
 	// The controller must actually have done something, or the test
 	// proves nothing.
 	st := auto.ShardStats()
-	if st.Moves == 0 && st.AutoSplits == 0 {
+	if st.Moves == 0 {
 		t.Fatalf("controller never acted: %+v", st)
 	}
 }
 
 // TestAutoshardStepUnsharded pins the facade edge: stepping an
-// unsharded DB is a harmless no-op reporting one shard.
+// unsharded DB is a harmless no-op returning the zero report.
 func TestAutoshardStepUnsharded(t *testing.T) {
 	db, err := Open(Options{Order: 8, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	if r := db.AutoshardStep(); r.Shards != 1 || r.Moved != 0 || r.Split || r.Merge {
-		t.Fatalf("unsharded step = %+v, want inert 1-shard report", r)
+	if r := db.AutoshardStep(); r != (shard.AutoshardReport{}) {
+		t.Fatalf("unsharded step = %+v, want the zero report", r)
 	}
 }
 
 // TestAutoshardMetricsExported drives the exporter end to end: after
 // batches and controller steps, /metrics (JSON and text) must carry the
-// autoshard family — shard count, imbalance, per-shard heat gauges, and
-// the step/structural counters.
+// autoshard family — imbalance, per-shard heat gauges, and the step
+// counter.
 func TestAutoshardMetricsExported(t *testing.T) {
 	opts := Options{
 		Order: 8, Workers: 2, CacheCapacity: 16,
@@ -146,9 +142,6 @@ func TestAutoshardMetricsExported(t *testing.T) {
 	if err != nil {
 		t.Fatalf("/metrics did not decode: %v", err)
 	}
-	if got := snap.Gauges["autoshard_shards"]; got < 2 {
-		t.Errorf("autoshard_shards gauge = %d, want >= 2", got)
-	}
 	if _, ok := snap.Gauges["autoshard_imbalance_permille"]; !ok {
 		t.Error("autoshard_imbalance_permille gauge missing")
 	}
@@ -169,7 +162,7 @@ func TestAutoshardMetricsExported(t *testing.T) {
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	text := string(raw)
-	for _, want := range []string{"autoshard_shards", "autoshard_heat_shard_0", "autoshard_steps_total"} {
+	for _, want := range []string{"autoshard_imbalance_permille", "autoshard_heat_shard_0", "autoshard_steps_total"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("text exporter missing %q:\n%s", want, text)
 		}

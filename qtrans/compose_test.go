@@ -275,7 +275,7 @@ func driveComposition(t *testing.T, c composition, db *DB, stream [][]keys.Query
 		}
 	}
 	if c.autoshard {
-		if st := db.ShardStats(); st.Moves == 0 && st.AutoSplits == 0 {
+		if st := db.ShardStats(); st.Moves == 0 {
 			t.Fatalf("controller never acted: %+v", st)
 		}
 	}

@@ -114,16 +114,15 @@ type Options struct {
 	// (0 = the full uint64 space). A poor hint only skews load, never
 	// correctness; DB.Rebalance re-splits from the stored keys.
 	ShardKeyMax Key
-	// Autoshard enables traffic-aware automatic resharding of a
-	// sharded DB (Shards > 1; Open returns ErrAutoshardUnsharded
-	// otherwise): the splitter's routing pass feeds an
-	// online per-key-range heat histogram, and a background controller
-	// re-splits boundaries by traffic weight, splits persistently hot
-	// shards, merges persistently cold ones, and migrates keys in
-	// small slices scheduled exactly at batch boundaries — serving
-	// never pauses longer than one inter-batch gap. The zero value
-	// keeps autosharding off with the hot path byte- and
-	// alloc-identical to previous releases. See DESIGN.md §13.
+	// Autoshard enables traffic-aware boundary moves on a sharded DB
+	// (Shards > 1; Open returns ErrAutoshardUnsharded otherwise): the
+	// splitter's routing pass feeds an online per-key-range heat
+	// histogram, and a background controller moves one shard boundary
+	// per step toward its traffic-weighted position, migrating at most
+	// MaxStep keys exactly at a batch boundary — serving never pauses
+	// longer than one inter-batch gap. The shard count stays Shards.
+	// The zero value keeps autosharding off with the hot path byte-
+	// and alloc-identical to previous releases. See DESIGN.md §13.
 	Autoshard Autoshard
 	// Durability enables crash-safe operation (write-ahead log +
 	// atomic snapshots) when its Dir is set; the zero value keeps
@@ -154,7 +153,7 @@ type Options struct {
 	Metrics *Metrics
 }
 
-// Autoshard configures traffic-aware automatic resharding (see
+// Autoshard configures traffic-aware boundary moves (see
 // Options.Autoshard). Every field but Enabled is optional; zero picks
 // the documented default.
 type Autoshard struct {
@@ -167,19 +166,9 @@ type Autoshard struct {
 	// disables the background goroutine so resharding happens only on
 	// explicit DB.AutoshardStep calls).
 	Interval time.Duration
-	// SplitAbove splits the hottest shard when its heat exceeds this
-	// multiple of the mean (0 = 1.6); MergeBelow merges the coldest
-	// when its heat falls below this multiple (0 = 0.25). Both must
-	// hold for Hysteresis consecutive controller steps (0 = 3).
-	SplitAbove float64
-	MergeBelow float64
-	Hysteresis int
 	// MaxStep bounds the pairs migrated per controller step (0 = 4096)
 	// — the unit of non-stop-the-world migration.
 	MaxStep int
-	// MaxShards caps splits (0 = 16); MinShards floors merges (0 = 2).
-	MaxShards int
-	MinShards int
 	// MinHeat is the total histogram heat below which the controller
 	// idles (0 = 256).
 	MinHeat int64
@@ -237,16 +226,11 @@ func (opts Options) tierConfig() tier.Config {
 // config.
 func (a Autoshard) shardConfig() shard.AutoshardConfig {
 	return shard.AutoshardConfig{
-		Enabled:    a.Enabled,
-		Buckets:    a.Buckets,
-		Interval:   a.Interval,
-		SplitAbove: a.SplitAbove,
-		MergeBelow: a.MergeBelow,
-		Hysteresis: a.Hysteresis,
-		MaxStep:    a.MaxStep,
-		MaxShards:  a.MaxShards,
-		MinShards:  a.MinShards,
-		MinHeat:    a.MinHeat,
+		Enabled:  a.Enabled,
+		Buckets:  a.Buckets,
+		Interval: a.Interval,
+		MaxStep:  a.MaxStep,
+		MinHeat:  a.MinHeat,
 	}
 }
 
@@ -589,10 +573,9 @@ func (db *DB) Rebalance() (migrated int, err error) {
 
 // AutoshardStep runs one autoshard controller step synchronously (see
 // Options.Autoshard): the controller takes the batch gate exclusively,
-// applies at most one bounded action — a boundary move, a split, or one
-// drain slice of a merge — and returns what it did. Useful with a
-// negative Autoshard.Interval to drive resharding from the caller's
-// own cadence; a no-op reporting the current shard count when
+// makes at most one bounded boundary move, and returns what it did.
+// Useful with a negative Autoshard.Interval to drive resharding from
+// the caller's own cadence; a no-op returning the zero report when
 // autosharding is off or the DB is unsharded.
 func (db *DB) AutoshardStep() shard.AutoshardReport {
 	return db.shards.AutoshardStep()
